@@ -104,6 +104,8 @@ def _load_generators(path: str) -> list[PolyVectorField]:
 
 
 def _cmd_closure(args) -> int:
+    if args.cap < 1:
+        return _fail(f"--cap must be at least 1, got {args.cap}")
     try:
         generators = _load_generators(args.file)
     except (OSError, json.JSONDecodeError, SpecError) as exc:
@@ -285,6 +287,8 @@ def _cmd_integrate(args) -> int:
         return _fail(f"could not parse --x0 {args.x0!r}")
     if len(x0) != spec.dimension:
         return _fail(f"--x0 has {len(x0)} entries, the system has dimension {spec.dimension}")
+    if not args.tspan[0] < args.tspan[1]:
+        return _fail(f"--tspan must satisfy T0 < T1, got {args.tspan[0]:g} {args.tspan[1]:g}")
     try:
         cfg = IntegratorConfig(
             method=args.method,

@@ -3,7 +3,11 @@
 Vectors here are sparse: dicts from an arbitrary (totally ordered) column
 label to a nonzero Fraction.  This suits coefficient vectors of polynomial
 vector fields, whose natural column labels are (component, monomial)
-pairs discovered on the fly.  Dense helpers operate on lists of lists.
+pairs discovered on the fly.
+
+All elimination goes through ``SparseEchelon``, whose rows remember how
+they were made; dense matrices (lists of rows) are read as sparse vectors
+keyed by column index.
 
 Everything is exact; no pivot-size heuristics are needed because Fraction
 arithmetic cannot lose information.
@@ -11,12 +15,28 @@ arithmetic cannot lose information.
 
 from __future__ import annotations
 
+from bisect import insort
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 _ZERO = Fraction(0)
 
 SparseVec = Mapping
+
+
+@dataclass(slots=True)
+class _Row:
+    """A stored echelon row and how it was made: ``entries`` is
+    ``(vector[origin] - sum(m * row[p] for p, m in steps)) / scale``, with
+    ``origin`` the index of the ``add`` call and ``scale`` the pivot value
+    before normalizing."""
+
+    entries: dict
+    origin: int
+    scale: Fraction
+    steps: list
+    combination: dict | None = None  # {added index: coefficient}, expanded on demand
 
 
 class SparseEchelon:
@@ -30,113 +50,124 @@ class SparseEchelon:
 
     def __init__(self):
         self._rows: dict = {}
+        self._pivots: list = []  # ascending
+        self._added = 0
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: SparseVec) -> dict:
+    def _eliminate(self, vec: SparseVec) -> tuple[dict, list]:
+        """Remainder of ``vec`` and the (pivot, multiplier) pairs used."""
         rem = {k: Fraction(v) for k, v in vec.items() if v != 0}
-        for pivot in sorted(self._rows):
+        steps = []
+        rows = self._rows
+        for pivot in self._pivots:
             coef = rem.get(pivot)
             if not coef:
                 continue
-            for col, val in self._rows[pivot].items():
+            steps.append((pivot, coef))
+            for col, val in rows[pivot].entries.items():
                 nv = rem.get(col, _ZERO) - coef * val
                 if nv:
                     rem[col] = nv
                 else:
                     rem.pop(col, None)
-        return rem
+        return rem, steps
+
+    def reduce(self, vec: SparseVec) -> dict:
+        return self._eliminate(vec)[0]
 
     def contains(self, vec: SparseVec) -> bool:
         return not self.reduce(vec)
 
     def add(self, vec: SparseVec) -> bool:
         """Insert ``vec``; True if it enlarged the span."""
-        rem = self.reduce(vec)
+        rem, steps = self._eliminate(vec)
+        origin = self._added
+        self._added += 1
         if not rem:
             return False
         pivot = min(rem)
-        inv = 1 / rem[pivot]
-        self._rows[pivot] = {k: v * inv for k, v in rem.items()}
+        scale = rem[pivot]
+        inv = 1 / scale
+        self._rows[pivot] = _Row({k: v * inv for k, v in rem.items()}, origin, scale, steps)
+        insort(self._pivots, pivot)
         return True
 
+    def _combination(self, pivot) -> dict:
+        """The row at ``pivot`` as {added index: coefficient}."""
+        row = self._rows[pivot]
+        if row.combination is None:
+            acc = {row.origin: Fraction(1)}
+            for p, m in row.steps:
+                for i, c in self._combination(p).items():
+                    acc[i] = acc.get(i, _ZERO) - m * c
+            inv = 1 / row.scale
+            row.combination = {i: c * inv for i, c in acc.items() if c}
+        return row.combination
 
-def sparse_rank(vectors: Sequence[SparseVec]) -> int:
+    def solve(self, vec: SparseVec) -> dict | None:
+        """{added index: coefficient} whose combination of the added
+        vectors is ``vec``, or None outside the span.  Added vectors that
+        did not enlarge the span get no coefficient."""
+        rem, steps = self._eliminate(vec)
+        if rem:
+            return None
+        out: dict = {}
+        for p, m in steps:
+            for i, c in self._combination(p).items():
+                out[i] = out.get(i, _ZERO) + m * c
+        return out
+
+    def pivot_determinant(self) -> Fraction:
+        """Determinant of the added vectors as rows of a square matrix over
+        the pivot columns: the product of the pivot values times the sign
+        of the pivot permutation.  Reducing by earlier rows leaves the
+        determinant unchanged, and after it row k is zero at every earlier
+        pivot, so the reduced matrix is triangular up to that permutation.
+        Zero if some added vector did not enlarge the span."""
+        if self.rank < self._added:
+            return _ZERO
+        order = sorted(self._rows, key=lambda p: self._rows[p].origin)
+        det = Fraction(1)
+        for k, pivot in enumerate(order):
+            det *= self._rows[pivot].scale
+            for later in order[k + 1:]:
+                if later < pivot:
+                    det = -det
+        return det
+
+
+def _echelon(vectors) -> SparseEchelon:
     ech = SparseEchelon()
     for v in vectors:
         ech.add(v)
-    return ech.rank
+    return ech
 
 
-def solve_in_span(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fraction] | None:
-    """Coefficients a with sum(a[i] * vectors[i]) == target, else None.
+def sparse_rank(vectors: Sequence[SparseVec]) -> int:
+    return _echelon(vectors).rank
 
-    The result is verified against every column exactly, so callers can
-    trust a non-None answer even for overdetermined systems.  When the
-    vectors are dependent one representative solution is returned.
+
+def solve_in_span(vectors: Sequence[SparseVec], targets: Sequence[SparseVec]) -> list[list[Fraction] | None]:
+    """For each target, coefficients a with sum(a[i] * vectors[i]) == target,
+    else None.
+
+    One echelon over ``vectors`` serves every target, and a non-None answer
+    is exact by construction.  When the vectors are dependent, a vector in
+    the span of earlier ones gets coefficient 0.
     """
-    cols = set(target)
-    for v in vectors:
-        cols.update(v)
-    col_list = sorted(cols)
-    n = len(vectors)
-    # rows of the augmented system: one equation per column label
-    rows = [
-        [Fraction(vectors[i].get(c, 0)) for i in range(n)] + [Fraction(target.get(c, 0))]
-        for c in col_list
-    ]
-    pivot_of_unknown: dict[int, int] = {}
-    r = 0
-    for j in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][j]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j] != 0:
-                f = rows[i][j]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_of_unknown[j] = r
-        r += 1
-    coeffs = [_ZERO] * n
-    for j, pr in pivot_of_unknown.items():
-        coeffs[j] = rows[pr][n]
-    # verify exactly
-    for c in col_list:
-        acc = _ZERO
-        for i, a in enumerate(coeffs):
-            if a:
-                acc += a * Fraction(vectors[i].get(c, 0))
-        if acc != Fraction(target.get(c, 0)):
-            return None
-    return coeffs
+    ech = _echelon(vectors)
+    out: list[list[Fraction] | None] = []
+    for target in targets:
+        combination = ech.solve(target)
+        out.append(None if combination is None else [combination.get(i, _ZERO) for i in range(len(vectors))])
+    return out
 
 
 def dense_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    m = [list(map(Fraction, row)) for row in rows if any(v != 0 for v in row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == min(len(m), ncols):
-            break
-    return rank
+    return sparse_rank([dict(enumerate(row)) for row in rows])
 
 
 def nullspace_dimension(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
@@ -145,21 +176,6 @@ def nullspace_dimension(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
-    m = [list(map(Fraction, row)) for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pr = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pr is None:
-            return _ZERO
-        if pr != col:
-            m[col], m[pr] = m[pr], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
+    return _echelon(dict(enumerate(row)) for row in matrix).pivot_determinant()

@@ -169,16 +169,13 @@ def structure_constants(basis: LieBasis) -> StructureConstants:
     r = basis.size
     zero = Fraction(0)
     c = [[[zero] * r for _ in range(r)] for _ in range(r)]
-    rows = list(basis.coefficient_rows)
-    for a in range(r):
-        for b in range(a + 1, r):
-            br = lie_bracket(basis.fields[a], basis.fields[b])
-            coeffs = solve_in_span(rows, br.coefficient_vector())
-            if coeffs is None:
-                raise NotClosed(a, b)
-            for g in range(r):
-                c[a][b][g] = coeffs[g]
-                c[b][a][g] = -coeffs[g]
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    brackets = [lie_bracket(basis.fields[a], basis.fields[b]).coefficient_vector() for a, b in pairs]
+    for (a, b), coeffs in zip(pairs, solve_in_span(basis.coefficient_rows, brackets)):
+        if coeffs is None:
+            raise NotClosed(a, b)
+        c[a][b] = coeffs
+        c[b][a] = [-v for v in coeffs]
     return StructureConstants(c)
 
 

@@ -31,7 +31,7 @@ State = Sequence[float]
 class PolyVectorField:
     """An autonomous vector field on R^n with polynomial components."""
 
-    __slots__ = ("dimension", "components", "_compiled")
+    __slots__ = ("dimension", "components")
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -43,7 +43,6 @@ class PolyVectorField:
                 raise ValueError(f"component arity {p.arity} does not match dimension {n}")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyVectorField is immutable")
@@ -85,30 +84,6 @@ class PolyVectorField:
     def evaluate(self, point: Sequence) -> list:
         """Component values at a point; exact when the point is exact."""
         return [p.evaluate(point) for p in self.components]
-
-    def evaluate_float(self, point: Sequence[float]) -> list[float]:
-        """Fast float evaluation used inside integration loops."""
-        compiled = self._compiled
-        if compiled is None:
-            compiled = []
-            for p in self.components:
-                compiled.append(
-                    [
-                        (float(c), tuple((j, e) for j, e in enumerate(exps) if e))
-                        for exps, c in p.terms.items()
-                    ]
-                )
-            object.__setattr__(self, "_compiled", compiled)
-        out = []
-        for monos in compiled:
-            acc = 0.0
-            for coeff, powers in monos:
-                v = coeff
-                for j, e in powers:
-                    v *= point[j] if e == 1 else point[j] ** e
-                acc += v
-            out.append(acc)
-        return out
 
     def coefficient_vector(self) -> dict:
         """Sparse coefficient vector keyed by (component, monomial).

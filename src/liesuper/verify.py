@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -203,6 +204,13 @@ class RuleSetup:
         return blocks
 
 
+def _nan_max(a: float, b: float) -> float:
+    """max(a, b), except that a NaN on either side wins.  ``max`` keeps its
+    first argument when a comparison with NaN is false, so folding errors
+    with it turns a NaN that arrives after a number into that number."""
+    return a if a != a or a >= b else b
+
+
 def _no_guard(traj, blocks, constants):
     return None
 
@@ -322,7 +330,7 @@ def _build_pinney(params: dict) -> RuleSetup:
         deriv_error = 0.0
         for i in range(2, len(x_f) - 2):
             fd = (x_f[i - 2] - 8 * x_f[i - 1] + 8 * x_f[i + 1] - x_f[i + 2]) / (12 * h)
-            deriv_error = max(deriv_error, abs(fd - p_f[i]))
+            deriv_error = _nan_max(deriv_error, abs(fd - p_f[i]))
         return {"wronskian_drift": drift, "deriv_error": float(deriv_error)}
 
     osc_fields = osc.constituent_fields()
@@ -372,7 +380,7 @@ def _build_hierarchy(params: dict) -> RuleSetup:
         v0 = phi(jets0, constants)
         k_back = solve_hierarchy_constants(s, jets0, v0)
         v_back = eval_hierarchy_rule(s, jets0, k_back)
-        err = max(abs(a - b) for a, b in zip(v_back, v0))
+        err = reduce(_nan_max, (abs(a - b) for a, b in zip(v_back, v0)), 0.0)
         return {"round_trip_error": float(err)}
 
     return RuleSetup(
@@ -495,7 +503,7 @@ def verify_rule(
         for i in range(len(traj.times)):
             predicted = setup.phi([b[i] for b in blocks], constants)
             for j in range(n0):
-                max_error = max(max_error, abs(predicted[j] - traj.states[i, j]))
+                max_error = _nan_max(max_error, abs(predicted[j] - traj.states[i, j]))
         extras = setup.extras(traj, blocks, constants)
     except SuperpositionError as exc:
         return TrialRecord(index, constants, f"rejected:formula-{type(exc).__name__}")
@@ -546,11 +554,8 @@ def run_rule_verification(
         component_dim = closure(setup.component_generators, closure_cap).size
 
     clean_records = [r for r in records if r.ok]
-    max_error = max((r.max_error for r in clean_records), default=0.0)
-    max_drift = max(
-        (r.extras.get("wronskian_drift", 0.0) for r in clean_records),
-        default=0.0,
-    )
+    max_error = reduce(_nan_max, (r.max_error for r in clean_records), 0.0)
+    max_drift = reduce(_nan_max, (r.extras.get("wronskian_drift", 0.0) for r in clean_records), 0.0)
     return VerificationReport(
         rule_id=rule_id,
         trial_count=clean + singular,
@@ -847,7 +852,7 @@ def _run_rule_item(item: dict) -> dict:
     extras_max: dict[str, float] = {}
     for record in clean:
         for key, value in record.extras.items():
-            extras_max[key] = max(extras_max.get(key, 0.0), value)
+            extras_max[key] = _nan_max(extras_max.get(key, 0.0), value)
     for key, value in extras_max.items():
         if key in extra_tols:
             ok = ok and value <= extra_tols[key]

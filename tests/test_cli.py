@@ -53,6 +53,13 @@ class TestClosureCommand:
     def test_missing_file(self, capsys):
         assert main(["closure", "/nonexistent/gen.json"]) == 1
 
+    def test_cap_zero_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "gen.json", GL2_GENERATORS)
+        assert main(["closure", path, "--cap", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--cap" in captured.err
+        assert captured.out == ""
+
     def test_out_file_written_atomically(self, tmp_path, capsys):
         gen = write_json(tmp_path / "gen.json", RICCATI_GENERATORS)
         out = tmp_path / "report.json"
@@ -196,6 +203,13 @@ class TestIntegrateCommand:
     def test_x0_dimension_mismatch(self, tmp_path, capsys):
         spec = write_json(tmp_path / "osc.json", {"kind": "oscillator", "omega": "1"})
         assert main(["integrate", spec, "--x0", "1", "--tspan", "0", "1"]) == 1
+
+    def test_reversed_tspan_is_an_input_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "ric.json", {"kind": "riccati", "b0": "1", "b1": "0"})
+        assert main(["integrate", spec, "--x0", "0", "--tspan", "1", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--tspan" in captured.err
+        assert captured.out == ""
 
     def test_invalid_spec(self, tmp_path, capsys):
         spec = write_json(tmp_path / "bad.json", {"kind": "oscillator", "omega": "sin(q)"})

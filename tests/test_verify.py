@@ -1,15 +1,18 @@
 """The verification harness: single trials, trial loops, and suites."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from liesuper import verify
 from liesuper.integrate import IntegratorConfig, integrate
 from liesuper.superpose import eval_bernoulli_rule, eval_hierarchy_rule, eval_linear_rule
 from liesuper.verify import (
     SuiteValidationError,
+    TrialRecord,
     build_rule_setup,
     check_prolongation_identity,
     default_suite,
@@ -125,6 +128,68 @@ class TestRunRuleVerification:
                 assert record.ok
                 outputs.append(setup.phi([np.array(ic) for ic in ics], [k]))
             assert max(abs(a - b) for a, b in zip(*outputs)) > 1e-6
+
+
+LINEAR_ITEM = {
+    "kind": "rule",
+    "name": "linear",
+    "rule": "linear",
+    "a": "0",
+    "b": "1",
+    "trials": 3,
+    "seed": 0,
+    "tspan": [0.0, 1.0],
+    "tolerance": 1e-10,
+}
+
+
+class TestNonFiniteErrors:
+    """A NaN error anywhere in a trial reaches the report and fails the item."""
+
+    @staticmethod
+    def linear_setup(nan_at_call):
+        # phi runs once for the initial state, then once per node
+        setup = build_rule_setup("linear", {"a": "0", "b": "1"})
+        honest = setup.phi
+        calls = []
+
+        def phi(blocks, k):
+            calls.append(None)
+            return [math.nan] if nan_at_call(len(calls)) else honest(blocks, k)
+
+        return dataclasses.replace(setup, phi=phi)
+
+    @staticmethod
+    def fake_trials(monkeypatch, errors, extras):
+        errors, extras = iter(errors), iter(extras)
+
+        def fake_verify_rule(setup, ics, constants, tspan, cfg, index=0):
+            return TrialRecord(index, list(constants), "ok", next(errors), next(extras))
+
+        monkeypatch.setattr(verify, "verify_rule", fake_verify_rule)
+
+    def test_nan_after_t0(self):
+        setup = self.linear_setup(lambda call: call > 2)
+        record = verify_rule(setup, [[0.0], [1.0]], [3.0], (0.0, 1.0), CFG)
+        assert math.isnan(record.max_error)
+
+    def test_nan_at_one_node(self):
+        setup = self.linear_setup(lambda call: call == 4)
+        record = verify_rule(setup, [[0.0], [1.0]], [3.0], (0.0, 1.0), CFG)
+        assert math.isnan(record.max_error)
+
+    def test_nan_trial_error_fails_the_item(self, monkeypatch):
+        self.fake_trials(monkeypatch, [1e-12, math.nan, 1e-12], [{}] * 3)
+        (item,) = run_suite({"items": [dict(LINEAR_ITEM)]})
+        assert math.isnan(item["measured"]["max_formula_error"])
+        assert item["pass"] is False
+
+    def test_nan_extra_fails_the_item(self, monkeypatch):
+        extras = [{"round_trip_error": v} for v in (0.0, math.nan, 0.0)]
+        self.fake_trials(monkeypatch, [0.0] * 3, extras)
+        (item,) = run_suite({"items": [dict(LINEAR_ITEM)]})
+        assert math.isnan(item["measured"]["extras_max"]["round_trip_error"])
+        assert item["pass"] is False
 
 
 class TestDriftHelpers:

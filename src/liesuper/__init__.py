@@ -18,7 +18,6 @@ from .hierarchy import (
     generate_member,
     gl_basis,
     linear_generators,
-    member_first_order_system,
     member_lie_generators,
     member_td_system,
     member_text,

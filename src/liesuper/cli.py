@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,9 +38,7 @@ from .liealg import (
     killing_determinant,
     structure_constants,
 )
-from .parsing import ParseError, parse_poly
-from .systems import SpecError, build_rhs, parse_system_spec, spec_to_doc
-from .vectorfield import PolyVectorField
+from .systems import SpecError, build_rhs, parse_generators, parse_system_spec, spec_to_doc
 from .verify import SuiteValidationError, default_suite, run_suite, suite_passed
 
 EXIT_OK = 0
@@ -79,35 +78,11 @@ def _load_json(path: str):
 # closure
 # ---------------------------------------------------------------------------
 
-def _load_generators(path: str) -> list[PolyVectorField]:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "dim" not in doc or "fields" not in doc:
-        raise SpecError("generators: expected an object with 'dim' and 'fields'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SpecError("generators.dim: expected a positive integer")
-    fields = doc["fields"]
-    if not isinstance(fields, list) or not fields:
-        raise SpecError("generators.fields: expected a non-empty list")
-    out = []
-    for i, comps in enumerate(fields):
-        if not isinstance(comps, list) or len(comps) != dim:
-            raise SpecError(f"generators.fields[{i}]: expected {dim} component strings")
-        polys = []
-        for j, comp in enumerate(comps):
-            try:
-                polys.append(parse_poly(comp, dim))
-            except ParseError as exc:
-                raise SpecError(f"generators.fields[{i}][{j}]: {exc}") from exc
-        out.append(PolyVectorField(polys))
-    return out
-
-
 def _cmd_closure(args) -> int:
     if args.cap < 1:
         return _fail(f"--cap must be at least 1, got {args.cap}")
     try:
-        generators = _load_generators(args.file)
+        generators = parse_generators(_load_json(args.file))
     except (OSError, json.JSONDecodeError, SpecError) as exc:
         return _fail(str(exc))
     try:
@@ -285,6 +260,8 @@ def _cmd_integrate(args) -> int:
         x0 = [float(v) for v in args.x0.split(",")]
     except ValueError:
         return _fail(f"could not parse --x0 {args.x0!r}")
+    if not all(map(math.isfinite, x0)):
+        return _fail(f"--x0 entries must be finite numbers, got {args.x0!r}")
     if len(x0) != spec.dimension:
         return _fail(f"--x0 has {len(x0)} entries, the system has dimension {spec.dimension}")
     if not args.tspan[0] < args.tspan[1]:

@@ -125,7 +125,8 @@ def companion_linear_system(spec: LinearODESpec) -> TDVectorField:
 def member_first_order_system(member: HierarchyMember, bvals: Sequence[TimeFunction]) -> GenericRHS:
     """First-order form of a hierarchy member on R^{s-1}:
     v_i' = v_{i+1} and v_{s-2}' = rhs(t, v), with the b symbols bound to
-    the given time functions."""
+    the given time functions.  Built straight from the member equation, it
+    is the tests' independent reference for ``member_td_system``."""
     s = member.order
     if len(bvals) != s:
         raise ValueError(f"need {s} coefficient functions, got {len(bvals)}")
@@ -163,8 +164,8 @@ def member_lie_generators(s: int) -> list[PolyVectorField]:
 
 
 def member_td_system(s: int, bvals: Sequence[TimeFunction]) -> TDVectorField:
-    """The member system in decomposed form (equivalent to the GenericRHS
-    returned by member_first_order_system, but bracketable)."""
+    """The member system in decomposed form, as the ``hierarchy_member``
+    spec kind and the hierarchy rule integrate it."""
     if len(bvals) != s:
         raise ValueError(f"need {s} coefficient functions, got {len(bvals)}")
     gens = member_lie_generators(s)

@@ -9,16 +9,18 @@ Time-function grammar (the CLI-facing contract):
     fn     := 'sin' | 'cos' | 'exp'
 
 Numbers are unsigned decimal literals and parse exactly (``0.5`` becomes
-the Fraction 1/2).  There is deliberately no unary minus; write ``0 - 1``
-or ``(0 - 1)*x`` for negative quantities.  Power exponents are integers
+the Fraction 1/2).  Time functions have no unary minus; write ``0 - 1``
+or ``(0 - 1)*t`` for negative quantities.  Power exponents are integers
 and may carry a sign (``t^-2``).
 
 Polynomial expressions reuse the same grammar with the variable set
-x0..x{n-1} instead of ``t``, no function calls, and division restricted to
-constant divisors so results stay exact polynomials.
+x0..x{n-1} instead of ``t``, no function calls, division restricted to
+constant divisors so results stay exact polynomials, and one optional
+leading minus per expression, ``expr := '-'? term (('+' | '-') term)*``.
 
-Parsed trees render back to canonical text via ``to_text`` and re-parse to
-structurally equal trees.
+Time-function trees parsed from text render back to canonical text via
+``to_text`` and re-parse to structurally equal trees; ``Poly.to_text``
+output parses back with ``parse_poly`` to an equal polynomial.
 """
 
 from __future__ import annotations
@@ -332,7 +334,8 @@ def parse_timefn(src: str) -> TimeFunction:
 # ---------------------------------------------------------------------------
 
 class _PolyParser:
-    """Same grammar over variables x0..x{n-1}; no calls, exact arithmetic."""
+    """Same grammar over variables x0..x{n-1}, plus a leading minus; no
+    calls, exact arithmetic."""
 
     def __init__(self, src: str, names: Sequence[str]):
         self.tokens = _tokenize(src)
@@ -356,7 +359,9 @@ class _PolyParser:
         return node
 
     def expr(self) -> Poly:
-        node = self.term()
+        # a leading minus (Poly.to_text writes one) subtracts from zero
+        leading_minus = self.peek().kind == "op" and self.peek().text == "-"
+        node = Poly.zero(self.arity) if leading_minus else self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             tok = self.next()
             rhs = self.term()

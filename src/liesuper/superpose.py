@@ -72,9 +72,6 @@ class CoincidentSolutions(SuperpositionError):
     pass
 
 
-RULE_IDS = ("linear", "bernoulli", "pinney", "hierarchy", "riccati-cross-ratio")
-
-
 @dataclass(frozen=True)
 class MixedRule:
     """Descriptor of a rule: which component systems it consumes, how many
@@ -109,20 +106,6 @@ class MixedRule:
     @staticmethod
     def riccati_cross_ratio() -> "MixedRule":
         return MixedRule("riccati-cross-ratio", (1, 1, 1), 1, 1)
-
-    @staticmethod
-    def by_id(rule_id: str, **params) -> "MixedRule":
-        if rule_id == "linear":
-            return MixedRule.linear()
-        if rule_id == "bernoulli":
-            return MixedRule.bernoulli(int(params["n"]))
-        if rule_id == "pinney":
-            return MixedRule.pinney(params["c"])
-        if rule_id == "hierarchy":
-            return MixedRule.hierarchy(int(params["s"]))
-        if rule_id == "riccati-cross-ratio":
-            return MixedRule.riccati_cross_ratio()
-        raise ValueError(f"unknown rule id {rule_id!r}; known: {', '.join(RULE_IDS)}")
 
 
 def eval_linear_rule(x1: float, x2: float, k: float) -> float:

@@ -33,21 +33,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import Poly
-from .hierarchy import (
-    LinearODESpec,
-    companion_linear_system,
-    generate_member,
-    gl_basis,
-    linear_generators,
-    member_first_order_system,
-    member_lie_generators,
-    member_td_system,
-)
+from .hierarchy import gl_basis, linear_generators, member_lie_generators, member_td_system
 from .integrate import IntegratorConfig, Trajectory, first_integral_drift, integrate, wronskian
 from .liealg import (
     CapExceeded,
@@ -57,7 +48,7 @@ from .liealg import (
     killing_determinant,
     structure_constants,
 )
-from .parsing import ParseError, TimeFunction, parse_poly, parse_timefn
+from .parsing import TimeFunction, parse_timefn
 from .superpose import (
     MixedRule,
     SuperpositionError,
@@ -68,8 +59,23 @@ from .superpose import (
     eval_riccati_cross_ratio,
     solve_hierarchy_constants,
 )
-from .systems import oscillator_system, pinney_system
+from .systems import (
+    GENERATOR_KEYS,
+    SYSTEM_KINDS,
+    SystemSpec,
+    build_rhs,
+    check_integer,
+    check_keys,
+    check_number,
+    checker,
+    generator_fields,
+    is_number,
+    lookup,
+    oscillator_system,
+    parse_system_spec,
+)
 from .vectorfield import (
+    AnyRHS,
     PolyVectorField,
     TDVectorField,
     diagonal_prolong,
@@ -187,7 +193,7 @@ class RuleSetup:
 
     rule: MixedRule
     components: list[TDVectorField]
-    target: object  # TDVectorField | GenericRHS
+    target: AnyRHS
     phi: Callable[[list[np.ndarray], Sequence[float]], list[float]]
     sample: Callable[[random.Random], tuple[list[list[float]], list[float]]]
     guard: Callable[[Trajectory, list[np.ndarray], Sequence[float]], str | None]
@@ -219,13 +225,9 @@ def _no_extras(traj, blocks, constants):
     return {}
 
 
-def _build_linear(params: dict) -> RuleSetup:
-    a = parse_timefn(params["a"])
-    b = parse_timefn(params["b"])
-    x = PolyVectorField([Poly.variable(1, 0)])
-    one = PolyVectorField([Poly.constant(1, 1)])
-    affine = TDVectorField([(a, x), (b, one)])
-    homogeneous = TDVectorField([(a, x)])
+def _build_linear(spec: SystemSpec) -> RuleSetup:
+    affine = build_rhs(spec)
+    homogeneous = TDVectorField(affine.terms[:1])
 
     def phi(blocks, k):
         return [eval_linear_rule(blocks[0][0], blocks[1][0], k[0])]
@@ -244,18 +246,14 @@ def _build_linear(params: dict) -> RuleSetup:
         sample=sample,
         guard=_no_guard,
         extras=_no_extras,
-        condition_generators=[x, one],
+        condition_generators=affine.constituent_fields(),
     )
 
 
-def _build_bernoulli(params: dict) -> RuleSetup:
-    a = parse_timefn(params["a"])
-    b = parse_timefn(params["b"])
-    n = int(params["n"])
-    x = PolyVectorField([Poly.variable(1, 0)])
-    xn = PolyVectorField([Poly.variable(1, 0) ** n])
-    bern = TDVectorField([(a, x), (b, xn)])
-    homogeneous = TDVectorField([(a, x)])
+def _build_bernoulli(spec: SystemSpec) -> RuleSetup:
+    n = spec.params["n"]
+    bern = build_rhs(spec)
+    homogeneous = TDVectorField(bern.terms[:1])
 
     def phi(blocks, k):
         return [eval_bernoulli_rule(blocks[0][0], blocks[1][0], k[0], n)]
@@ -279,15 +277,14 @@ def _build_bernoulli(params: dict) -> RuleSetup:
         sample=sample,
         guard=guard,
         extras=_no_extras,
-        condition_generators=[x, xn],
+        condition_generators=bern.constituent_fields(),
     )
 
 
-def _build_pinney(params: dict) -> RuleSetup:
-    omega = parse_timefn(params["omega"])
-    c = float(params["c"])
-    osc = oscillator_system(omega)
-    target = pinney_system(omega, c)
+def _build_pinney(spec: SystemSpec) -> RuleSetup:
+    c = spec.params["c"]
+    osc = build_rhs(SystemSpec("oscillator", {"omega": spec.params["omega"]}))
+    target = build_rhs(spec)
 
     def phi(blocks, k):
         return list(eval_pinney_rule(blocks[0], blocks[1], k[0], k[1], c))
@@ -333,7 +330,6 @@ def _build_pinney(params: dict) -> RuleSetup:
             deriv_error = _nan_max(deriv_error, abs(fd - p_f[i]))
         return {"wronskian_drift": drift, "deriv_error": float(deriv_error)}
 
-    osc_fields = osc.constituent_fields()
     return RuleSetup(
         rule=MixedRule.pinney(c),
         components=[osc, osc],
@@ -342,18 +338,14 @@ def _build_pinney(params: dict) -> RuleSetup:
         sample=sample,
         guard=guard,
         extras=extras,
-        condition_generators=osc_fields,
+        condition_generators=osc.constituent_fields(),
     )
 
 
-def _build_hierarchy(params: dict) -> RuleSetup:
-    s = int(params["order"])
-    bfns = [parse_timefn(src) for src in params["b"]]
-    if len(bfns) != s:
-        raise ValueError(f"hierarchy rule of order {s} needs {s} coefficient functions")
-    companion = companion_linear_system(LinearODESpec(s, tuple(bfns)))
-    member = generate_member(s)
-    target = member_first_order_system(member, bfns)
+def _build_hierarchy(spec: SystemSpec) -> RuleSetup:
+    s = spec.params["order"]
+    companion = build_rhs(SystemSpec("linear_homogeneous", spec.params))
+    target = build_rhs(spec)
 
     def phi(blocks, k):
         return eval_hierarchy_rule(s, [list(b) for b in blocks], list(k))
@@ -391,14 +383,13 @@ def _build_hierarchy(params: dict) -> RuleSetup:
         sample=sample,
         guard=guard,
         extras=extras,
-        condition_generators=member_lie_generators(s),
+        condition_generators=target.constituent_fields(),
         component_generators=companion.constituent_fields(),
     )
 
 
-def _build_cross_ratio(params: dict) -> RuleSetup:
-    bfns = [parse_timefn(params["b0"]), parse_timefn(params["b1"])]
-    riccati = member_td_system(2, bfns)
+def _build_cross_ratio(spec: SystemSpec) -> RuleSetup:
+    riccati = build_rhs(spec)
 
     def phi(blocks, k):
         return [eval_riccati_cross_ratio(blocks[0][0], blocks[1][0], blocks[2][0], k[0])]
@@ -436,25 +427,33 @@ def _build_cross_ratio(params: dict) -> RuleSetup:
         sample=sample,
         guard=guard,
         extras=_no_extras,
-        condition_generators=member_lie_generators(2),
+        condition_generators=riccati.constituent_fields(),
     )
 
 
-_RULE_BUILDERS = {
-    "linear": _build_linear,
-    "bernoulli": _build_bernoulli,
-    "pinney": _build_pinney,
-    "hierarchy": _build_hierarchy,
-    "riccati-cross-ratio": _build_cross_ratio,
+class _Rule(NamedTuple):
+    target: str  # the kind of the target system, whose parameters the rule takes
+    build: Callable[[SystemSpec], RuleSetup]
+    methods: tuple[str, ...] = ("rkf45", "rk4")  # allowed integration methods, the default first
+
+
+_RULES = {
+    "linear": _Rule("linear_affine", _build_linear),
+    "bernoulli": _Rule("bernoulli", _build_bernoulli),
+    # the derivative check differences the formula on the uniform rk4 grid
+    "pinney": _Rule("pinney", _build_pinney, ("rk4",)),
+    "hierarchy": _Rule("hierarchy_member", _build_hierarchy),
+    "riccati-cross-ratio": _Rule("riccati", _build_cross_ratio),
 }
 
 
 def build_rule_setup(rule_id: str, params: dict) -> RuleSetup:
-    try:
-        builder = _RULE_BUILDERS[rule_id]
-    except KeyError:
-        raise ValueError(f"unknown rule id {rule_id!r}") from None
-    return builder(params)
+    """Trial setup of a rule; ``params`` are its target kind's parameters,
+    validated here (SpecError names the offending key)."""
+    if rule_id not in _RULES:
+        raise ValueError(f"unknown rule id {rule_id!r}")
+    rule = _RULES[rule_id]
+    return rule.build(parse_system_spec({**params, "kind": rule.target}, "params"))
 
 
 # ---------------------------------------------------------------------------
@@ -629,174 +628,100 @@ class SuiteValidationError(ValueError):
         self.errors = errors
 
 
-_CLOSURE_PRESETS = ("sl2", "riccati", "oscillator", "gl", "linear-generators", "member")
+def _is_tspan(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(is_number, value)) and value[0] < value[1]
 
-_RULE_REQUIRED_KEYS = {
-    "linear": ("a", "b"),
-    "bernoulli": ("a", "b", "n"),
-    "pinney": ("omega", "c"),
-    "hierarchy": ("order", "b"),
-    "riccati-cross-ratio": ("b0", "b1"),
+
+_check_positive = checker(lambda v: is_number(v) and v > 0, "expected a positive number")
+
+# keys shared by the item kinds, checked wherever they appear
+_ITEM_KEYS = (
+    ("trials", check_integer(1)),
+    ("tolerance", check_number),
+    ("tspan", checker(_is_tspan, "expected [t0, t1] with t0 < t1")),
+    ("method", checker(lambda v: v in ("rkf45", "rk4"), "expected 'rkf45' or 'rk4'")),
+    ("step", _check_positive),
+    ("rtol", _check_positive),
+    ("atol", _check_positive),
+    ("seed", check_integer(None)),
+    ("cap", check_integer(1)),
+    ("wronskian_tolerance", check_number),
+    ("deriv_tolerance", check_number),
+    ("round_trip_tolerance", check_number),
+)
+
+
+class _Drift(NamedTuple):
+    system: str  # the kind of each of the ``copies`` solutions
+    copies: int
+    measure: Callable[..., float]  # (the kind's time functions in parameter order, initial, tspan, cfg)
+
+
+_DRIFTS = {
+    "riccati-cross-ratio": _Drift("riccati", 4, riccati_cross_ratio_drift),
+    "oscillator-wronskian": _Drift("oscillator", 2, oscillator_wronskian_drift),
 }
 
 
-def _check_timefn_value(value, path: str, errors: list[str]) -> None:
-    if not isinstance(value, str):
-        errors.append(f"{path}: expected a time-function string")
+class _Preset(NamedTuple):
+    min_order: int | None  # None: the preset takes no order
+    generators: Callable[[int | None], list[PolyVectorField]]
+
+
+_PRESETS = {
+    "sl2": _Preset(None, lambda order: [PolyVectorField([Poly.variable(1, 0) ** k]) for k in range(3)]),
+    "riccati": _Preset(None, lambda order: member_lie_generators(2)),
+    "oscillator": _Preset(None, lambda order: oscillator_system(TimeFunction.constant(1)).constituent_fields()),
+    "gl": _Preset(1, lambda order: list(gl_basis(order).fields)),
+    "linear-generators": _Preset(2, linear_generators),
+    "member": _Preset(2, member_lie_generators),
+}
+
+
+def _kind_params(kind: str, item: dict) -> dict:
+    return {key: item[key] for key, _ in SYSTEM_KINDS[kind].params}
+
+
+def _check_closure_item(item: dict, path: str, errors: list[str]) -> None:
+    gens, gens_path = item.get("generators"), f"{path}.generators"
+    if isinstance(gens, dict) and "preset" in gens:
+        preset = lookup(_PRESETS, gens["preset"], f"{gens_path}.preset", errors)
+        if preset is not None and preset.min_order is not None:
+            check_keys((("order", check_integer(preset.min_order)),), gens, gens_path, errors)
+    else:
+        check_keys(GENERATOR_KEYS, gens, gens_path, errors)
+
+
+def _check_rule_item(item: dict, path: str, errors: list[str]) -> None:
+    rule = lookup(_RULES, item.get("rule"), f"{path}.rule", errors)
+    if rule is None:
         return
-    try:
-        parse_timefn(value)
-    except ParseError as exc:
-        errors.append(f"{path}: {exc}")
+    check_keys(SYSTEM_KINDS[rule.target].params, item, path, errors)
+    if item.get("method", rule.methods[0]) not in rule.methods:
+        errors.append(f"{path}.method: rule {item['rule']!r} runs only with {', '.join(rule.methods)}")
 
 
-def _validate_item(item, path: str, errors: list[str]) -> None:
-    if not isinstance(item, dict):
-        errors.append(f"{path}: expected an object")
+def _check_drift_item(item: dict, path: str, errors: list[str]) -> None:
+    drift = lookup(_DRIFTS, item.get("invariant"), f"{path}.invariant", errors)
+    if drift is None:
         return
-    kind = item.get("kind")
-    if kind not in ("closure", "rule", "drift", "prolongation"):
-        errors.append(f"{path}.kind: expected one of closure, rule, drift, prolongation")
-        return
-    if kind == "closure":
-        gens = item.get("generators")
-        if not isinstance(gens, dict):
-            errors.append(f"{path}.generators: expected an object")
-        elif "preset" in gens:
-            if gens["preset"] not in _CLOSURE_PRESETS:
-                errors.append(f"{path}.generators.preset: unknown preset {gens['preset']!r}")
-            elif gens["preset"] in ("gl", "linear-generators", "member") and not isinstance(
-                gens.get("order"), int
-            ):
-                errors.append(f"{path}.generators.order: preset {gens['preset']!r} needs an integer order")
-        elif "fields" in gens:
-            if not isinstance(gens.get("dim"), int) or gens["dim"] < 1:
-                errors.append(f"{path}.generators.dim: expected a positive integer")
-            elif not isinstance(gens["fields"], list) or not gens["fields"]:
-                errors.append(f"{path}.generators.fields: expected a non-empty list")
-            else:
-                for i, comps in enumerate(gens["fields"]):
-                    if not isinstance(comps, list) or len(comps) != gens["dim"]:
-                        errors.append(
-                            f"{path}.generators.fields[{i}]: expected {gens['dim']} component strings"
-                        )
-                        continue
-                    for j, comp in enumerate(comps):
-                        try:
-                            parse_poly(comp, gens["dim"])
-                        except (ParseError, TypeError) as exc:
-                            errors.append(f"{path}.generators.fields[{i}][{j}]: {exc}")
-        else:
-            errors.append(f"{path}.generators: needs either a preset or explicit fields")
-    elif kind == "rule":
-        rule_id = item.get("rule")
-        if rule_id not in _RULE_REQUIRED_KEYS:
-            errors.append(f"{path}.rule: unknown rule {rule_id!r}")
-            return
-        for key in _RULE_REQUIRED_KEYS[rule_id]:
-            if key not in item:
-                errors.append(f"{path}.{key}: required for rule {rule_id!r}")
-        if not isinstance(item.get("trials"), int) or item.get("trials", 0) < 1:
-            errors.append(f"{path}.trials: expected a positive integer")
-        if "tolerance" not in item:
-            errors.append(f"{path}.tolerance: required")
-        tspan = item.get("tspan")
-        if not (isinstance(tspan, list) and len(tspan) == 2 and tspan[0] < tspan[1]):
-            errors.append(f"{path}.tspan: expected [t0, t1] with t0 < t1")
-        if rule_id == "hierarchy":
-            order = item.get("order")
-            if not isinstance(order, int) or order < 2:
-                errors.append(f"{path}.order: expected an integer >= 2")
-            elif not (isinstance(item.get("b"), list) and len(item["b"]) == order):
-                errors.append(f"{path}.b: expected {order} coefficient strings")
-            else:
-                for i, src in enumerate(item["b"]):
-                    _check_timefn_value(src, f"{path}.b[{i}]", errors)
-        for key in ("a", "b0", "b1", "omega"):
-            if key in _RULE_REQUIRED_KEYS.get(rule_id, ()) and key in item:
-                _check_timefn_value(item[key], f"{path}.{key}", errors)
-        if rule_id in ("linear", "bernoulli") and "b" in item:
-            _check_timefn_value(item["b"], f"{path}.b", errors)
-        if rule_id == "bernoulli" and not isinstance(item.get("n"), int):
-            errors.append(f"{path}.n: expected an integer")
-        if rule_id == "pinney":
-            if not isinstance(item.get("c"), (int, float)):
-                errors.append(f"{path}.c: expected a number")
-            if item.get("method", "rk4") != "rk4":
-                errors.append(f"{path}.method: the pinney derivative check needs the uniform rk4 grid")
-    elif kind == "drift":
-        invariant = item.get("invariant")
-        if invariant not in ("riccati-cross-ratio", "oscillator-wronskian"):
-            errors.append(f"{path}.invariant: unknown invariant {invariant!r}")
-            return
-        if "tolerance" not in item:
-            errors.append(f"{path}.tolerance: required")
-        tspan = item.get("tspan")
-        if not (isinstance(tspan, list) and len(tspan) == 2 and tspan[0] < tspan[1]):
-            errors.append(f"{path}.tspan: expected [t0, t1] with t0 < t1")
-        if invariant == "riccati-cross-ratio":
-            for key in ("b0", "b1"):
-                _check_timefn_value(item.get(key), f"{path}.{key}", errors)
-            if not (isinstance(item.get("initial"), list) and len(item["initial"]) == 4):
-                errors.append(f"{path}.initial: expected four initial values")
-        else:
-            _check_timefn_value(item.get("omega"), f"{path}.omega", errors)
-            initial = item.get("initial")
-            if not (
-                isinstance(initial, list)
-                and len(initial) == 2
-                and all(isinstance(ic, list) and len(ic) == 2 for ic in initial)
-            ):
-                errors.append(f"{path}.initial: expected two [x, p] pairs")
-    elif kind == "prolongation":
-        if not isinstance(item.get("trials"), int) or item.get("trials", 0) < 1:
-            errors.append(f"{path}.trials: expected a positive integer")
-
-
-def validate_suite(doc) -> list[str]:
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["suite: expected an object"]
-    items = doc.get("items")
-    if not isinstance(items, list):
-        return ["suite.items: expected a list"]
-    for i, item in enumerate(items):
-        _validate_item(item, f"items[{i}]", errors)
-    return errors
-
-
-def closure_preset_generators(preset: str, order: int | None = None) -> list[PolyVectorField]:
-    if preset == "sl2":
-        return [
-            PolyVectorField([Poly.constant(1, 1)]),
-            PolyVectorField([Poly.variable(1, 0)]),
-            PolyVectorField([Poly.variable(1, 0) ** 2]),
-        ]
-    if preset == "riccati":
-        return member_lie_generators(2)
-    if preset == "member":
-        return member_lie_generators(order)
-    if preset == "oscillator":
-        return oscillator_system(TimeFunction.constant(1)).constituent_fields()
-    if preset == "gl":
-        return list(gl_basis(order).fields)
-    if preset == "linear-generators":
-        return linear_generators(order)
-    raise ValueError(f"unknown preset {preset!r}")
-
-
-def _suite_generators(gens: dict) -> list[PolyVectorField]:
-    if "preset" in gens:
-        return closure_preset_generators(gens["preset"], gens.get("order"))
-    dim = gens["dim"]
-    return [
-        PolyVectorField([parse_poly(src, dim) for src in comps])
-        for comps in gens["fields"]
-    ]
+    kind = SYSTEM_KINDS[drift.system]
+    dim = kind.dimension(check_keys(kind.params, item, path, errors))
+    initial = item.get("initial")
+    # the states of a scalar system are plain numbers
+    states = [[v] if dim == 1 else v for v in initial] if isinstance(initial, list) else []
+    if len(states) != drift.copies or not all(
+        isinstance(state, list) and len(state) == dim and all(map(is_number, state)) for state in states
+    ):
+        errors.append(f"{path}.initial: expected {drift.copies} initial states of dimension {dim}")
 
 
 def _run_closure_item(item: dict) -> dict:
-    generators = _suite_generators(item["generators"])
+    gens = item["generators"]
+    if "preset" in gens:
+        generators = _PRESETS[gens["preset"]].generators(gens.get("order"))
+    else:
+        generators = generator_fields(gens)
     cap = item.get("cap", 64)
     measured: dict = {}
     try:
@@ -831,15 +756,14 @@ def _item_cfg(item: dict, default_method: str) -> IntegratorConfig:
 
 def _run_rule_item(item: dict) -> dict:
     rule_id = item["rule"]
-    cfg = _item_cfg(item, "rk4" if rule_id == "pinney" else "rkf45")
-    params = {k: item[k] for k in _RULE_REQUIRED_KEYS[rule_id] if k in item}
+    rule = _RULES[rule_id]
     report = run_rule_verification(
         rule_id,
-        params,
+        _kind_params(rule.target, item),
         trials=item["trials"],
         seed=item.get("seed", 0),
         tspan=(item["tspan"][0], item["tspan"][1]),
-        cfg=cfg,
+        cfg=_item_cfg(item, rule.methods[0]),
     )
     tolerance = float(item["tolerance"])
     ok = report.max_formula_error <= tolerance and bool(report.lie_condition)
@@ -862,24 +786,14 @@ def _run_rule_item(item: dict) -> dict:
 
 
 def _run_drift_item(item: dict) -> dict:
-    cfg = _item_cfg(item, "rkf45")
-    tspan = (item["tspan"][0], item["tspan"][1])
-    if item["invariant"] == "riccati-cross-ratio":
-        drift = riccati_cross_ratio_drift(
-            parse_timefn(item["b0"]),
-            parse_timefn(item["b1"]),
-            item["initial"],
-            tspan,
-            cfg,
-        )
-    else:
-        drift = oscillator_wronskian_drift(
-            parse_timefn(item["omega"]),
-            item["initial"],
-            tspan,
-            cfg,
-        )
-    return {"measured": {"drift": drift}, "pass": drift <= float(item["tolerance"])}
+    drift = _DRIFTS[item["invariant"]]
+    value = drift.measure(
+        *map(parse_timefn, _kind_params(drift.system, item).values()),
+        item["initial"],
+        (item["tspan"][0], item["tspan"][1]),
+        _item_cfg(item, "rkf45"),
+    )
+    return {"measured": {"drift": value}, "pass": value <= float(item["tolerance"])}
 
 
 def _run_prolongation_item(item: dict) -> dict:
@@ -887,24 +801,64 @@ def _run_prolongation_item(item: dict) -> dict:
     return {"measured": {"identity_holds": ok}, "pass": ok}
 
 
+class _ItemKind(NamedTuple):
+    required: tuple[str, ...]  # the shared item keys it needs
+    check: Callable[[dict, str, list[str]], None]  # of its own keys
+    run: Callable[[dict], dict]
+
+
+# runners are looked up per call, so a patched module attribute takes effect
+_ITEM_KINDS = {
+    "closure": _ItemKind((), _check_closure_item, lambda item: _run_closure_item(item)),
+    "rule": _ItemKind(("trials", "tolerance", "tspan"), _check_rule_item, lambda item: _run_rule_item(item)),
+    "drift": _ItemKind(("tolerance", "tspan"), _check_drift_item, lambda item: _run_drift_item(item)),
+    "prolongation": _ItemKind(
+        ("trials",), lambda item, path, errors: None, lambda item: _run_prolongation_item(item)
+    ),
+}
+
+
+def _validate_item(item, path: str, errors: list[str]) -> None:
+    if not isinstance(item, dict):
+        errors.append(f"{path}: expected an object")
+        return
+    kind = lookup(_ITEM_KINDS, item.get("kind"), f"{path}.kind", errors)
+    if kind is None:
+        return
+    for key, check in _ITEM_KEYS:
+        if key in item:
+            check(item[key], f"{path}.{key}", item, errors)
+        elif key in kind.required:
+            errors.append(f"{path}.{key}: missing required key")
+    kind.check(item, path, errors)
+
+
+def validate_suite(doc) -> list[str]:
+    """Every ``path: message`` error of a suite document; a suite without
+    errors runs without raising ValueError or TypeError."""
+    errors: list[str] = []
+    if not isinstance(doc, dict):
+        return ["suite: expected an object"]
+    items = doc.get("items")
+    if not isinstance(items, list):
+        return ["suite.items: expected a list"]
+    for i, item in enumerate(items):
+        _validate_item(item, f"items[{i}]", errors)
+    return errors
+
+
 def run_suite(doc: dict) -> list[dict]:
     """Execute a validated suite document; returns one report per item."""
     errors = validate_suite(doc)
     if errors:
         raise SuiteValidationError(errors)
-    handlers = {
-        "closure": _run_closure_item,
-        "rule": _run_rule_item,
-        "drift": _run_drift_item,
-        "prolongation": _run_prolongation_item,
-    }
     reports = []
     for i, item in enumerate(doc["items"]):
         # the report item repeats the input keys and adds measurements
         result: dict = dict(item)
         result.setdefault("name", f"item-{i}")
         try:
-            result.update(handlers[item["kind"]](item))
+            result.update(_ITEM_KINDS[item["kind"]].run(item))
         except (RuntimeError, SuperpositionError, CapExceeded) as exc:
             result.update({"measured": {"error": str(exc)}, "pass": False})
         reports.append(result)

@@ -3,6 +3,7 @@
 import json
 
 from liesuper.cli import main
+from liesuper.hierarchy import member_lie_generators
 
 
 def write_json(path, doc):
@@ -59,6 +60,16 @@ class TestClosureCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "--cap" in captured.err
         assert captured.out == ""
+
+    def test_basis_feeds_back(self, tmp_path, capsys):
+        # to_text writes leading minus signs, e.g. "-x0^3 - 3*x0*x1"
+        fields = [[p.to_text() for p in f.components] for f in member_lie_generators(3)]
+        gen = write_json(tmp_path / "gen.json", {"dim": 2, "fields": fields})
+        assert main(["closure", gen]) == 0
+        first = capsys.readouterr().out
+        again = write_json(tmp_path / "basis.json", {"dim": 2, "fields": json.loads(first)["basis"]})
+        assert main(["closure", again]) == 0
+        assert capsys.readouterr().out == first
 
     def test_out_file_written_atomically(self, tmp_path, capsys):
         gen = write_json(tmp_path / "gen.json", RICCATI_GENERATORS)
@@ -203,6 +214,14 @@ class TestIntegrateCommand:
     def test_x0_dimension_mismatch(self, tmp_path, capsys):
         spec = write_json(tmp_path / "osc.json", {"kind": "oscillator", "omega": "1"})
         assert main(["integrate", spec, "--x0", "1", "--tspan", "0", "1"]) == 1
+
+    def test_non_finite_x0_is_an_input_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "osc.json", {"kind": "oscillator", "omega": "1"})
+        for x0 in ("nan,0", "1,inf"):
+            assert main(["integrate", spec, "--x0", x0]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "--x0" in captured.err
+            assert captured.out == ""
 
     def test_reversed_tspan_is_an_input_error(self, tmp_path, capsys):
         spec = write_json(tmp_path / "ric.json", {"kind": "riccati", "b0": "1", "b1": "0"})

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from liesuper.algebra import Poly
 from liesuper.parsing import (
     ParseError,
     TimeBinary,
@@ -134,3 +137,20 @@ class TestParsePoly:
     def test_custom_names(self):
         p = parse_poly("u0*u1", 2, names=("u0", "u1"))
         assert p == parse_poly("x0*x1", 2)
+
+
+@st.composite
+def polys(draw):
+    arity = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return Poly(arity, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys())
+@example(Poly(1, {(1,): -1}))
+@example(Poly(2, {(3, 0): -1, (1, 1): -3}))
+def test_poly_text_parses_back(p):
+    # a negative leading coefficient is written with a leading minus
+    assert parse_poly(p.to_text(), p.arity) == p

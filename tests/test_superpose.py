@@ -210,8 +210,3 @@ class TestMixedRuleDescriptors:
         assert rule.component_dims == (4, 4, 4, 4)
         assert rule.constant_count == 3
         assert rule.target_dim == 3
-
-    def test_by_id(self):
-        assert MixedRule.by_id("bernoulli", n=3).parameters["n"] == 3
-        with pytest.raises(ValueError):
-            MixedRule.by_id("nope")

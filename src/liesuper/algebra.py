@@ -104,6 +104,16 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_clean(cls, arity: int, terms: dict[tuple[int, ...], Fraction]) -> Poly:
+        """Wrap a term map that is already clean (int exponent tuples of
+        length ``arity``, nonzero Fraction values) without checking or
+        copying it; the library's own arithmetic builds its results this way."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "arity", arity)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, arity: int) -> Poly:
         return cls(arity)
 
@@ -152,12 +162,12 @@ class Poly:
                 out[exps] = v
             else:
                 out.pop(exps, None)
-        return Poly(self.arity, out)
+        return Poly._from_clean(self.arity, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.arity, {e: -c for e, c in self.terms.items()})
+        return Poly._from_clean(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Poly | Scalar) -> Poly:
         if not isinstance(other, Poly):
@@ -172,7 +182,7 @@ class Poly:
             c = Fraction(other)
             if c == 0:
                 return Poly.zero(self.arity)
-            return Poly(self.arity, {e: v * c for e, v in self.terms.items()})
+            return Poly._from_clean(self.arity, {e: v * c for e, v in self.terms.items()})
         self._require_same_arity(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -183,7 +193,7 @@ class Poly:
                     out[key] = v
                 else:
                     out.pop(key, None)
-        return Poly(self.arity, out)
+        return Poly._from_clean(self.arity, out)
 
     __rmul__ = __mul__
 
@@ -218,7 +228,7 @@ class Poly:
             key = list(exps)
             key[var_index] = e - 1
             out[tuple(key)] = c * e
-        return Poly(self.arity, out)
+        return Poly._from_clean(self.arity, out)
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point; exact on Fractions, float on floats."""
@@ -237,6 +247,8 @@ class Poly:
         """Re-embed into a larger variable space; old var i becomes index_map[i]."""
         if len(index_map) != self.arity:
             raise ValueError("index map must cover every variable")
+        if len(set(index_map)) != len(index_map) or not all(0 <= k < new_arity for k in index_map):
+            raise ValueError(f"index map must send variables to distinct indices in range({new_arity})")
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
             key = [0] * new_arity
@@ -244,7 +256,7 @@ class Poly:
                 if e:
                     key[index_map[i]] += e
             out[tuple(key)] = c
-        return Poly(new_arity, out)
+        return Poly._from_clean(new_arity, out)
 
     # -- rendering ----------------------------------------------------------
 

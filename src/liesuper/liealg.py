@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exactlinalg import (
@@ -180,17 +181,35 @@ def structure_constants(basis: LieBasis) -> StructureConstants:
 
 
 def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
-    """K[a][b] = sum_{g,d} c[a][g][d] * c[b][d][g], exact and symmetric."""
+    """K[a][b] = sum_{g,d} c[a][g][d] * c[b][d][g], exact and symmetric.
+
+    The table is mostly zeros, so each plane's nonzero entries are
+    collected once, as integer numerators over the table's common
+    denominator D keyed by (g, d), and K[a][b] sums only over the nonzero
+    (g, d) of plane a whose transposed (d, g) entry of plane b is nonzero.
+    """
     r = sc.r
+    den = 1
+    for plane in sc.c:
+        for row in plane:
+            for v in row:
+                if v:
+                    den = lcm(den, v.denominator)
+    planes = [
+        {(g, d): v.numerator * (den // v.denominator) for g, row in enumerate(plane) for d, v in enumerate(row) if v}
+        for plane in sc.c
+    ]
     K = [[Fraction(0)] * r for _ in range(r)]
     for a in range(r):
+        entries = planes[a].items()
         for b in range(a, r):
-            acc = Fraction(0)
-            for g in range(r):
-                for d in range(r):
-                    acc += sc.c[a][g][d] * sc.c[b][d][g]
-            K[a][b] = acc
-            K[b][a] = acc
+            other = planes[b]
+            acc = 0
+            for (g, d), v in entries:
+                w = other.get((d, g))
+                if w:
+                    acc += v * w
+            K[a][b] = K[b][a] = Fraction(acc, den * den)
     return K
 
 

@@ -1,7 +1,12 @@
 """Polynomial vector fields, their Lie brackets, and time-dependent systems.
 
-A ``PolyVectorField`` on R^n holds one Poly per coordinate.  Time-dependent
-systems come in two shapes:
+A ``PolyVectorField`` on R^n holds one Poly per coordinate.  ``lie_bracket``
+computes [X, Y] in one pass: each field keeps (built once, on first use)
+its components and their partial derivatives as integer numerators over
+one denominator per field, the lcm of its coefficient denominators; each
+bracket component is summed as integers in one dict and becomes a
+Fraction once per surviving term.  Time-dependent systems come in two
+shapes:
 
 * ``TDVectorField`` -- a sum of (time function) * (autonomous polynomial
   field) terms.  This decomposed storage is what makes minimal-Lie-algebra
@@ -20,9 +25,12 @@ spaces into one system on the product space.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Sequence, Union
 
-from .algebra import Poly, poly_partial
+from .algebra import Poly
 from .parsing import TimeFunction
 
 State = Sequence[float]
@@ -31,7 +39,7 @@ State = Sequence[float]
 class PolyVectorField:
     """An autonomous vector field on R^n with polynomial components."""
 
-    __slots__ = ("dimension", "components")
+    __slots__ = ("dimension", "components", "_integer")
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -43,6 +51,7 @@ class PolyVectorField:
                 raise ValueError(f"component arity {p.arity} does not match dimension {n}")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_integer", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyVectorField is immutable")
@@ -98,6 +107,33 @@ class PolyVectorField:
                 out[(i, exps)] = c
         return out
 
+    def _integer_form(self) -> tuple[int, list, list]:
+        """``(D, terms, partials)``: D is the lcm of every coefficient
+        denominator, ``terms[i]`` lists the ``(exponents, numerator)`` pairs
+        of D times component i, and ``partials[i][j]`` those of D times its
+        derivative in x_j.  Built on first use and kept."""
+        form = self._integer
+        if form is None:
+            den = 1
+            for p in self.components:
+                for c in p.terms.values():
+                    den = lcm(den, c.denominator)
+            terms = [
+                [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+                for p in self.components
+            ]
+            partials = []
+            for comp in terms:
+                rows: list[list] = [[] for _ in range(self.dimension)]
+                for e, v in comp:
+                    for j, k in enumerate(e):
+                        if k:
+                            rows[j].append((e[:j] + (k - 1,) + e[j + 1 :], v * k))
+                partials.append(rows)
+            form = (den, terms, partials)
+            object.__setattr__(self, "_integer", form)
+        return form
+
     def to_text(self, names: Sequence[str] | None = None) -> str:
         comps = ", ".join(p.to_text(names) for p in self.components)
         return f"({comps})"
@@ -107,19 +143,31 @@ class PolyVectorField:
 
 
 def lie_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
-    """Exact commutator [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i)."""
+    """Exact commutator [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i).
+
+    Each component is summed in one dict of integers, from the two fields'
+    integer forms, and divided by D_X * D_Y once per surviving term.
+    """
     if x.dimension != y.dimension:
         raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")
     n = x.dimension
+    dx, xterms, xpartials = x._integer_form()
+    dy, yterms, ypartials = y._integer_form()
+    den = dx * dy
     comps = []
     for i in range(n):
-        acc = Poly.zero(n)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
         for j in range(n):
-            if not x.components[j].is_zero:
-                acc = acc + x.components[j] * poly_partial(y.components[i], j)
-            if not y.components[j].is_zero:
-                acc = acc - y.components[j] * poly_partial(x.components[i], j)
-        comps.append(acc)
+            for ea, va in xterms[j]:
+                for eb, vb in ypartials[i][j]:
+                    key = tuple(map(add, ea, eb))
+                    acc[key] = get(key, 0) + va * vb
+            for ea, va in yterms[j]:
+                for eb, vb in xpartials[i][j]:
+                    key = tuple(map(add, ea, eb))
+                    acc[key] = get(key, 0) - va * vb
+        comps.append(Poly._from_clean(n, {e: Fraction(v, den) for e, v in acc.items() if v}))
     return PolyVectorField(comps)
 
 

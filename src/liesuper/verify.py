@@ -281,6 +281,9 @@ def _build_bernoulli(spec: SystemSpec) -> RuleSetup:
     )
 
 
+_PINNEY_DRAWS = 10_000
+
+
 def _build_pinney(spec: SystemSpec) -> RuleSetup:
     c = spec.params["c"]
     osc = build_rhs(SystemSpec("oscillator", {"omega": spec.params["omega"]}))
@@ -290,7 +293,9 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         return list(eval_pinney_rule(blocks[0], blocks[1], k[0], k[1], c))
 
     def sample(rng):
-        while True:
+        # with |W| >= 0.3 and k1, k2 <= 2 no draw qualifies once c is above
+        # about 178, so the draws are bounded
+        for _ in range(_PINNEY_DRAWS):
             xi1 = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
             xi2 = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
             w = xi1[0] * xi2[1] - xi1[1] * xi2[0]
@@ -301,6 +306,10 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
             if 4.0 * k1 * k2 - c * w * w < 0.05:
                 continue
             return [xi1, xi2], [k1, k2]
+        raise RuntimeError(
+            f"pinney rule with c = {c}: no admissible initial data in {_PINNEY_DRAWS} draws "
+            "(4*k1*k2 - c*W^2 >= 0.05 is needed)"
+        )
 
     def guard(traj, blocks, constants):
         # the c/x^3 term makes small-x trials stiff far beyond the stated

@@ -99,6 +99,12 @@ class TestPolyArithmetic:
         q = p.remap(4, [2, 3])
         assert q == P("x2*x3", 4)
 
+    def test_remap_rejects_maps_that_merge_or_leave_the_space(self):
+        # x0 + x1 sent to one variable would need its terms merged
+        for index_map in ([1, 1], [0, 4], [-1, 2]):
+            with pytest.raises(ValueError):
+                P("x0 + x1", 2).remap(4, index_map)
+
     def test_text_graded_lex_descending(self):
         assert P("2 + 3*x0^2", 1).to_text() == "3*x0^2 + 2"
         assert P("x1^2 + x0*x1 + x0^2", 2).to_text() == "x0^2 + x0*x1 + x1^2"

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesuper.algebra import Poly
 from liesuper.liealg import (
     CapExceeded,
     LieBasis,
     NotClosed,
+    StructureConstants,
     center_dimension,
     check_lie_condition,
     closure,
@@ -151,7 +154,45 @@ def trace_product(m1, m2):
     return sum(m1[i][j] * m2[j][i] for i in range(r) for j in range(r))
 
 
+def killing_by_definition(sc):
+    r = sc.r
+    return [
+        [sum((sc.c[a][g][d] * sc.c[b][d][g] for g in range(r) for d in range(r)), Fraction(0)) for b in range(r)]
+        for a in range(r)
+    ]
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    r = draw(st.integers(1, 5))
+    entries = st.one_of(
+        st.just(Fraction(0)),
+        st.just(Fraction(0)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    )
+    c = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    for a in range(r):
+        for b in range(a + 1, r):
+            c[a][b] = [draw(entries) for _ in range(r)]
+            c[b][a] = [-v for v in c[a][b]]
+    return StructureConstants(c)
+
+
 class TestKillingForm:
+    @settings(max_examples=60, deadline=None)
+    @given(antisymmetric_tables())
+    def test_sparse_sum_matches_definition_on_random_tables(self, sc):
+        k = killing_form(sc)
+        assert k == killing_by_definition(sc)
+        assert all(type(v) is Fraction for row in k for v in row)
+
+    def test_sparse_sum_matches_definition_on_gl3_and_member3(self):
+        from liesuper.hierarchy import linear_generators, member_lie_generators
+
+        for generators in (linear_generators(3), member_lie_generators(3)):
+            sc = structure_constants(closure(generators))
+            assert killing_form(sc) == killing_by_definition(sc)
+
     def test_abelian_is_zero(self):
         sc = structure_constants(LieBasis([VF("1", "0"), VF("0", "1")]))
         assert killing_form(sc) == [[0, 0], [0, 0]]

@@ -1,8 +1,12 @@
 """Vector fields, brackets, prolongations, products, and RHS evaluation."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liesuper.algebra import Poly
 from liesuper.parsing import parse_poly, parse_timefn
@@ -60,6 +64,68 @@ class TestLieBracket:
                 + lie_bracket(z, lie_bracket(x, y))
             )
             assert total == PolyVectorField.zero(dim)
+
+
+# zero-heavy coefficients with non-unit denominators; a component whose
+# coefficients all come out zero is the zero polynomial
+COEFFS = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+
+
+@st.composite
+def field_pairs(draw):
+    n = draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+
+    def field():
+        return PolyVectorField(
+            [Poly(n, draw(st.dictionaries(monomials, COEFFS, max_size=4))) for _ in range(n)]
+        )
+
+    return field(), field()
+
+
+def sympy_components(field, xs):
+    return [
+        sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+             for exps, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+        for p in field.components
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_pairs())
+@example((VF("2/3*x0^2", "0"), VF("x1", "5/7*x0*x1 - 1/2")))
+@example((VF("1/3", "0", "x2^3"), VF("0", "3/4*x0^2*x1", "2/5*x0")))
+def test_lie_bracket_matches_sympy(pair):
+    x, y = pair
+    n = x.dimension
+    xs = sympy.symbols(f"x0:{n}")
+    fx, fy = sympy_components(x, xs), sympy_components(y, xs)
+    bracket = lie_bracket(x, y)
+    for i, p in enumerate(bracket.components):
+        expected = sum(
+            (fx[j] * sympy.diff(fy[i], xs[j]) - fy[j] * sympy.diff(fx[i], xs[j]) for j in range(n)),
+            sympy.Integer(0),
+        )
+        terms = {
+            exps: Fraction(int(c.p), int(c.q))
+            for exps, c in sympy.Poly(sympy.expand(expected), *xs).as_dict().items()
+            if c != 0
+        }
+        assert p.terms == terms
+        # the result is clean: the checking constructor rebuilds it as is
+        assert Poly(p.arity, p.terms) == p
+        for exps, c in p.terms.items():
+            assert type(c) is Fraction and c != 0
+            assert len(exps) == n and all(type(e) is int for e in exps)
+    assert lie_bracket(y, x) == -bracket
 
 
 class TestDiagonalProlong:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -302,3 +303,26 @@ class TestSuite:
         }
         errors = validate_suite(doc)
         assert any("method" in e for e in errors)
+
+    def test_pinney_without_admissible_draws_fails_the_item(self):
+        # with |W| >= 0.3 and k1, k2 <= 2, no draw meets 4*k1*k2 - c*W^2 >= 0.05
+        # once c is above about 178; the sampler gives up instead of hanging
+        doc = {
+            "items": [
+                {
+                    "kind": "rule",
+                    "rule": "pinney",
+                    "omega": "1",
+                    "c": 200,
+                    "trials": 2,
+                    "tspan": [0.0, 1.0],
+                    "tolerance": 1e-6,
+                }
+            ]
+        }
+        assert validate_suite(doc) == []
+        start = time.perf_counter()
+        reports = run_suite(doc)
+        assert time.perf_counter() - start < 1.0
+        assert reports[0]["pass"] is False
+        assert "no admissible initial data" in reports[0]["measured"]["error"]

@@ -361,14 +361,6 @@ class DiffPoly:
                 best = max(best, len(jets) - 1)
         return best
 
-    @property
-    def b_arity(self) -> int:
-        """Number of b symbols needed to cover every term (max index + 1)."""
-        best = 0
-        for _, bs in self.terms:
-            best = max(best, len(bs))
-        return best
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1

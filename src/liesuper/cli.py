@@ -176,32 +176,52 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
-def _format_closure_report(doc) -> str:
+class _MalformedReport(ValueError):
+    """A report value of the wrong type; the message starts with its path."""
+
+
+_NUMBER = (int, float)
+_EXPECTED = {dict: "an object", list: "a list", str: "a string", _NUMBER: "a number"}
+
+
+def _checked(value, kind, path: str):
+    """``value``, which must be an instance of ``kind`` (a key of _EXPECTED)."""
+    if not isinstance(value, kind):
+        raise _MalformedReport(f"{path}: expected {_EXPECTED[kind]}")
+    return value
+
+
+def _format_closure_report(doc: dict) -> str:
     lines = [f"dimension: {doc['dimension']}"]
-    for i, comps in enumerate(doc.get("basis", [])):
-        lines.append(f"  Y{i}: ({', '.join(comps)})")
-    nonzero = doc.get("structure_constants", [])
+    for i, comps in enumerate(_checked(doc.get("basis", []), list, "report.basis")):
+        comps = _checked(comps, list, f"report.basis[{i}]")
+        lines.append(f"  Y{i}: ({', '.join(map(str, comps))})")
+    nonzero = _checked(doc.get("structure_constants", []), list, "report.structure_constants")
     lines.append(f"nonzero structure constants: {len(nonzero)}")
-    for entry in nonzero:
-        lines.append(
-            f"  [Y{entry['alpha']}, Y{entry['beta']}] -> {entry['value']} * Y{entry['gamma']}"
-        )
+    for i, entry in enumerate(nonzero):
+        e = _checked(entry, dict, f"report.structure_constants[{i}]")
+        lines.append(f"  [Y{e.get('alpha')}, Y{e.get('beta')}] -> {e.get('value')} * Y{e.get('gamma')}")
     lines.append(f"killing determinant: {doc.get('killing_determinant')}")
     lines.append(f"center dimension: {doc.get('center_dimension')}")
     return "\n".join(lines) + "\n"
 
 
 def _format_report(doc) -> str:
-    if "dimension" in doc and "items" not in doc:
+    """The text ``report`` prints; _MalformedReport for a value it cannot
+    format."""
+    if "dimension" in _checked(doc, dict, "report") and "items" not in doc:
         return _format_closure_report(doc)
     lines = []
-    items = doc.get("items", [])
-    for item in items:
+    items = _checked(doc.get("items", []), list, "report.items")
+    for i, item in enumerate(items):
+        path = f"report.items[{i}]"
+        _checked(item, dict, path)
         status = "PASS" if item.get("pass") else "FAIL"
         name = item.get("name", "?")
-        kind = item.get("kind", "?")
+        kind = _checked(item.get("kind", "?"), str, f"{path}.kind")
         detail = ""
-        measured = item.get("measured", {})
+        path += ".measured"
+        measured = _checked(item.get("measured", {}), dict, path)
         if kind == "closure":
             if "dimension" in measured:
                 detail = (
@@ -212,32 +232,34 @@ def _format_report(doc) -> str:
             else:
                 detail = f"cap exceeded at {measured.get('cap_exceeded_at')}"
         elif kind == "rule":
+            max_error = _checked(measured.get("max_formula_error", math.nan), _NUMBER, f"{path}.max_formula_error")
             detail = (
-                f"max_error={measured.get('max_formula_error', float('nan')):.3e}"
+                f"max_error={max_error:.3e}"
                 f" trials={measured.get('trial_count')}"
                 f" rejected={measured.get('rejected_trials')}"
                 f" singular={measured.get('singular_trials')}"
                 f" dim={measured.get('closure_dimension')}<={measured.get('dimension_bound')}"
             )
         elif kind == "drift":
-            detail = f"drift={measured.get('drift', float('nan')):.3e}"
+            detail = f"drift={_checked(measured.get('drift', math.nan), _NUMBER, f'{path}.drift'):.3e}"
         elif kind == "prolongation":
             detail = f"identity_holds={measured.get('identity_holds')}"
         if "error" in measured:
             detail = f"error: {measured['error']}"
         lines.append(f"[{status}] {kind:<12} {name}: {detail}")
-    failed = doc.get("counts", {}).get("failed", 0)
-    total = doc.get("counts", {}).get("total", len(items))
+    counts = _checked(doc.get("counts", {}), dict, "report.counts")
+    failed = _checked(counts.get("failed", 0), _NUMBER, "report.counts.failed")
+    total = _checked(counts.get("total", len(items)), _NUMBER, "report.counts.total")
     lines.append(f"{total - failed}/{total} items passed")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_report(args) -> int:
     try:
-        doc = _load_json(args.file)
-    except (OSError, json.JSONDecodeError) as exc:
+        text = _format_report(_load_json(args.file))
+    except (OSError, json.JSONDecodeError, _MalformedReport) as exc:
         return _fail(str(exc))
-    sys.stdout.write(_format_report(doc))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -264,6 +286,8 @@ def _cmd_integrate(args) -> int:
         return _fail(f"--x0 entries must be finite numbers, got {args.x0!r}")
     if len(x0) != spec.dimension:
         return _fail(f"--x0 has {len(x0)} entries, the system has dimension {spec.dimension}")
+    if not all(map(math.isfinite, args.tspan)):
+        return _fail(f"--tspan must be finite numbers, got {args.tspan[0]:g} {args.tspan[1]:g}")
     if not args.tspan[0] < args.tspan[1]:
         return _fail(f"--tspan must satisfy T0 < T1, got {args.tspan[0]:g} {args.tspan[1]:g}")
     try:
@@ -274,7 +298,8 @@ def _cmd_integrate(args) -> int:
             atol=args.atol,
         )
     except ValueError as exc:
-        return _fail(str(exc))
+        # the message starts with the offending setting, named as its flag
+        return _fail(f"--{exc}")
     rhs = build_rhs(spec)
     trajectory = integrate(rhs, x0, (args.tspan[0], args.tspan[1]), cfg)
     buffer = io.StringIO()

@@ -28,6 +28,7 @@ X[i,j] = x_j d/dx_i spanning gl(s, R), and the s+1 generators
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .algebra import DiffPoly, Poly
@@ -47,7 +48,9 @@ class PSequence:
         return self.polys[l]
 
 
+@cache
 def p_sequence(s: int) -> PSequence:
+    """P_0 .. P_s, built once per order and shared (it is immutable)."""
     if s < 1:
         raise ValueError("order must be at least 1")
     polys = [DiffPoly.one()]
@@ -99,10 +102,6 @@ class LinearODESpec:
             raise ValueError("need exactly one coefficient per derivative order")
 
 
-def _unit_coefficient() -> TimeFunction:
-    return TimeFunction.constant(1)
-
-
 def companion_linear_system(spec: LinearODESpec) -> TDVectorField:
     """First-order form on R^s: u_i' = u_{i+1}, u_{s-1}' = -sum b_l(t) u_l.
 
@@ -113,7 +112,7 @@ def companion_linear_system(spec: LinearODESpec) -> TDVectorField:
     s = spec.order
     shift_comps = [Poly.variable(s, i + 1) for i in range(s - 1)] + [Poly.zero(s)]
     terms: list[tuple[TimeFunction, PolyVectorField]] = [
-        (_unit_coefficient(), PolyVectorField(shift_comps))
+        (TimeFunction.constant(1), PolyVectorField(shift_comps))
     ]
     for l, b in enumerate(spec.coefficients):
         comps = [Poly.zero(s) for _ in range(s)]
@@ -169,7 +168,7 @@ def member_td_system(s: int, bvals: Sequence[TimeFunction]) -> TDVectorField:
     if len(bvals) != s:
         raise ValueError(f"need {s} coefficient functions, got {len(bvals)}")
     gens = member_lie_generators(s)
-    terms = [(_unit_coefficient(), gens[0])]
+    terms = [(TimeFunction.constant(1), gens[0])]
     terms += [(b, field) for b, field in zip(bvals, gens[1:])]
     return TDVectorField(terms)
 

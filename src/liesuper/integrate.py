@@ -45,12 +45,18 @@ class IntegratorConfig:
     overflow: float = 1e8
 
     def __post_init__(self):
+        # every message starts with the name of the offending setting
         if self.method not in ("rkf45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "rk4" and (self.step is None or self.step <= 0):
-            raise ValueError("rk4 needs a positive fixed step")
-        if self.rtol <= 0 or self.atol <= 0 or self.min_step <= 0:
-            raise ValueError("tolerances and the minimum step must be positive")
+            raise ValueError(f"method must be 'rkf45' or 'rk4', got {self.method!r}")
+        if self.method == "rk4" and self.step is None:
+            raise ValueError("step is required by rk4")
+        # NaN and inf pass a plain `<= 0` test and would switch step control off
+        for name in ("step", "rtol", "atol", "min_step", "max_step"):
+            value = getattr(self, name)
+            if value is None and name in ("step", "max_step"):
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

@@ -218,15 +218,16 @@ def killing_determinant(sc: StructureConstants) -> Fraction:
 
 
 def center_dimension(sc: StructureConstants) -> int:
-    """Dimension of {v : [v, Y_b] = 0 for all b} via an exact nullspace."""
-    r = sc.r
-    if r == 0:
-        return 0
-    rows = []
-    for b in range(r):
-        for g in range(r):
-            rows.append([sc.c[a][b][g] for a in range(r)])
-    return r - dense_rank(rows)
+    """Dimension of {v : [v, Y_b] = 0 for all b} via an exact nullspace:
+    r minus the rank of the rows (b, g), each {a: c[a][b][g]} over its
+    nonzero entries only."""
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for a, plane in enumerate(sc.c):
+        for b, row in enumerate(plane):
+            for g, v in enumerate(row):
+                if v:
+                    rows.setdefault((b, g), {})[a] = v
+    return sc.r - sparse_rank(list(rows.values()))
 
 
 def is_modular_basis(basis: LieBasis, samples: int = 20, seed: int = 0) -> bool:

@@ -16,7 +16,8 @@ The hierarchy rule evaluates x = sum_a k_a x_(a) (with k_s = 1) through
 the jets c_j = sum_a k_a u^j_(a), normalizes z_j = c_j / c_0 = P_j(y-jet),
 and recovers the y-jet by triangular inversion of the P sequence: each
 P_l is y_{l-1} plus terms in strictly lower derivatives, so
-y^(l-1) = z_l - (P_l - y_{l-1}) evaluated on the already-recovered jet.
+y^(l-1) = z_l - P_l evaluated on the already-recovered jet with
+y_{l-1} = 0.
 Scaling every constant (including k_s) by a nonzero factor leaves the
 output unchanged, which is why the normalization k_s = 1 loses nothing.
 
@@ -34,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DiffPoly
 from .hierarchy import p_sequence
 
 JetPoint = Sequence[float]
@@ -184,8 +184,8 @@ def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) ->
     ps = p_sequence(s - 1)
     yjet: list[float] = []
     for l in range(1, s):
-        tail = ps[l] - DiffPoly.y(l - 1)  # only involves y0..y_{l-2}
-        yjet.append(z[l] - float(tail.evaluate(yjet)))
+        # P_l - y_{l-1} only involves y0..y_{l-2}: P_l with y_{l-1} = 0
+        yjet.append(z[l] - float(ps[l].evaluate(yjet + [0.0])))
     return yjet
 
 

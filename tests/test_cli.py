@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from liesuper.cli import main
 from liesuper.hierarchy import member_lie_generators
 
@@ -228,6 +230,25 @@ class TestIntegrateCommand:
         assert main(["integrate", spec, "--x0", "0", "--tspan", "1", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "--tspan" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--method", "rk4", "--step", "nan"], "--step"),
+            (["--method", "rk4", "--step", "inf"], "--step"),
+            (["--rtol", "nan"], "--rtol"),
+            (["--rtol", "inf"], "--rtol"),
+            (["--atol", "nan"], "--atol"),
+            (["--tspan", "0", "inf"], "--tspan"),
+            (["--tspan", "nan", "1"], "--tspan"),
+        ],
+    )
+    def test_non_finite_settings_are_input_errors(self, tmp_path, capsys, flags, named):
+        spec = write_json(tmp_path / "osc.json", {"kind": "oscillator", "omega": "1"})
+        assert main(["integrate", spec, "--x0", "1,0", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
         assert captured.out == ""
 
     def test_invalid_spec(self, tmp_path, capsys):

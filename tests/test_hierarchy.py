@@ -50,6 +50,10 @@ class TestPSequence:
             top = (0,) * (l - 1) + (1,)
             assert ps[l].terms[(top, ())] == 1
 
+    def test_built_once_per_order(self):
+        assert p_sequence(4) is p_sequence(4)
+        assert p_sequence(3) is not p_sequence(4)
+
     def test_defining_property_sympy_oracle(self):
         # d^l x/dt^l = x * P_l(y, y', ...) for y = x'/x, independent of the
         # recursion: exercised on a concrete x(t)

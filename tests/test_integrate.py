@@ -98,6 +98,13 @@ class TestRk4:
         with pytest.raises(ValueError):
             IntegratorConfig(method="rk4")
 
+    def test_settings_must_be_finite(self):
+        # a NaN or infinite tolerance would switch step control off
+        for name in ("step", "rtol", "atol", "min_step", "max_step"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be a finite positive number"):
+                    IntegratorConfig(method="rk4", **{"step": 0.1, name: value})
+
 
 class TestRkf45Accuracy:
     @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,6 +225,14 @@ class TestCenter:
     def test_abelian_all_central(self):
         sc = structure_constants(LieBasis([VF("1", "0"), VF("0", "1")]))
         assert center_dimension(sc) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(antisymmetric_tables())
+    def test_matches_sympy_nullspace_on_random_tables(self, sc):
+        # the center is the nullspace of the rows (b, g) with entries c[a][b][g]
+        r = sc.r
+        rows = [[sympy.Rational(str(sc.c[a][b][g])) for a in range(r)] for b in range(r) for g in range(r)]
+        assert center_dimension(sc) == len(sympy.Matrix(rows).nullspace())
 
 
 class TestModularBasis:

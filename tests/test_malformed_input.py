@@ -1,8 +1,9 @@
-"""Malformed suite, spec and generators files: the CLI exits 1 with an
-``error: <path>: ...`` line, and no document makes it raise."""
+"""Malformed suite, spec, generators and report files: the CLI exits 1
+with an ``error: <path>: ...`` line, and no document makes it raise."""
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -59,12 +60,22 @@ CRASH_INPUTS = {
     "spec-bernoulli-n-negative": ("integrate", {"kind": "bernoulli", "a": "0", "b": "1", "n": -2}, "system.n"),
     "generators-field-number": ("closure", {"dim": 1, "fields": [[3]]}, "generators.fields[0][0]"),
     "timefn-too-deep": ("integrate", {"kind": "oscillator", "omega": DEEP}, "system.omega"),
+    "report-list": ("report", [], "report"),
+    "report-string": ("report", "s", "report"),
+    "report-item-number": ("report", {"items": [1]}, "report.items[0]"),
+    "report-measured-null": ("report", {"items": [{"kind": "drift", "measured": None}]}, "report.items[0].measured"),
+    "report-error-string": (
+        "report",
+        {"items": [{"kind": "rule", "measured": {"max_formula_error": "x"}}]},
+        "report.items[0].measured.max_formula_error",
+    ),
 }
 
 COMMAND_ARGS = {
     "verify": [],
     "integrate": ["--dump-spec"],
     "closure": [],
+    "report": [],
 }
 
 
@@ -78,6 +89,15 @@ def run_cli(command, doc, extra=()):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, path, *extra])
     return code, out.getvalue(), err.getvalue()
+
+
+def written_report(command, doc):
+    """The report document ``command --out`` writes for ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        run_cli(command, doc, ["--out", out])
+        with open(out) as handle:
+            return json.load(handle)
 
 
 @pytest.mark.parametrize("case", sorted(CRASH_INPUTS))
@@ -179,3 +199,16 @@ def test_fuzz_integrate(doc, x0):
 @given(mutations(TEMPLATES["closure"]))
 def test_fuzz_closure(doc):
     assert run_cli("closure", doc, ["--cap", "12"])[0] in (0, 1, 2)
+
+
+@functools.cache
+def real_reports():
+    return [written_report("verify", TEMPLATES["verify"]), written_report("closure", TEMPLATES["closure"])]
+
+
+@FUZZ
+@given(st.deferred(lambda: st.sampled_from(real_reports()).flatmap(mutations)))
+def test_fuzz_report(doc):
+    code, out, err = run_cli("report", doc)
+    assert code in (0, 1)
+    assert code == 0 or err.startswith("error: report")

@@ -10,7 +10,12 @@ import pytest
 
 from liesuper import verify
 from liesuper.integrate import IntegratorConfig, integrate
-from liesuper.superpose import eval_bernoulli_rule, eval_hierarchy_rule, eval_linear_rule
+from liesuper.superpose import (
+    eval_bernoulli_rule,
+    eval_hierarchy_rule,
+    eval_linear_rule,
+    eval_pinney_rule,
+)
 from liesuper.verify import (
     SuiteValidationError,
     TrialRecord,
@@ -191,6 +196,84 @@ class TestNonFiniteErrors:
         (item,) = run_suite({"items": [dict(LINEAR_ITEM)]})
         assert math.isnan(item["measured"]["extras_max"]["round_trip_error"])
         assert item["pass"] is False
+
+
+class TestOneFormulaPass:
+    """The formula runs once per node; guards and extras read that pass."""
+
+    def test_pinney_trial_evaluates_the_rule_once_per_node(self, monkeypatch):
+        calls = []
+        honest_rule, honest_integrate = verify.eval_pinney_rule, verify.integrate
+        trajectories = []
+
+        def counted_rule(*args):
+            calls.append(None)
+            return honest_rule(*args)
+
+        def kept_integrate(*args):
+            trajectories.append(honest_integrate(*args))
+            return trajectories[-1]
+
+        monkeypatch.setattr(verify, "eval_pinney_rule", counted_rule)
+        monkeypatch.setattr(verify, "integrate", kept_integrate)
+        setup = build_rule_setup("pinney", {"omega": "1", "c": 1.0})
+        cfg = IntegratorConfig(method="rk4", step=1e-3)
+        record = verify_rule(setup, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0.0, 0.2), cfg)
+        assert record.ok
+        (traj,) = trajectories
+        # once for the initial state, then once per node
+        assert len(calls) == len(traj.times) + 1
+
+    def test_pinney_extras_match_the_per_node_loop(self):
+        setup = build_rule_setup("pinney", {"omega": "1 + 0.1*sin(t)", "c": 2.0})
+        cfg = IntegratorConfig(method="rk4", step=1e-3)
+        ics, k = [[1.0, 0.2], [-0.3, 1.1]], [1.5, 1.2]
+        record = verify_rule(setup, ics, k, (0.0, 0.3), cfg)
+        assert record.ok
+        # reference: the formula and the five-point stencil node by node
+        y0 = list(setup.phi([np.array(ic) for ic in ics], k)) + ics[0] + ics[1]
+        traj = integrate(setup.joint, y0, (0.0, 0.3), cfg)
+        values = [eval_pinney_rule(row[2:4], row[4:6], k[0], k[1], 2.0) for row in traj.states]
+        h = traj.times[1] - traj.times[0]
+        deriv_error = 0.0
+        for i in range(2, len(values) - 2):
+            x = [v[0] for v in values[i - 2 : i + 3]]
+            fd = (x[0] - 8 * x[1] + 8 * x[3] - x[4]) / (12 * h)
+            deriv_error = max(deriv_error, abs(fd - values[i][1]))
+        assert record.extras["deriv_error"] == deriv_error
+        assert record.max_error == max(abs(v[j] - row[j]) for v, row in zip(values, traj.states) for j in (0, 1))
+
+    def test_trials_reuse_the_joint_system(self, monkeypatch):
+        setup = build_rule_setup("hierarchy", {"order": 2, "b": ["1", "0"]})
+
+        def unexpected(*args):
+            raise AssertionError("the joint system is built with the setup")
+
+        monkeypatch.setattr(verify, "direct_product", unexpected)
+        monkeypatch.setattr(verify, "join_rhs", unexpected)
+        record = verify_rule(setup, [[1.0, 0.0], [0.0, 1.0]], [1.0], (0.0, 0.7), CFG)
+        assert record.ok
+
+    def test_negative_c_rejects_the_trials_the_formula_cannot_follow(self):
+        # with c < 0 the inner radicand turns negative along some trials;
+        # those trials are rejected and resampled, not fatal to the item
+        item = {
+            "kind": "rule",
+            "rule": "pinney",
+            "omega": "1",
+            "c": -1.0,
+            "trials": 4,
+            "seed": 1,
+            "tspan": [0.0, 1.0],
+            "tolerance": 1e-6,
+        }
+        (report,) = run_suite({"items": [item]})
+        measured = report["measured"]
+        assert "error" not in measured
+        assert report["pass"] is True
+        statuses = [t["status"] for t in measured["trials"]]
+        assert "rejected:formula-RadicandNegative" in statuses
+        assert statuses.count("ok") == 4
 
 
 class TestDriftHelpers:

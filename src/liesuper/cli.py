@@ -39,7 +39,7 @@ from .liealg import (
     structure_constants,
 )
 from .systems import SpecError, build_rhs, parse_generators, parse_system_spec, spec_to_doc
-from .verify import SuiteValidationError, default_suite, run_suite, suite_passed
+from .verify import default_suite, run_suite, suite_passed, validate_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -95,11 +95,7 @@ def _cmd_closure(args) -> int:
         "dimension": basis.size,
         "basis": [[p.to_text() for p in f.components] for f in basis.fields],
         "structure_constants": [
-            {"alpha": a, "beta": b, "gamma": g, "value": str(sc.c[a][b][g])}
-            for a in range(sc.r)
-            for b in range(a + 1, sc.r)
-            for g in range(sc.r)
-            if sc.c[a][b][g] != 0
+            {"alpha": a, "beta": b, "gamma": g, "value": str(v)} for a, b, g, v in sc.nonzero()
         ],
         "killing_determinant": str(killing_determinant(sc)),
         "center_dimension": center_dimension(sc),
@@ -150,16 +146,14 @@ def _cmd_verify(args) -> int:
             doc = _load_json(args.file)
         except (OSError, json.JSONDecodeError) as exc:
             return _fail(str(exc))
-    if args.seed is not None and isinstance(doc, dict):
-        for item in doc.get("items", []):
-            if isinstance(item, dict):
-                item["seed"] = args.seed
-    try:
-        reports = run_suite(doc)
-    except SuiteValidationError as exc:
-        for line in exc.errors:
-            print(f"error: {line}", file=sys.stderr)
+    errors = validate_suite(doc)
+    if errors:
+        print("\n".join(f"error: {line}" for line in errors), file=sys.stderr)
         return EXIT_INPUT
+    if args.seed is not None:
+        for item in doc["items"]:
+            item["seed"] = args.seed
+    reports = run_suite(doc)
     passed = suite_passed(reports)
     report_doc = {
         "items": reports,

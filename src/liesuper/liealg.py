@@ -7,6 +7,10 @@ of the fields' coefficient vectors), never by sampling, so a finite
 answer is a proof and a ``CapExceeded`` is a certificate that the
 generated algebra has dimension above the cap.
 
+Structure constants are stored sparse, as the nonzero entries only; the
+Killing form and the center read them there, and the dense table ``.c``
+is a view built on its first read.
+
 Pointwise questions -- whether a basis is linearly independent at a
 generic point ("modular") -- are intrinsically about evaluation, so there
 the definition is followed: seeded rational sample points, exact rank of
@@ -18,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exactlinalg import (
     SparseEchelon,
@@ -30,6 +34,7 @@ from .exactlinalg import (
 from .vectorfield import PolyVectorField, lie_bracket
 
 DEFAULT_CLOSURE_CAP = 64
+_ZERO = Fraction(0)
 
 
 class CapExceeded(Exception):
@@ -142,24 +147,36 @@ def closure(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CA
 
 
 class StructureConstants:
-    """c[a][b][g] with [Y_a, Y_b] = sum_g c[a][b][g] Y_g, exact."""
+    """c[a][b][g] with [Y_a, Y_b] = sum_g c[a][b][g] Y_g, exact; ``planes[a]``
+    holds {(b, g): c[a][b][g]} for the nonzero entries, both orders of every
+    pair, and ``c`` is the dense view."""
 
-    __slots__ = ("r", "c")
+    __slots__ = ("r", "planes", "_dense")
 
-    def __init__(self, c: Sequence[Sequence[Sequence[Fraction]]]):
-        r = len(c)
-        table = tuple(tuple(tuple(Fraction(v) for v in row) for row in plane) for plane in c)
-        for plane in table:
-            if len(plane) != r or any(len(row) != r for row in plane):
-                raise ValueError("structure constants must form an r x r x r table")
+    def __init__(self, planes: Sequence[Mapping[tuple[int, int], Fraction]]):
+        r = len(planes)
+        if any(b not in range(r) or g not in range(r) for plane in planes for b, g in plane):
+            raise ValueError(f"structure constant indices must lie in range({r})")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", table)
+        object.__setattr__(self, "planes", tuple({k: Fraction(v) for k, v in plane.items() if v} for plane in planes))
+        object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("StructureConstants is immutable")
 
+    @property
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        if self._dense is None:
+            r = range(self.r)
+            object.__setattr__(self, "_dense", tuple(tuple(self.bracket_coefficients(a, b) for b in r) for a in r))
+        return self._dense
+
     def bracket_coefficients(self, alpha: int, beta: int) -> tuple[Fraction, ...]:
-        return self.c[alpha][beta]
+        return tuple(self.planes[alpha].get((beta, g), _ZERO) for g in range(self.r))
+
+    def nonzero(self) -> list[tuple[int, int, int, Fraction]]:
+        """(a, b, g, c[a][b][g]) for the nonzero constants with a < b, sorted."""
+        return sorted((a, b, g, v) for a, plane in enumerate(self.planes) for (b, g), v in plane.items() if a < b)
 
 
 def structure_constants(basis: LieBasis) -> StructureConstants:
@@ -168,38 +185,30 @@ def structure_constants(basis: LieBasis) -> StructureConstants:
     Raises NotClosed(alpha, beta) if some bracket escapes the span.
     """
     r = basis.size
-    zero = Fraction(0)
-    c = [[[zero] * r for _ in range(r)] for _ in range(r)]
+    planes: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(r)]
     pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
     brackets = [lie_bracket(basis.fields[a], basis.fields[b]).coefficient_vector() for a, b in pairs]
     for (a, b), coeffs in zip(pairs, solve_in_span(basis.coefficient_rows, brackets)):
         if coeffs is None:
             raise NotClosed(a, b)
-        c[a][b] = coeffs
-        c[b][a] = [-v for v in coeffs]
-    return StructureConstants(c)
+        for g, v in enumerate(coeffs):
+            if v:
+                planes[a][b, g] = v
+                planes[b][a, g] = -v
+    return StructureConstants(planes)
 
 
 def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
     """K[a][b] = sum_{g,d} c[a][g][d] * c[b][d][g], exact and symmetric.
 
-    The table is mostly zeros, so each plane's nonzero entries are
-    collected once, as integer numerators over the table's common
-    denominator D keyed by (g, d), and K[a][b] sums only over the nonzero
+    Each plane's nonzero entries are taken as integer numerators over the
+    table's common denominator D, and K[a][b] sums only over the nonzero
     (g, d) of plane a whose transposed (d, g) entry of plane b is nonzero.
     """
     r = sc.r
-    den = 1
-    for plane in sc.c:
-        for row in plane:
-            for v in row:
-                if v:
-                    den = lcm(den, v.denominator)
-    planes = [
-        {(g, d): v.numerator * (den // v.denominator) for g, row in enumerate(plane) for d, v in enumerate(row) if v}
-        for plane in sc.c
-    ]
-    K = [[Fraction(0)] * r for _ in range(r)]
+    den = lcm(1, *(v.denominator for plane in sc.planes for v in plane.values()))
+    planes = [{k: v.numerator * (den // v.denominator) for k, v in plane.items()} for plane in sc.planes]
+    K = [[_ZERO] * r for _ in range(r)]
     for a in range(r):
         entries = planes[a].items()
         for b in range(a, r):
@@ -220,14 +229,13 @@ def killing_determinant(sc: StructureConstants) -> Fraction:
 def center_dimension(sc: StructureConstants) -> int:
     """Dimension of {v : [v, Y_b] = 0 for all b} via an exact nullspace:
     r minus the rank of the rows (b, g), each {a: c[a][b][g]} over its
-    nonzero entries only."""
+    nonzero entries only.  Equal rows are eliminated once."""
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, plane in enumerate(sc.c):
-        for b, row in enumerate(plane):
-            for g, v in enumerate(row):
-                if v:
-                    rows.setdefault((b, g), {})[a] = v
-    return sc.r - sparse_rank(list(rows.values()))
+    for a, plane in enumerate(sc.planes):
+        for key, v in plane.items():
+            rows.setdefault(key, {})[a] = v
+    distinct = {tuple(row.items()): row for row in rows.values()}
+    return sc.r - sparse_rank(list(distinct.values()))
 
 
 def is_modular_basis(basis: LieBasis, samples: int = 20, seed: int = 0) -> bool:

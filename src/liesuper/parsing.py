@@ -142,10 +142,6 @@ class TimeFunction:
         raise NotImplementedError
 
     @staticmethod
-    def parse(src: str) -> "TimeFunction":
-        return parse_timefn(src)
-
-    @staticmethod
     def constant(value) -> "TimeFunction":
         """A constant tree that renders to re-parseable canonical text."""
         f = Fraction(value)

@@ -30,7 +30,7 @@ oscillator solutions, which the numerical verification confirms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,33 +79,36 @@ class MixedRule:
 
     rule_id: str
     component_dims: tuple[int, ...]
-    constant_count: int
     target_dim: int
-    parameters: dict = field(default_factory=dict)
+
+    @property
+    def constant_count(self) -> int:
+        """An n-dimensional target's general solution takes n constants."""
+        return self.target_dim
 
     @staticmethod
     def linear() -> "MixedRule":
-        return MixedRule("linear", (1, 1), 1, 1)
+        return MixedRule("linear", (1, 1), 1)
 
     @staticmethod
     def bernoulli(n: int) -> "MixedRule":
         if n == 1:
             raise ValueError("the exponent n = 1 is the plain linear case")
-        return MixedRule("bernoulli", (1, 1), 1, 1, {"n": n})
+        return MixedRule("bernoulli", (1, 1), 1)
 
     @staticmethod
-    def pinney(c: float) -> "MixedRule":
-        return MixedRule("pinney", (2, 2), 2, 2, {"c": float(c)})
+    def pinney() -> "MixedRule":
+        return MixedRule("pinney", (2, 2), 2)
 
     @staticmethod
     def hierarchy(s: int) -> "MixedRule":
         if s < 2:
             raise ValueError("hierarchy rules start at order 2")
-        return MixedRule("hierarchy", (s,) * s, s - 1, s - 1, {"s": s})
+        return MixedRule("hierarchy", (s,) * s, s - 1)
 
     @staticmethod
     def riccati_cross_ratio() -> "MixedRule":
-        return MixedRule("riccati-cross-ratio", (1, 1, 1), 1, 1)
+        return MixedRule("riccati-cross-ratio", (1, 1, 1), 1)
 
 
 def eval_linear_rule(x1: float, x2: float, k: float) -> float:

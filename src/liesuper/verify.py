@@ -323,7 +323,7 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         return {"wronskian_drift": drift, "deriv_error": deriv_error}
 
     return RuleSetup(
-        rule=MixedRule.pinney(c),
+        rule=MixedRule.pinney(),
         components=[osc, osc],
         target=target,
         phi=phi,
@@ -719,9 +719,7 @@ def _run_closure_item(item: dict) -> dict:
     sc = structure_constants(basis)
     measured["center_dimension"] = center_dimension(sc)
     measured["killing_determinant"] = str(killing_determinant(sc))
-    ok = True
-    if item.get("expect") == "cap-exceeded":
-        ok = False
+    ok = item.get("expect") != "cap-exceeded"
     if "expect_dim" in item:
         ok = ok and basis.size == item["expect_dim"]
     if "expect_center" in item:

@@ -2,8 +2,12 @@
 
 import json
 import pathlib
+from fractions import Fraction
+
+import pytest
 
 from liesuper.cli import main
+from liesuper.hierarchy import linear_generators, member_lie_generators
 from liesuper.verify import default_suite, run_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -27,3 +31,20 @@ def test_default_report_shape_golden():
     ]
     expected = json.loads((GOLDEN / "default_report_shape.json").read_text())
     assert shape == expected
+
+
+# member(3) scaled by 2/3, so that its structure constants are not integers
+CLOSURE_INPUTS = {
+    "closure_gl3.json": linear_generators(3),
+    "closure_member3_scaled.json": [f * Fraction(2, 3) for f in member_lie_generators(3)],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CLOSURE_INPUTS))
+def test_closure_golden(golden, tmp_path, capsys):
+    fields = CLOSURE_INPUTS[golden]
+    doc = {"dim": fields[0].dimension, "fields": [[p.to_text() for p in f.components] for f in fields]}
+    path = tmp_path / "generators.json"
+    path.write_text(json.dumps(doc))
+    assert main(["closure", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

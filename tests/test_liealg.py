@@ -116,6 +116,36 @@ class TestStructureConstants:
         with pytest.raises(NotClosed):
             structure_constants(LieBasis([VF("1"), VF("x0^2")]))
 
+    def test_constructor_keeps_nonzero_fractions_and_checks_indices(self):
+        sc = StructureConstants([{(1, 1): 2, (1, 0): 0}, {(0, 1): Fraction(-2)}])
+        assert sc.planes == ({(1, 1): 2}, {(0, 1): -2})
+        assert all(type(v) is Fraction for plane in sc.planes for v in plane.values())
+        assert sc.c == (((0, 0), (0, 2)), ((0, -2), (0, 0)))
+        for bad in ({(2, 0): 1}, {(0, -1): 1}):
+            with pytest.raises(ValueError):
+                StructureConstants([bad, {}])
+
+    def test_sparse_readers_never_build_the_dense_view(self, monkeypatch, tmp_path, capsys):
+        from liesuper.cli import main
+        from liesuper.hierarchy import member_lie_generators
+
+        def refuse(self):
+            raise AssertionError("dense view read")
+
+        sc = structure_constants(closure(member_lie_generators(3)))
+        dense = sc.c
+        assert sc.c is dense
+        monkeypatch.setattr(StructureConstants, "c", property(refuse))
+        killing_form(sc)
+        center_dimension(sc)
+        assert sc.bracket_coefficients(0, 1) == dense[0][1]
+        assert sc.nonzero() == [
+            (a, b, g, dense[a][b][g]) for a in range(sc.r) for b in range(a + 1, sc.r) for g in range(sc.r) if dense[a][b][g]
+        ]
+        gens = tmp_path / "gen.json"
+        gens.write_text('{"dim": 1, "fields": [["1"], ["x0"], ["x0^2"]]}')
+        assert main(["closure", str(gens)]) == 0
+
     def test_antisymmetry_and_jacobi_on_closures(self):
         from liesuper.hierarchy import linear_generators, member_lie_generators
 
@@ -176,7 +206,7 @@ def antisymmetric_tables(draw):
         for b in range(a + 1, r):
             c[a][b] = [draw(entries) for _ in range(r)]
             c[b][a] = [-v for v in c[a][b]]
-    return StructureConstants(c)
+    return StructureConstants([{(b, g): v for b, row in enumerate(plane) for g, v in enumerate(row)} for plane in c])
 
 
 class TestKillingForm:

@@ -47,7 +47,7 @@ DRIFT = {
 
 DEEP = "(" * 3000 + "t" + ")" * 3000  # deeper than the recursion limit
 
-# (command, document, the path the error must name)
+# (command, document, the path the error must name, extra arguments...)
 CRASH_INPUTS = {
     "tolerance-string": ("verify", rule_suite(tolerance="abc"), "items[0].tolerance"),
     "bernoulli-n-1": ("verify", rule_suite(rule="bernoulli", n=1), "items[0].n"),
@@ -57,6 +57,7 @@ CRASH_INPUTS = {
     "method-euler": ("verify", rule_suite(method="euler"), "items[0].method"),
     "step-negative": ("verify", rule_suite(method="rk4", step=-1), "items[0].step"),
     "drift-initial-string": ("verify", {"items": [dict(DRIFT, initial=["a", 1.0, 2.0, 3.0])]}, "items[0].initial"),
+    "seed-items-number": ("verify", {"items": 5}, "suite.items", "--seed", "1"),
     "spec-bernoulli-n-negative": ("integrate", {"kind": "bernoulli", "a": "0", "b": "1", "n": -2}, "system.n"),
     "generators-field-number": ("closure", {"dim": 1, "fields": [[3]]}, "generators.fields[0][0]"),
     "timefn-too-deep": ("integrate", {"kind": "oscillator", "omega": DEEP}, "system.omega"),
@@ -102,8 +103,8 @@ def written_report(command, doc):
 
 @pytest.mark.parametrize("case", sorted(CRASH_INPUTS))
 def test_malformed_input_is_an_input_error(case):
-    command, doc, path = CRASH_INPUTS[case]
-    code, out, err = run_cli(command, doc, COMMAND_ARGS[command])
+    command, doc, path, *extra = CRASH_INPUTS[case]
+    code, out, err = run_cli(command, doc, COMMAND_ARGS[command] + extra)
     assert code == 1
     assert f"error: {path}: " in err
     assert out == ""

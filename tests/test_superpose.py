@@ -199,7 +199,7 @@ class TestMixedRuleDescriptors:
         for rule in (
             MixedRule.linear(),
             MixedRule.bernoulli(2),
-            MixedRule.pinney(1.0),
+            MixedRule.pinney(),
             MixedRule.hierarchy(3),
             MixedRule.riccati_cross_ratio(),
         ):

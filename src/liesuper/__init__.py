@@ -29,6 +29,7 @@ from .integrate import (
     Trajectory,
     first_integral_drift,
     integrate,
+    integrate_batch,
     write_csv,
     wronskian,
 )

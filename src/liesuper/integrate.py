@@ -15,6 +15,18 @@ or 'singular' with an event recording the estimated time and trigger
     max-steps        the step budget ran out
 
 The returned grid is the accepted steps; there is no dense interpolation.
+
+``integrate_batch`` integrates many initial states of one system.  RK4
+advances them in lockstep as one (dim, rows) block on the shared uniform
+grid (every operation acts on all rows at once, see Hairer, Norsett and
+Wanner, *Solving ODEs I*), so the right-hand side must accept a
+coordinate-major state whose coordinates are 1-D arrays of rows.  A row
+leaves the block with the same event that ``integrate`` gives it alone:
+a step in which the block's arithmetic raises or signals a floating-point
+error is replayed row by row with ``integrate``'s scalar step, and a row
+whose step overflows leaves at its end.  Rows agree with ``integrate`` to
+rounding (numpy's ``x**3`` can differ from Python's by one ulp).  RKF45
+chooses its steps per row, so its rows still run one by one.
 """
 
 from __future__ import annotations
@@ -131,47 +143,146 @@ def _finish(times, states, status, event, meta) -> Trajectory:
     )
 
 
-def integrate(rhs: AnyRHS, x0: Sequence[float], tspan: tuple[float, float], cfg: IntegratorConfig) -> Trajectory:
-    """Integrate from tspan[0] to tspan[1]; failures land in the status."""
+def _checked_span(tspan: tuple[float, float]) -> tuple[float, float]:
     t0, t1 = float(tspan[0]), float(tspan[1])
     if not t0 < t1:
         raise ValueError("tspan must satisfy t0 < t1")
+    return t0, t1
+
+
+def _initial_state(rhs: AnyRHS, x0: Sequence[float]) -> list[float]:
     y0 = [float(v) for v in x0]
     if len(y0) != rhs.dimension:
         raise ValueError(f"initial state of length {len(y0)} for dimension {rhs.dimension}")
+    return y0
+
+
+def integrate(rhs: AnyRHS, x0: Sequence[float], tspan: tuple[float, float], cfg: IntegratorConfig) -> Trajectory:
+    """Integrate from tspan[0] to tspan[1]; failures land in the status."""
+    t0, t1 = _checked_span(tspan)
+    y0 = _initial_state(rhs, x0)
     if cfg.method == "rk4":
         return _integrate_rk4(rhs, y0, t0, t1, cfg)
     return _integrate_rkf45(rhs, y0, t0, t1, cfg)
 
 
-def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
-    h = cfg.step
+def integrate_batch(
+    rhs: AnyRHS, x0s: Sequence[Sequence[float]], tspan: tuple[float, float], cfg: IntegratorConfig
+) -> list[Trajectory]:
+    """One trajectory per initial state, each with the status and event
+    ``integrate`` gives it; RK4 runs two or more states in lockstep."""
+    t0, t1 = _checked_span(tspan)
+    y0s = [_initial_state(rhs, x0) for x0 in x0s]
+    if cfg.method == "rk4" and len(y0s) > 1:
+        return _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg)
+    run = _integrate_rk4 if cfg.method == "rk4" else _integrate_rkf45
+    return [run(rhs, y0, t0, t1, cfg) for y0 in y0s]
+
+
+def _rk4_grid(t0: float, t1: float, h: float) -> list[float]:
     n_steps = max(1, math.ceil((t1 - t0) / h - 1e-12))
-    times = [t0]
+    return [t0] + [t1 if i == n_steps - 1 else t0 + (i + 1) * (t1 - t0) / n_steps for i in range(n_steps)]
+
+
+def _rk4_step(rhs, t: float, dt: float, y: list[float]) -> list[float]:
+    """One classical step; raises _RhsFailure when a stage fails."""
+    k1 = _guarded_eval(rhs, t, y)
+    k2 = _guarded_eval(rhs, t + dt / 2, [yi + dt / 2 * ki for yi, ki in zip(y, k1)])
+    k3 = _guarded_eval(rhs, t + dt / 2, [yi + dt / 2 * ki for yi, ki in zip(y, k2)])
+    k4 = _guarded_eval(rhs, t + dt, [yi + dt * ki for yi, ki in zip(y, k3)])
+    return [yi + dt / 6 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
+    grid = _rk4_grid(t0, t1, cfg.step)
     states = [list(y0)]
-    meta = {"method": "rk4", "step": h, "steps": 0, "rejected": 0}
-    t, y = t0, list(y0)
-    for i in range(n_steps):
-        t_next = t1 if i == n_steps - 1 else t0 + (i + 1) * (t1 - t0) / n_steps
-        dt = t_next - t
+    meta = {"method": "rk4", "step": cfg.step, "steps": 0, "rejected": 0}
+    y = list(y0)
+    for t, t_next in zip(grid, grid[1:]):
         try:
-            k1 = _guarded_eval(rhs, t, y)
-            k2 = _guarded_eval(rhs, t + dt / 2, [yi + dt / 2 * ki for yi, ki in zip(y, k1)])
-            k3 = _guarded_eval(rhs, t + dt / 2, [yi + dt / 2 * ki for yi, ki in zip(y, k2)])
-            k4 = _guarded_eval(rhs, t + dt, [yi + dt * ki for yi, ki in zip(y, k3)])
+            y = _rk4_step(rhs, t, t_next - t, y)
         except _RhsFailure:
-            return _finish(times, states, "singular", SingularityEvent(t, RHS_ERROR), meta)
-        y = [
-            yi + dt / 6 * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
-        t = t_next
+            return _finish(grid[: len(states)], states, "singular", SingularityEvent(t, RHS_ERROR), meta)
         if max(abs(v) for v in y) > cfg.overflow:
-            return _finish(times, states, "singular", SingularityEvent(t, STATE_OVERFLOW), meta)
+            return _finish(grid[: len(states)], states, "singular", SingularityEvent(t_next, STATE_OVERFLOW), meta)
         meta["steps"] += 1
-        times.append(t)
         states.append(list(y))
-    return _finish(times, states, "completed", None, meta)
+    return _finish(grid, states, "completed", None, meta)
+
+
+def _eval_block(rhs, t: float, y: np.ndarray) -> np.ndarray:
+    """The right-hand side on a (dim, rows) block, as a (dim, rows) block
+    (a component may come back as one float for all rows)."""
+    k = np.empty_like(y)
+    for row, value in zip(k, rhs.evaluate(t, y), strict=True):
+        row[...] = value
+    return k
+
+
+def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
+    grid = _rk4_grid(t0, t1, cfg.step)
+    times = np.array(grid, dtype=float)
+    rows = len(y0s)
+    history = np.empty((rows, len(grid), rhs.dimension))
+    history[:, 0] = y0s
+    out: list[Trajectory | None] = [None] * rows
+
+    def leave(row: int, nodes: int, status: str, event: SingularityEvent | None) -> None:
+        meta = {"method": "rk4", "step": cfg.step, "steps": nodes - 1, "rejected": 0}
+        out[row] = Trajectory(times[:nodes], history[row, :nodes], status, event, meta)
+
+    live = np.arange(rows)
+    y = history[:, 0].T.copy()
+    signals: list[str] = []
+
+    def signal(kind: str, flag: int) -> None:
+        signals.append(kind)
+
+    # a floating-point error anywhere in a step is recorded, never warned
+    with np.errstate(divide="call", over="call", invalid="call", under="ignore", call=signal):
+        for i, (t, t_next) in enumerate(zip(grid, grid[1:])):
+            dt = t_next - t
+            signals.clear()
+            try:
+                k1 = _eval_block(rhs, t, y)
+                k2 = _eval_block(rhs, t + dt / 2, y + dt / 2 * k1)
+                k3 = _eval_block(rhs, t + dt / 2, y + dt / 2 * k2)
+                k4 = _eval_block(rhs, t + dt, y + dt * k3)
+                y_next = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
+                signals.append("raised")
+            if signals:
+                # replay the step row by row: the scalar step knows which
+                # rows raise and which merely pass through inf or nan
+                y_next = np.empty_like(y)
+                ok = np.ones(len(live), dtype=bool)
+                over = np.zeros(len(live), dtype=bool)
+                for r in range(len(live)):
+                    try:
+                        row = _rk4_step(rhs, t, dt, y[:, r].tolist())
+                    except _RhsFailure:
+                        ok[r] = False
+                        continue
+                    y_next[:, r] = row
+                    over[r] = max(abs(v) for v in row) > cfg.overflow
+            else:
+                # without a signal, a row is non-finite only if a stage was
+                ok = np.isfinite(y_next).all(axis=0)
+                over = ok & (np.abs(y_next).max(axis=0) > cfg.overflow)
+            for r in np.flatnonzero(~ok):
+                leave(live[r], i + 1, "singular", SingularityEvent(t, RHS_ERROR))
+            for r in np.flatnonzero(over):
+                leave(live[r], i + 1, "singular", SingularityEvent(t_next, STATE_OVERFLOW))
+            stay = ok & ~over
+            if not stay.all():
+                live, y_next = live[stay], y_next[:, stay]
+                if not len(live):
+                    break
+            history[live, i + 1] = y_next.T
+            y = y_next
+    for row in live:
+        leave(row, len(grid), "completed", None)
+    return out
 
 
 def _integrate_rkf45(rhs, y0, t0, t1, cfg) -> Trajectory:

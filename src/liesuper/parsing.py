@@ -21,6 +21,10 @@ leading minus per expression, ``expr := '-'? term (('+' | '-') term)*``.
 Time-function trees parsed from text render back to canonical text via
 ``to_text`` and re-parse to structurally equal trees; ``Poly.to_text``
 output parses back with ``parse_poly`` to an equal polynomial.
+
+``TimeFunction.compile`` turns a tree into one straight-line Python
+function of t, with its constants baked in as floats, for the integrators'
+inner loops; it returns exactly what ``eval`` returns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import Poly
 
@@ -135,6 +139,25 @@ class TimeFunction:
     def eval(self, t: float) -> float:
         raise NotImplementedError
 
+    def compile(self) -> Callable[[float], float]:
+        """This tree as one Python function of t.  Each node becomes one
+        statement, in the order ``eval`` visits it, so the function returns
+        exactly what ``eval`` returns and raises the same exception class
+        where ``eval`` raises."""
+        lines: list[str] = []
+        namespace: dict = {}
+        result = self.emit(lines, namespace)
+        return define_function("t", lines, result, namespace)
+
+    def emit(self, lines: list[str], namespace: dict) -> str:
+        """Append the statements computing this node at ``t`` to ``lines``
+        and return the operand that holds its value; names the statements
+        use go into ``namespace``.  A node type without its own code is
+        called through ``eval``."""
+        name = f"n{len(namespace)}"
+        namespace[name] = self
+        return _assign(lines, f"{name}.eval(t)")
+
     def to_text(self) -> str:
         return self._render()[0]
 
@@ -155,12 +178,41 @@ class TimeFunction:
         return f"{type(self).__name__}({self.to_text()!r})"
 
 
+def _assign(lines: list[str], expr: str) -> str:
+    name = f"v{len(lines)}"
+    lines.append(f"{name} = {expr}")
+    return name
+
+
+def define_function(params: str, lines: list[str], result: str, namespace: dict) -> Callable:
+    """``def f(params)`` running ``lines`` and returning ``result``, defined
+    in ``namespace`` next to the math functions emitted statements call."""
+    namespace.update(_sin=math.sin, _cos=math.cos, _exp=math.exp)
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def f({params}):\n{body}    return {result}\n", namespace)
+    return namespace["f"]
+
+
+def float_literal(value: float) -> str:
+    """Source text of a finite float that evaluates back to it exactly,
+    safe as an operand of any operator."""
+    text = repr(value)
+    return f"({text})" if value < 0 else text
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class TimeConstant(TimeFunction):
     value: Fraction
 
     def eval(self, t: float) -> float:
         return float(self.value)
+
+    def emit(self, lines: list[str], namespace: dict) -> str:
+        try:
+            return float_literal(float(self.value))
+        except OverflowError:
+            # too large for a float: raise where eval raises
+            return TimeFunction.emit(self, lines, namespace)
 
     def _render(self) -> tuple[str, int]:
         text = _decimal_text(self.value)
@@ -173,6 +225,9 @@ class TimeConstant(TimeFunction):
 class TimeVariable(TimeFunction):
     def eval(self, t: float) -> float:
         return t
+
+    def emit(self, lines: list[str], namespace: dict) -> str:
+        return "t"
 
     def _render(self) -> tuple[str, int]:
         return "t", _PREC_ATOM
@@ -195,6 +250,11 @@ class TimeBinary(TimeFunction):
             return a * b
         return a / b
 
+    def emit(self, lines: list[str], namespace: dict) -> str:
+        a = self.left.emit(lines, namespace)
+        b = self.right.emit(lines, namespace)
+        return _assign(lines, f"{a} {self.op} {b}")
+
     def _render(self) -> tuple[str, int]:
         prec = _PREC_ADD if self.op in "+-" else _PREC_MUL
         lt, lp = self.left._render()
@@ -216,6 +276,9 @@ class TimePower(TimeFunction):
     def eval(self, t: float) -> float:
         return self.base.eval(t) ** self.exponent
 
+    def emit(self, lines: list[str], namespace: dict) -> str:
+        return _assign(lines, f"{self.base.emit(lines, namespace)} ** ({self.exponent})")
+
     def _render(self) -> tuple[str, int]:
         bt, bp = self.base._render()
         if bp < _PREC_ATOM:
@@ -235,6 +298,9 @@ class TimeCall(TimeFunction):
         if self.fn == "cos":
             return math.cos(v)
         return math.exp(v)
+
+    def emit(self, lines: list[str], namespace: dict) -> str:
+        return _assign(lines, f"_{self.fn}({self.arg.emit(lines, namespace)})")
 
     def _render(self) -> tuple[str, int]:
         return f"{self.fn}({self.arg._render()[0]})", _PREC_ATOM

@@ -140,27 +140,34 @@ def eval_bernoulli_rule(x1: float, x2: float, k: float, n: int) -> float:
     return math.copysign(abs(base) ** (1.0 / e), base)
 
 
-def eval_pinney_rule(
-    xi1: Sequence[float], xi2: Sequence[float], k1: float, k2: float, c: float
-) -> tuple[float, float]:
+def eval_pinney_rule(xi1, xi2, k1: float, k2: float, c: float) -> tuple:
     """The two-oscillator-solution rule for x'' = -omega^2(t) x + c/x^3,
-    phrased on the first-order system (x, p)."""
+    phrased on the first-order system (x, p).
+
+    ``xi1 = (x1, p1)`` and ``xi2`` hold floats, or 1-D arrays with one
+    entry per node; the output is then one array per component.  Each node
+    gets the float operations of the scalar formula, and a failing input
+    raises the error of the first failing node."""
     x1, p1 = xi1
     x2, p2 = xi2
-    w = x1 * p2 - p1 * x2
-    if w == 0.0:
-        raise DegenerateWronskian("the two oscillator solutions are dependent (W = 0)")
-    disc = 4.0 * k1 * k2 - c * w * w
-    if disc < 0.0:
-        raise RadicandNegative(f"4*k1*k2 - c*W^2 = {disc} < 0")
-    root = math.sqrt(disc)
-    inner = k1 * x1 * x1 + k2 * x2 * x2 + root * x1 * x2
-    if inner <= 0.0:
-        raise RadicandNegative(f"inner radicand {inner} <= 0")
-    aw = abs(w)
-    x = math.sqrt(2.0) * math.sqrt(inner) / aw
-    numerator = k1 * x1 * p1 + k2 * x2 * p2 + 0.5 * root * (p1 * x2 + x1 * p2)
-    p = math.sqrt(2.0) * numerator / (aw * math.sqrt(inner))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = x1 * p2 - p1 * x2
+        disc = 4.0 * k1 * k2 - c * w * w
+        root = np.sqrt(disc)
+        inner = k1 * x1 * x1 + k2 * x2 * x2 + root * x1 * x2
+        failing = (w == 0.0) | (disc < 0.0) | (inner <= 0.0)
+        if np.any(failing):
+            node = int(np.argmax(failing))
+            w, disc, inner = (float(np.ravel(v)[node]) for v in np.broadcast_arrays(w, disc, inner))
+            if w == 0.0:
+                raise DegenerateWronskian("the two oscillator solutions are dependent (W = 0)")
+            if disc < 0.0:
+                raise RadicandNegative(f"4*k1*k2 - c*W^2 = {disc} < 0")
+            raise RadicandNegative(f"inner radicand {inner} <= 0")
+        aw = np.abs(w)
+        x = math.sqrt(2.0) * np.sqrt(inner) / aw
+        numerator = k1 * x1 * p1 + k2 * x2 * p2 + 0.5 * root * (p1 * x2 + x1 * p2)
+        p = math.sqrt(2.0) * numerator / (aw * np.sqrt(inner))
     return x, p
 
 

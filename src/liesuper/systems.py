@@ -214,10 +214,12 @@ def oscillator_system(omega: TimeFunction) -> TDVectorField:
 def pinney_system(omega: TimeFunction, c: float) -> GenericRHS:
     """x' = p, p' = -omega^2(t) x + c/x^3 on the half-plane x > 0."""
     cval = float(c)
+    w = omega.compile()
 
     def fn(t: float, state: Sequence[float]) -> list[float]:
+        # floats or coordinate-major arrays of rows alike
         x, p = state
-        return [p, -omega.eval(t) ** 2 * x + cval / x**3]
+        return [p, -w(t) ** 2 * x + cval / x**3]
 
     return GenericRHS(2, fn, label="pinney")
 

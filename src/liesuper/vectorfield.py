@@ -31,7 +31,7 @@ from operator import add
 from typing import Callable, Sequence, Union
 
 from .algebra import Poly
-from .parsing import TimeFunction
+from .parsing import TimeFunction, define_function, float_literal
 
 State = Sequence[float]
 
@@ -234,39 +234,63 @@ class TDVectorField:
     def constituent_fields(self) -> list[PolyVectorField]:
         return [field for _, field in self.terms]
 
-    def evaluate(self, t: float, state: State) -> list[float]:
+    def evaluate(self, t: float, state: State) -> list:
+        """Component values at (t, state).  A state is a sequence with one
+        entry per coordinate, each a float or a 1-D array of rows (the
+        coordinate-major layout the batched integrator passes); a component
+        is then a float or an array of rows."""
         if len(state) != self.dimension:
             raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
         compiled = self._compiled
         if compiled is None:
-            compiled = []
-            for tf, field in self.terms:
-                comps = []
-                for i, p in enumerate(field.components):
-                    if p.terms:
-                        comps.append(
-                            (
-                                i,
-                                [
-                                    (float(c), tuple((j, e) for j, e in enumerate(exps) if e))
-                                    for exps, c in p.terms.items()
-                                ],
-                            )
-                        )
-                compiled.append((tf, comps))
+            compiled = self._compile()
             object.__setattr__(self, "_compiled", compiled)
-        out = [0.0] * self.dimension
-        for tf, comps in compiled:
-            s = tf.eval(t)
-            for i, monos in comps:
-                acc = 0.0
-                for coeff, powers in monos:
-                    v = coeff
-                    for j, e in powers:
-                        v *= state[j] if e == 1 else state[j] ** e
-                    acc += v
-                out[i] += s * acc
-        return out
+        return compiled(t, state)
+
+    def _compile(self) -> Callable[[float, State], list]:
+        """One straight-line function of (t, state).
+
+        Each distinct time coefficient's statements run once per call,
+        where its first term needs the value.  Component i is summed term
+        by term as ``o_i = 0.0 + s * (m_1 + m_2 + ...)``, then
+        ``o_i = o_i + ...``, each monomial ``m`` being
+        ``coefficient * x_j * x_k ** e ...`` left to right: the operations of
+        the plain per-monomial loop, so float results are bit-identical to
+        it.  Omitted are only the exact no-ops ``1.0 * v`` (a coefficient or
+        a constant time coefficient of one), ``-1.0 * v`` written ``-v``, and
+        the zero that each monomial sum started from (it changes at most the
+        sign of a zero sum, which ``0.0 + ...`` erases).
+        """
+        n = self.dimension
+        namespace: dict = {}
+        lines = [f"{''.join(f'x{j}, ' for j in range(n))}= s"]
+        coefficients: dict[TimeFunction, str] = {}
+        assigned = [False] * n
+        for tf, field in self.terms:
+            if tf not in coefficients:
+                coefficients[tf] = tf.emit(lines, namespace)
+            s = coefficients[tf]
+            for i, p in enumerate(field.components):
+                if not p.terms:
+                    continue
+                total = " + ".join(_monomial_source(exps, c) for exps, c in p.terms.items())
+                part = f"({total})" if s == "1.0" else f"{s} * ({total})"
+                lines.append(f"o{i} = {f'o{i}' if assigned[i] else '0.0'} + {part}")
+                assigned[i] = True
+        out = ", ".join(f"o{i}" if assigned[i] else "0.0" for i in range(n))
+        return define_function("t, s", lines, f"[{out}]", namespace)
+
+
+def _monomial_source(exps: tuple[int, ...], c: Fraction) -> str:
+    factors = " * ".join(f"x{j}" if e == 1 else f"x{j} ** {e}" for j, e in enumerate(exps) if e)
+    value = float(c)
+    if not factors:
+        return float_literal(value)
+    if value == 1.0:
+        return factors
+    if value == -1.0:
+        return f"-{factors}"
+    return f"{float_literal(value)} * {factors}"
 
 
 class GenericRHS:

@@ -7,9 +7,10 @@ The protocol for one trial of one rule:
 3. integrate target and components together as one block-diagonal system
    (the direct product of the components, joined with the target), so all
    comparisons happen on a single shared grid with no interpolation,
-4. apply the formula once at every accepted node to the component states,
-   and compare that pass against the independently integrated target
-   block,
+4. apply the formula once to the component states at every accepted node
+   (the Pinney formula in one call over all nodes, the others node by
+   node), and compare that pass against the independently integrated
+   target block,
 5. apply the rule's singularity guards and consistency checks to the
    same pass (Wronskian conservation and a finite-difference derivative
    check for the Pinney rule, the exact constants round trip for the
@@ -19,6 +20,14 @@ Trials whose sampled data wander into a rule's singular set (vanishing
 denominators, sign changes of the normalizing combination, blown-up
 component solutions) are rejected and resampled; rejections and singular
 runs are counted in the report, never hidden.
+
+The trial loop draws candidates in the sampler's stream order, a chunk at
+a time, and integrates each chunk with one ``integrate_batch`` call, so
+fixed-step RK4 trials advance together in lockstep.  Candidates are judged
+in order and the loop stops at the requested number of clean trials, so
+every record (index, constants, status) is the one a loop running one
+trial at a time would produce; a candidate drawn past that point is never
+judged.
 
 Each verified rule also gets its dimension check: the Lie closure of the
 target system's constituent fields (for the Pinney rule, whose target is
@@ -32,15 +41,16 @@ from a JSON-able document with explicit seeds and tolerances.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import Poly
 from .hierarchy import gl_basis, linear_generators, member_lie_generators, member_td_system
-from .integrate import IntegratorConfig, Trajectory, first_integral_drift, integrate, wronskian
+from .integrate import IntegratorConfig, Trajectory, first_integral_drift, integrate, integrate_batch, wronskian
 from .liealg import (
     CapExceeded,
     center_dimension,
@@ -199,7 +209,9 @@ class RuleSetup:
     """Everything one rule needs for trials: its component systems, its
     target system and their joint system (built once), the formula, a
     seeded sampler, singularity guards, and extra per-trial checks; guards
-    and checks also get the formula's output, one row per node."""
+    and checks also get the formula's output, one row per node.  A
+    ``vectorized`` formula also takes each component state as
+    coordinate-major node arrays and returns one array per component."""
 
     rule: MixedRule
     components: list[TDVectorField]
@@ -210,6 +222,7 @@ class RuleSetup:
     guard: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], str | None] = _no_guard
     extras: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], dict] = _no_extras
     component_generators: list[PolyVectorField] | None = None
+    vectorized: bool = False
     joint: AnyRHS = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -218,6 +231,12 @@ class RuleSetup:
     def component_blocks(self, traj: Trajectory) -> list[np.ndarray]:
         components = traj.states[:, self.rule.target_dim :]
         return np.split(components, np.cumsum(self.rule.component_dims)[:-1], axis=1)
+
+    def formula_pass(self, blocks: list[np.ndarray], constants: Sequence[float]) -> np.ndarray:
+        """The formula at every node, one row per node."""
+        if self.vectorized:
+            return np.column_stack(self.phi([b.T for b in blocks], constants))
+        return np.array([self.phi([b[i] for b in blocks], constants) for i in range(len(blocks[0]))], dtype=float)
 
 
 def _build_linear(spec: SystemSpec) -> RuleSetup:
@@ -331,6 +350,7 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         guard=guard,
         extras=extras,
         condition_generators=osc.constituent_fields(),
+        vectorized=True,
     )
 
 
@@ -459,41 +479,107 @@ def verify_rule(
     index: int = 0,
 ) -> TrialRecord:
     """One forward trial: formula output versus direct integration.  The
-    formula runs once for the initial state and once per node."""
+    formula runs once for the initial state and once for the nodes."""
+    return next(run_trials(setup, [(component_ics, constants)], tspan, cfg, index))
+
+
+def run_trials(
+    setup: RuleSetup,
+    candidates: Sequence[tuple[Sequence[Sequence[float]], Sequence[float]]],
+    tspan: tuple[float, float],
+    cfg: IntegratorConfig,
+    first_index: int = 0,
+) -> Iterator[TrialRecord]:
+    """The records of consecutive trials, numbered from ``first_index``.
+    Every candidate's initial state goes through the formula, the states
+    it admits are integrated with one ``integrate_batch`` call, and the
+    records are then judged one at a time, in order, as they are taken."""
     rule = setup.rule
-    if len(component_ics) != len(rule.component_dims):
-        raise ValueError("one initial condition per component system is required")
-    for ic, d in zip(component_ics, rule.component_dims):
-        if len(ic) != d:
-            raise ValueError("component initial condition has the wrong dimension")
-    if len(constants) != rule.constant_count:
-        raise ValueError(f"rule takes {rule.constant_count} constants")
+    # (constants, initial joint state or None, status when rejected)
+    starts: list[tuple[list[float], list[float] | None, str | None]] = []
+    for component_ics, constants in candidates:
+        if len(component_ics) != len(rule.component_dims):
+            raise ValueError("one initial condition per component system is required")
+        for ic, d in zip(component_ics, rule.component_dims):
+            if len(ic) != d:
+                raise ValueError("component initial condition has the wrong dimension")
+        if len(constants) != rule.constant_count:
+            raise ValueError(f"rule takes {rule.constant_count} constants")
+        constants = [float(v) for v in constants]
+        try:
+            x0 = setup.phi([np.array(ic, dtype=float) for ic in component_ics], constants)
+        except SuperpositionError as exc:
+            starts.append((constants, None, f"rejected:initial-{type(exc).__name__}"))
+            continue
+        starts.append((constants, list(x0) + [v for ic in component_ics for v in ic], None))
 
-    constants = [float(v) for v in constants]
-    try:
-        x0 = setup.phi([np.array(ic, dtype=float) for ic in component_ics], constants)
-    except SuperpositionError as exc:
-        return TrialRecord(index, constants, f"rejected:initial-{type(exc).__name__}")
+    trajectories = iter(integrate_batch(setup.joint, [y0 for _, y0, _ in starts if y0 is not None], tspan, cfg))
+    for index, (constants, y0, status) in enumerate(starts, first_index):
+        if y0 is None:
+            yield TrialRecord(index, constants, status)
+        else:
+            yield judge_trial(setup, next(trajectories), constants, index)
 
-    y0 = list(x0) + [v for ic in component_ics for v in ic]
-    traj = integrate(setup.joint, y0, tspan, cfg)
+
+def judge_trial(setup: RuleSetup, traj: Trajectory, constants: list[float], index: int) -> TrialRecord:
+    """The record of one integrated trial: its status, and for a clean
+    trial the largest formula error and the rule's extras."""
     if not traj.completed:
         return TrialRecord(index, constants, f"singular:{traj.event.trigger}")
-
     blocks = setup.component_blocks(traj)
-    try:
-        predicted = np.array(
-            [setup.phi([b[i] for b in blocks], constants) for i in range(len(traj.times))], dtype=float
-        )
-        reason = setup.guard(traj, blocks, predicted, constants)
-        if reason is not None:
-            return TrialRecord(index, constants, f"rejected:{reason}")
-        extras = setup.extras(traj, blocks, predicted, constants)
-    except SuperpositionError as exc:
-        return TrialRecord(index, constants, f"rejected:formula-{type(exc).__name__}")
-    # np.max keeps a NaN, so a NaN formula value reaches the report
-    max_error = float(np.max(np.abs(predicted - traj.states[:, : rule.target_dim])))
+    # values gone to inf or nan reach the record, never a warning
+    with np.errstate(all="ignore"):
+        try:
+            predicted = setup.formula_pass(blocks, constants)
+            reason = setup.guard(traj, blocks, predicted, constants)
+            if reason is not None:
+                return TrialRecord(index, constants, f"rejected:{reason}")
+            extras = setup.extras(traj, blocks, predicted, constants)
+        except SuperpositionError as exc:
+            return TrialRecord(index, constants, f"rejected:formula-{type(exc).__name__}")
+        # np.max keeps a NaN, so a NaN formula value reaches the report
+        max_error = float(np.max(np.abs(predicted - traj.states[:, : setup.rule.target_dim])))
     return TrialRecord(index, constants, "ok", max_error, extras)
+
+
+# a lockstep chunk keeps every row's states until it is judged
+_CHUNK_HISTORY_BYTES = 64 * 2**20
+
+
+def _candidate_records(
+    setup: RuleSetup, rng: random.Random, trials: int, tspan: tuple[float, float], cfg: IntegratorConfig
+) -> Iterator[TrialRecord]:
+    """Records of the candidates the sampler draws from ``rng``, in stream
+    order, at most ``60 * trials`` of them.  Each chunk asks for twice the
+    clean trials still missing, scaled by the clean share so far, when RK4
+    runs the chunk in lockstep (an extra row is cheap, up to a chunk
+    history of ``_CHUNK_HISTORY_BYTES``), and exactly the missing number
+    otherwise (each row is a full integration)."""
+    budget = 60 * trials
+    drawn = clean = 0
+    while drawn < budget:
+        missing = trials - clean
+        size = missing
+        if cfg.method == "rk4":
+            size = math.ceil(2 * missing * drawn / clean) if clean else 2 * missing
+            # span/step + 2 bounds the number of grid nodes
+            row_bytes = 8 * setup.joint.dimension * ((tspan[1] - tspan[0]) / cfg.step + 2)
+            size = min(size, max(1, int(_CHUNK_HISTORY_BYTES // row_bytes)))
+        candidates = []
+        failure = None
+        try:
+            while len(candidates) < min(size, budget - drawn):
+                candidates.append(setup.sample(rng))
+        except RuntimeError as exc:
+            # a sampler that finds no admissible data fails the loop only
+            # when the loop reaches this draw
+            failure = exc
+        for record in run_trials(setup, candidates, tspan, cfg, drawn):
+            clean += record.ok
+            yield record
+        drawn += len(candidates)
+        if failure is not None:
+            raise failure
 
 
 def run_rule_verification(
@@ -507,18 +593,15 @@ def run_rule_verification(
 ) -> VerificationReport:
     """Seeded trial loop with rejection resampling, plus the dimension check."""
     setup = build_rule_setup(rule_id, params)
-    rng = random.Random(seed)
+    stream = _candidate_records(setup, random.Random(seed), trials, tspan, cfg)
     records: list[TrialRecord] = []
     clean = singular = rejected = 0
-    attempts = 0
     while clean < trials:
-        attempts += 1
-        if attempts > 60 * trials:
+        record = next(stream, None)
+        if record is None:
             raise RuntimeError(
                 f"rule {rule_id!r}: too many rejected trials ({rejected} rejected, {singular} singular)"
             )
-        ics, constants = setup.sample(rng)
-        record = verify_rule(setup, ics, constants, tspan, cfg, index=attempts - 1)
         records.append(record)
         if record.status.startswith("singular"):
             singular += 1

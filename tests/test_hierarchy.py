@@ -15,7 +15,6 @@ from liesuper.hierarchy import (
     gl_basis,
     gl_field,
     linear_generators,
-    member_first_order_system,
     member_lie_generators,
     member_td_system,
     member_text,
@@ -26,6 +25,7 @@ from liesuper.integrate import IntegratorConfig, integrate
 from liesuper.liealg import center_dimension, closure, structure_constants
 from liesuper.parsing import TimeFunction, parse_timefn
 from liesuper.vectorfield import eval_rhs, lie_bracket
+from reference_systems import member_first_order_system
 
 
 def y(i: int) -> DiffPoly:

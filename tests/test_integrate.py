@@ -5,18 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesuper.integrate import (
     IntegratorConfig,
     Trajectory,
     first_integral_drift,
     integrate,
+    integrate_batch,
     write_csv,
     wronskian,
 )
 from liesuper.parsing import parse_timefn
-from liesuper.systems import oscillator_system
-from liesuper.vectorfield import GenericRHS, direct_product
+from liesuper.systems import oscillator_system, pinney_system
+from liesuper.vectorfield import GenericRHS, direct_product, join_rhs
 
 
 def decay_free(t, y):
@@ -104,6 +107,89 @@ class TestRk4:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^{name} must be a finite positive number"):
                     IntegratorConfig(method="rk4", **{"step": 0.1, name: value})
+
+
+PINNEY = pinney_system(parse_timefn("1 + 0.1*sin(t)"), 1.0)
+RK4 = IntegratorConfig(method="rk4", step=1e-2)
+
+
+def assert_rows_match(rhs, x0s, tspan, cfg):
+    """Each row of the batch ends as ``integrate`` ends it alone, on the
+    same nodes, with states equal to 1e-12 relative."""
+    batch = integrate_batch(rhs, x0s, tspan, cfg)
+    assert len(batch) == len(x0s)
+    for got, x0 in zip(batch, x0s):
+        want = integrate(rhs, x0, tspan, cfg)
+        assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
+        assert np.array_equal(got.times, want.times)
+        np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=0.0)
+    return batch
+
+
+class TestIntegrateBatch:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        healthy=st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-1.0, 1.0)), min_size=1, max_size=5),
+        tiny=st.floats(1e-120, 1e-90),
+        at=st.integers(0, 5),
+    )
+    def test_pinney_rows_with_one_reaching_x_zero(self, healthy, tiny, at):
+        # near x = 0 the c/x^3 term underflows to a division by zero or
+        # overflows a later stage: Python raises, numpy returns inf or 0
+        x0s = [list(row) for row in healthy]
+        x0s.insert(at % (len(x0s) + 1), [tiny, 0.0])
+        batch = assert_rows_match(PINNEY, x0s, (0.0, 1.0), RK4)
+        triggers = [traj.event.trigger if traj.event else None for traj in batch]
+        assert triggers.count("rhs-error") == 1 and triggers.count(None) == len(healthy)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        healthy=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+        steep=st.floats(-20.0, -2.0),
+        at=st.integers(0, 5),
+    )
+    def test_riccati_rows_with_one_blowing_up(self, healthy, steep, at):
+        # y = tan(atan(y0) - t) reaches -infinity at t = atan(y0) + pi/2
+        x0s = [[y0] for y0 in healthy]
+        x0s.insert(at % (len(x0s) + 1), [steep])
+        batch = assert_rows_match(GenericRHS(1, riccati_blowup), x0s, (0.0, 1.0), RK4)
+        triggers = [traj.event.trigger if traj.event else None for traj in batch]
+        assert triggers.count("state-overflow") == 1 and triggers.count(None) == len(healthy)
+
+    def test_time_function_pole_stops_every_row(self):
+        pole = pinney_system(parse_timefn("1/(t - 0.5)"), 1.0)
+        batch = assert_rows_match(pole, [[1.0, 0.0], [0.8, 0.3], [1.2, -0.5]], (0.0, 1.0), RK4)
+        assert {traj.event.trigger for traj in batch} == {"rhs-error"}
+
+    def test_time_function_gone_nan_stops_every_row(self):
+        # inf - inf: nan without any floating-point signal in the block
+        nan_omega = pinney_system(parse_timefn("exp(355)*exp(355) - exp(355)*exp(355)"), 1.0)
+        batch = assert_rows_match(nan_omega, [[1.0, 0.0], [0.8, 0.3]], (0.0, 1.0), RK4)
+        assert {(traj.event.trigger, traj.event.time) for traj in batch} == {("rhs-error", 0.0)}
+
+    def test_joint_system_rows(self):
+        osc = oscillator_system(parse_timefn("1 + 0.1*sin(t)"))
+        joint = join_rhs([PINNEY, direct_product([osc, osc])])
+        x0s = [[1.0, 0.1, 1.0, 0.0, 0.0, 1.0], [1.3, -0.2, 0.5, 0.5, -1.0, 0.2], [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]]
+        batch = assert_rows_match(joint, x0s, (0.0, 1.0), RK4)
+        assert [traj.status for traj in batch] == ["completed", "completed", "singular"]
+
+    def test_batch_of_one_is_bit_identical(self):
+        for rhs, x0 in ((PINNEY, [1.1, 0.2]), (GenericRHS(1, riccati_blowup), [-3.0])):
+            (got,) = integrate_batch(rhs, [x0], (0.0, 1.0), RK4)
+            want = integrate(rhs, x0, (0.0, 1.0), RK4)
+            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
+
+    def test_rkf45_rows_run_one_by_one(self):
+        cfg = IntegratorConfig(rtol=1e-8)
+        batch = integrate_batch(PINNEY, [[1.0, 0.0], [0.7, 0.4]], (0.0, 1.0), cfg)
+        for got, x0 in zip(batch, [[1.0, 0.0], [0.7, 0.4]]):
+            assert got.states.tobytes() == integrate(PINNEY, x0, (0.0, 1.0), cfg).states.tobytes()
+
+    def test_empty_batch(self):
+        assert integrate_batch(PINNEY, [], (0.0, 1.0), RK4) == []
 
 
 class TestRkf45Accuracy:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,53 @@ class TestRoundTrip:
             tree = TimeFunction.constant(value)
             assert parse_timefn(tree.to_text()) == tree
             assert tree.eval(0.0) == pytest.approx(float(value))
+
+
+def outcome(fn, t):
+    """The float bits returned, or the class of the exception raised."""
+    try:
+        return struct.pack("<d", fn(t))
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def time_trees(draw, depth=4):
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return TimeVariable()
+        return TimeConstant(Fraction(draw(st.integers(0, 40)), draw(st.sampled_from((1, 2, 3, 4, 10)))))
+    kind = draw(st.sampled_from(("+", "-", "*", "/", "pow", "sin", "cos", "exp")))
+    if kind in ("+", "-", "*", "/"):
+        return TimeBinary(kind, draw(time_trees(depth - 1)), draw(time_trees(depth - 1)))
+    if kind == "pow":
+        return TimePower(draw(time_trees(depth - 1)), draw(st.integers(-3, 4)))
+    return TimeCall(kind, draw(time_trees(depth - 1)))
+
+
+class TestCompile:
+    @settings(max_examples=200, deadline=None)
+    @given(tree=time_trees(), t=st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0)), st.floats(-3.0, 3.0)))
+    def test_compiled_tree_returns_what_eval_returns(self, tree, t):
+        assert outcome(tree.compile(), t) == outcome(tree.eval, t)
+
+    def test_division_by_zero_raises_the_same_class(self):
+        for src in ("1/(t - 1)", "t^-2 + 1", "exp(1/(t - 1))"):
+            tree = parse_timefn(src)
+            with pytest.raises(ZeroDivisionError):
+                tree.eval(1.0 if "t - 1" in src else 0.0)
+            with pytest.raises(ZeroDivisionError):
+                tree.compile()(1.0 if "t - 1" in src else 0.0)
+
+    def test_overflowing_constant_raises_when_called(self):
+        tree = TimeBinary("+", TimeVariable(), TimeConstant(Fraction(10**400)))
+        compiled = tree.compile()
+        with pytest.raises(OverflowError):
+            compiled(0.0)
+
+    def test_deep_trees_compile(self):
+        tree = parse_timefn(" + ".join(["t"] * 500))
+        assert tree.compile()(0.5) == tree.eval(0.5)
 
 
 class TestParsePoly:

@@ -82,6 +82,24 @@ class TestPinneyRule:
         with pytest.raises(RadicandNegative):
             eval_pinney_rule((1.0, 0.0), (0.0, 1.0), 0.1, 0.1, 10.0)
 
+    def test_node_arrays_match_the_scalar_formula(self):
+        rng = random.Random(8)
+        nodes = [[rng.uniform(-1.5, 1.5) for _ in range(4)] for _ in range(50)]
+        columns = np.array(nodes).T
+        x, p = eval_pinney_rule(columns[0:2], columns[2:4], 1.3, 0.9, 0.2)
+        for i, (x1, p1, x2, p2) in enumerate(nodes):
+            assert (x[i], p[i]) == eval_pinney_rule((x1, p1), (x2, p2), 1.3, 0.9, 0.2)
+
+    def test_node_arrays_raise_the_first_failing_node_error(self):
+        good, dependent, negative = (1.0, 0.0, 0.0, 1.0), (1.0, 0.5, 1.0, 0.5), (1.0, 0.0, 0.0, 10.0)
+        for nodes, error in (
+            ([good, dependent, negative, good], DegenerateWronskian),
+            ([good, negative, dependent, good], RadicandNegative),
+        ):
+            columns = np.array(nodes).T
+            with pytest.raises(error):
+                eval_pinney_rule(columns[0:2], columns[2:4], 1.0, 1.0, 1.0)
+
 
 class TestHierarchyRule:
     def test_order_two_quotient(self):

@@ -1,8 +1,10 @@
 """Vector fields, brackets, prolongations, products, and RHS evaluation."""
 
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -197,6 +199,83 @@ class TestDirectProduct:
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
             direct_product([])
+
+
+def per_monomial_sum(field: TDVectorField, t: float, state, absolute: bool = False) -> list[float]:
+    """The plain loop over terms, components and monomials that the
+    compiled evaluator replaces; ``absolute`` sums magnitudes instead."""
+    out = [0.0] * field.dimension
+    for tf, vf in field.terms:
+        s = tf.eval(t)
+        for i, p in enumerate(vf.components):
+            if not p.terms:
+                continue
+            acc = 0.0
+            for exps, c in p.terms.items():
+                v = float(c)
+                for j, e in enumerate(exps):
+                    if e:
+                        v *= state[j] if e == 1 else state[j] ** e
+                acc += abs(v) if absolute else v
+            out[i] += abs(s * acc) if absolute else s * acc
+    return out
+
+
+TIME_COEFFS = st.sampled_from(["1", "0", "0.5", "0 - 1", "sin(t)", "t^2", "2 - t", "exp(0 - t)/3"])
+STATE_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def td_fields(draw):
+    n = draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.one_of(st.sampled_from((1, -1)), COEFFS)
+    terms = [
+        (
+            parse_timefn(draw(TIME_COEFFS)),
+            PolyVectorField([Poly(n, draw(st.dictionaries(monomials, coeffs, max_size=4))) for _ in range(n)]),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return TDVectorField(terms)
+
+
+class TestCompiledField:
+    @settings(max_examples=120, deadline=None)
+    @given(field=td_fields(), t=st.floats(0.0, 2.0), data=st.data())
+    def test_floats_match_the_per_monomial_sum_bit_for_bit(self, field, t, data):
+        state = data.draw(st.lists(STATE_VALUES, min_size=field.dimension, max_size=field.dimension))
+        got = field.evaluate(t, state)
+        want = per_monomial_sum(field, t, state)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=td_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
+    def test_coordinate_major_arrays_match_each_column(self, field, t, rows, data):
+        n = field.dimension
+        columns = [data.draw(st.lists(STATE_VALUES, min_size=n, max_size=n)) for _ in range(rows)]
+        block = np.array(columns).T
+        got = np.empty((n, rows))
+        for i, value in enumerate(field.evaluate(t, block)):
+            got[i] = value
+        want = np.array([per_monomial_sum(field, t, column) for column in columns]).T
+        # numpy's x**e may round differently from Python's by an ulp per
+        # monomial, so the bound scales with the summed magnitudes
+        scale = np.array([per_monomial_sum(field, t, column, absolute=True) for column in columns]).T
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    def test_compiled_field_never_walks_the_time_trees(self, monkeypatch):
+        from liesuper.parsing import TimeCall
+
+        osc = td([("sin(t)", VF("x1", "0")), ("sin(t)", VF("0", "x0")), ("1", VF("1", "1"))])
+        calls = []
+        honest = TimeCall.eval
+        monkeypatch.setattr(TimeCall, "eval", lambda self, t: calls.append(t) or honest(self, t))
+        osc.evaluate(0.3, [1.0, 2.0])
+        # compiled once, on the first call; the tree is never walked again
+        osc.evaluate(0.4, [1.0, 2.0])
+        assert calls == []
+        assert osc.evaluate(0.3, [1.0, 2.0]) == per_monomial_sum(osc, 0.3, [1.0, 2.0])
 
 
 class TestEvalRhs:

@@ -4,9 +4,12 @@ import dataclasses
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesuper import verify
 from liesuper.integrate import IntegratorConfig, integrate
@@ -53,7 +56,8 @@ class TestVerifyRuleExamples:
         assert record.extras["round_trip_error"] <= 1e-12
 
     def test_riccati_closed_form(self):
-        from liesuper.hierarchy import generate_member, member_first_order_system
+        from liesuper.hierarchy import generate_member
+        from reference_systems import member_first_order_system
 
         rhs = member_first_order_system(
             generate_member(2), [parse_timefn("1"), parse_timefn("0")]
@@ -167,12 +171,13 @@ class TestNonFiniteErrors:
 
     @staticmethod
     def fake_trials(monkeypatch, errors, extras):
+        # every integrated trial is judged through verify.judge_trial
         errors, extras = iter(errors), iter(extras)
 
-        def fake_verify_rule(setup, ics, constants, tspan, cfg, index=0):
+        def fake_judge_trial(setup, traj, constants, index):
             return TrialRecord(index, list(constants), "ok", next(errors), next(extras))
 
-        monkeypatch.setattr(verify, "verify_rule", fake_verify_rule)
+        monkeypatch.setattr(verify, "judge_trial", fake_judge_trial)
 
     def test_nan_after_t0(self):
         setup = self.linear_setup(lambda call: call > 2)
@@ -203,26 +208,26 @@ class TestOneFormulaPass:
 
     def test_pinney_trial_evaluates_the_rule_once_per_node(self, monkeypatch):
         calls = []
-        honest_rule, honest_integrate = verify.eval_pinney_rule, verify.integrate
+        honest_rule, honest_batch = verify.eval_pinney_rule, verify.integrate_batch
         trajectories = []
 
-        def counted_rule(*args):
-            calls.append(None)
-            return honest_rule(*args)
+        def counted_rule(xi1, *args):
+            calls.append(np.shape(xi1[0]))
+            return honest_rule(xi1, *args)
 
-        def kept_integrate(*args):
-            trajectories.append(honest_integrate(*args))
-            return trajectories[-1]
+        def kept_batch(*args):
+            trajectories.extend(honest_batch(*args))
+            return trajectories
 
         monkeypatch.setattr(verify, "eval_pinney_rule", counted_rule)
-        monkeypatch.setattr(verify, "integrate", kept_integrate)
+        monkeypatch.setattr(verify, "integrate_batch", kept_batch)
         setup = build_rule_setup("pinney", {"omega": "1", "c": 1.0})
         cfg = IntegratorConfig(method="rk4", step=1e-3)
         record = verify_rule(setup, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0.0, 0.2), cfg)
         assert record.ok
         (traj,) = trajectories
-        # once for the initial state, then once per node
-        assert len(calls) == len(traj.times) + 1
+        # once for the initial state, then once for all nodes together
+        assert calls == [(), (len(traj.times),)]
 
     def test_pinney_extras_match_the_per_node_loop(self):
         setup = build_rule_setup("pinney", {"omega": "1 + 0.1*sin(t)", "c": 2.0})
@@ -274,6 +279,138 @@ class TestOneFormulaPass:
         statuses = [t["status"] for t in measured["trials"]]
         assert "rejected:formula-RadicandNegative" in statuses
         assert statuses.count("ok") == 4
+
+
+def sequential_records(rule_id, params, trials, seed, tspan, cfg):
+    """The trial loop one candidate at a time: the reference for the
+    chunked, batched loop of run_rule_verification."""
+    setup = build_rule_setup(rule_id, params)
+    rng = random.Random(seed)
+    records, clean = [], 0
+    while clean < trials:
+        ics, constants = setup.sample(rng)
+        records.append(verify_rule(setup, ics, constants, tspan, cfg, index=len(records)))
+        clean += records[-1].ok
+    return records
+
+
+# the errors are rounding-level differences of states of size about one,
+# so they are compared to 1e-12 of that scale
+def close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+RULE_CASES = {
+    "pinney": ({"omega": "1 + 0.1*sin(t)", "c": 2.0}, (0.0, 0.5)),
+    "linear": ({"a": "cos(t)", "b": "1 + t"}, (0.0, 1.0)),
+    "hierarchy": ({"order": 3, "b": ["1", "0.5*t", "0"]}, (0.0, 0.3)),
+}
+
+
+class TestBatchedTrialLoop:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rule_id=st.sampled_from(sorted(RULE_CASES)),
+        method=st.sampled_from(["rk4", "rkf45"]),
+        trials=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+    )
+    def test_records_match_the_sequential_loop(self, rule_id, method, trials, seed):
+        if rule_id == "pinney":
+            method = "rk4"
+        params, tspan = RULE_CASES[rule_id]
+        cfg = IntegratorConfig(method=method, step=1e-2 if method == "rk4" else None)
+        report = run_rule_verification(rule_id, params, trials, seed, tspan, cfg)
+        reference = sequential_records(rule_id, params, trials, seed, tspan, cfg)
+        assert len(report.records) == len(reference)
+        for got, want in zip(report.records, reference):
+            assert (got.index, got.constants, got.status) == (want.index, want.constants, want.status)
+            assert (got.max_error is None) == (want.max_error is None)
+            if want.max_error is not None:
+                assert close(got.max_error, want.max_error)
+            assert got.extras.keys() == want.extras.keys()
+            assert all(close(got.extras[key], want.extras[key]) for key in want.extras)
+
+    def test_chunks_keep_their_state_history_bounded(self, monkeypatch):
+        sizes = []
+        honest = verify.integrate_batch
+
+        def counted(rhs, x0s, tspan, cfg):
+            sizes.append(len(x0s))
+            return honest(rhs, x0s, tspan, cfg)
+
+        # a row is budgeted span/step + 2 = 102 nodes of the 6-dimensional
+        # joint Pinney system, 4896 bytes
+        monkeypatch.setattr(verify, "_CHUNK_HISTORY_BYTES", 3 * 4896)
+        monkeypatch.setattr(verify, "integrate_batch", counted)
+        params, tspan = {"omega": "1", "c": 1.0}, (0.0, 1.0)
+        cfg = IntegratorConfig(method="rk4", step=1e-2)
+        report = run_rule_verification("pinney", params, 5, 3, tspan, cfg)
+        assert sizes and max(sizes) == 3
+        reference = sequential_records("pinney", params, 5, 3, tspan, cfg)
+        assert [r.status for r in report.records] == [r.status for r in reference]
+
+    def test_attempt_cap_is_kept(self):
+        # every trial runs into the pole of omega at t = 0.05; the loop
+        # gives up after 60 attempts per requested trial, as one at a time
+        with pytest.raises(RuntimeError, match=r"\(0 rejected, 120 singular\)"):
+            run_rule_verification(
+                "pinney",
+                {"omega": "1/(t - 0.05)", "c": 1.0},
+                trials=2,
+                seed=0,
+                tspan=(0.0, 0.1),
+                cfg=IntegratorConfig(method="rk4", step=1e-3),
+            )
+
+    def test_sampler_failure_is_raised_where_the_loop_reaches_it(self, monkeypatch):
+        setup = build_rule_setup("linear", {"a": "0", "b": "1"})
+        honest = setup.sample
+        draws = []
+
+        def sample(rng):
+            draws.append(None)
+            if len(draws) == 3:
+                raise RuntimeError("no admissible initial data")
+            return honest(rng)
+
+        monkeypatch.setattr(verify, "build_rule_setup", lambda rule_id, params: dataclasses.replace(setup, sample=sample))
+        # an rk4 chunk draws ahead of the two trials it needs; the failed
+        # third draw is never reached
+        rk4 = IntegratorConfig(method="rk4", step=1e-2)
+        report = run_rule_verification("linear", {"a": "0", "b": "1"}, 2, 0, (0.0, 1.0), rk4)
+        assert [r.status for r in report.records] == ["ok", "ok"]
+        draws.clear()
+        with pytest.raises(RuntimeError, match="no admissible initial data"):
+            run_rule_verification("linear", {"a": "0", "b": "1"}, 3, 0, (0.0, 1.0), rk4)
+
+
+class TestNoLeakedWarnings:
+    ITEM = {
+        "kind": "rule",
+        "rule": "pinney",
+        # omega^2 = e^700: each stage's arithmetic overflows, and every trial
+        # ends in an rhs-error found by replaying its step row by row
+        "omega": "exp(350)",
+        "c": 1.0,
+        "trials": 1,
+        "seed": 4,
+        "tspan": [0.0, 1.0],
+        "tolerance": 1e-6,
+    }
+
+    def test_pinney_item_with_rhs_errors_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            setup = build_rule_setup("pinney", {"omega": self.ITEM["omega"], "c": 1.0})
+            rng = random.Random(4)
+            candidates = [setup.sample(rng) for _ in range(5)]
+            cfg = IntegratorConfig(method="rk4", step=1e-3)
+            records = list(verify.run_trials(setup, candidates, (0.0, 1.0), cfg))
+            (report,) = run_suite({"items": [self.ITEM]})
+        assert [r.status for r in records] == ["singular:rhs-error"] * 5
+        assert report["pass"] is False
+        assert "(0 rejected, 60 singular)" in report["measured"]["error"]
 
 
 class TestDriftHelpers:

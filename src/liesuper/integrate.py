@@ -16,17 +16,27 @@ or 'singular' with an event recording the estimated time and trigger
 
 The returned grid is the accepted steps; there is no dense interpolation.
 
-``integrate_batch`` integrates many initial states of one system.  RK4
-advances them in lockstep as one (dim, rows) block on the shared uniform
-grid (every operation acts on all rows at once, see Hairer, Norsett and
-Wanner, *Solving ODEs I*), so the right-hand side must accept a
-coordinate-major state whose coordinates are 1-D arrays of rows.  A row
-leaves the block with the same event that ``integrate`` gives it alone:
+``integrate_batch`` integrates many initial states of one system in
+lockstep, as one (dim, rows) block (every operation acts on all rows at
+once, see Hairer, Norsett and Wanner, *Solving ODEs I*), so the
+right-hand side must accept a coordinate-major state whose coordinates
+are 1-D arrays of rows.  RK4 rows share the uniform grid.  RKF45 rows
+keep their own time, step size, attempt count and grid: an attempt runs
+the Fehlberg stages on the block at the 1-D array of per-row times (which
+the right-hand side must accept as ``t``), with the scalar attempt's
+float operations in its order, and each row's own step control then
+accepts or rejects its step; fewer than three rows finish one by one,
+since a block attempt costs about as much as three scalar ones.
+
+A row leaves the block with the event that ``integrate`` gives it alone:
 a step in which the block's arithmetic raises or signals a floating-point
-error is replayed row by row with ``integrate``'s scalar step, and a row
-whose step overflows leaves at its end.  Rows agree with ``integrate`` to
-rounding (numpy's ``x**3`` can differ from Python's by one ulp).  RKF45
-chooses its steps per row, so its rows still run one by one.
+error is replayed row by row with the scalar step, as is an RKF45 row
+whose attempt comes out non-finite, and a row whose step overflows
+leaves at its end.  Rows agree with ``integrate`` to rounding on RK4's
+fixed grid (numpy's ``x**3`` can differ from Python's by one ulp); under
+RKF45's step control that rounding moves the error estimate, a
+difference of nearly equal sums, by about ulp / rtol of itself, and the
+step sizes with it.
 """
 
 from __future__ import annotations
@@ -69,6 +79,8 @@ class IntegratorConfig:
                 continue
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if self.max_step is not None and self.max_step < self.min_step:
+            raise ValueError(f"max_step {self.max_step!r} is below min_step {self.min_step!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -163,20 +175,20 @@ def integrate(rhs: AnyRHS, x0: Sequence[float], tspan: tuple[float, float], cfg:
     y0 = _initial_state(rhs, x0)
     if cfg.method == "rk4":
         return _integrate_rk4(rhs, y0, t0, t1, cfg)
-    return _integrate_rkf45(rhs, y0, t0, t1, cfg)
+    return _Rkf45Row(y0, t0, t1, cfg).run(rhs)
 
 
 def integrate_batch(
     rhs: AnyRHS, x0s: Sequence[Sequence[float]], tspan: tuple[float, float], cfg: IntegratorConfig
 ) -> list[Trajectory]:
     """One trajectory per initial state, each with the status and event
-    ``integrate`` gives it; RK4 runs two or more states in lockstep."""
+    ``integrate`` gives it; two or more states run in lockstep."""
     t0, t1 = _checked_span(tspan)
     y0s = [_initial_state(rhs, x0) for x0 in x0s]
-    if cfg.method == "rk4" and len(y0s) > 1:
-        return _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg)
-    run = _integrate_rk4 if cfg.method == "rk4" else _integrate_rkf45
-    return [run(rhs, y0, t0, t1, cfg) for y0 in y0s]
+    if len(y0s) < 2:
+        return [integrate(rhs, y0, (t0, t1), cfg) for y0 in y0s]
+    lockstep = _integrate_rk4_lockstep if cfg.method == "rk4" else _integrate_rkf45_lockstep
+    return lockstep(rhs, y0s, t0, t1, cfg)
 
 
 def _rk4_grid(t0: float, t1: float, h: float) -> list[float]:
@@ -285,60 +297,172 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     return out
 
 
-def _integrate_rkf45(rhs, y0, t0, t1, cfg) -> Trajectory:
-    span = t1 - t0
-    max_step = cfg.max_step if cfg.max_step is not None else span
-    h = min(max_step, span / 100.0)
-    h = max(h, cfg.min_step)
-    times = [t0]
-    states = [list(y0)]
-    meta = {"method": "rkf45", "rtol": cfg.rtol, "atol": cfg.atol, "steps": 0, "rejected": 0}
-    t, y = t0, list(y0)
-    dim = len(y0)
-    n_attempts = 0
-    while t < t1:
-        if n_attempts >= cfg.max_steps:
-            return _finish(times, states, "singular", SingularityEvent(t, MAX_STEPS), meta)
-        n_attempts += 1
-        h = min(h, t1 - t, max_step)
-        reaches_end = h == t1 - t
-        try:
-            k = [_guarded_eval(rhs, t, y)]
-            for stage in range(1, 6):
-                a = _A[stage]
-                ys = [
-                    y[i] + h * sum(a[m] * k[m][i] for m in range(stage))
-                    for i in range(dim)
-                ]
-                k.append(_guarded_eval(rhs, t + _C[stage] * h, ys))
-        except _RhsFailure:
+class _Rkf45Row:
+    """The step control of one RKF45 trajectory (Hairer, Norsett and
+    Wanner, *Solving ODEs I*, section II.4): ``start`` opens the next step
+    attempt, ``finish`` applies its outcome, and ``run`` takes the
+    remaining steps with scalar attempts from the state ``y`` (which a
+    lockstep batch, holding its rows' states in its block, sets first)."""
+
+    __slots__ = (
+        "t", "h", "y", "t1", "cfg", "max_step", "attempts", "reaches_end", "times", "states", "meta", "event"
+    )
+
+    def __init__(self, y0: list[float], t0: float, t1: float, cfg: IntegratorConfig):
+        span = t1 - t0
+        self.max_step = cfg.max_step if cfg.max_step is not None else span
+        h = min(self.max_step, span / 100.0)
+        self.h = max(h, cfg.min_step)
+        self.t, self.y, self.t1, self.cfg = t0, y0, t1, cfg
+        self.attempts = 0
+        self.reaches_end = False
+        self.times = [t0]
+        self.states = [list(y0)]
+        self.meta = {"method": "rkf45", "rtol": cfg.rtol, "atol": cfg.atol, "steps": 0, "rejected": 0}
+        self.event: SingularityEvent | None = None
+
+    def start(self) -> bool:
+        """Open the next attempt, clamping ``h``; False once the
+        trajectory has ended."""
+        if self.event is not None or not self.t < self.t1:
+            return False
+        if self.attempts >= self.cfg.max_steps:
+            self.event = SingularityEvent(self.t, MAX_STEPS)
+            return False
+        self.attempts += 1
+        self.h = min(self.h, self.t1 - self.t, self.max_step)
+        self.reaches_end = self.h == self.t1 - self.t
+        return True
+
+    def finish(self, attempt: tuple | None) -> bool:
+        """Apply an attempt's ``(y5, err, max |y5|)``, or None when a stage
+        failed; True when the step was accepted."""
+        cfg = self.cfg
+        if attempt is None:
             # a failing stage may just mean the step reached too far
-            h *= 0.5
-            if h < cfg.min_step:
-                return _finish(times, states, "singular", SingularityEvent(t, RHS_ERROR), meta)
-            continue
-        y5 = [y[i] + h * sum(_B5[m] * k[m][i] for m in range(6)) for i in range(dim)]
-        err = 0.0
-        for i in range(dim):
-            e = h * sum(_ERR[m] * k[m][i] for m in range(6))
-            scale = cfg.atol + cfg.rtol * max(abs(y[i]), abs(y5[i]))
-            err = max(err, abs(e) / scale)
-        if err <= 1.0:
+            self.h *= 0.5
+            if self.h < cfg.min_step:
+                self.event = SingularityEvent(self.t, RHS_ERROR)
+            return False
+        y5, err, peak = attempt
+        accepted = err <= 1.0
+        if accepted:
             # land on t1 exactly when the step was clamped to reach it
-            t = t1 if reaches_end else t + h
-            y = y5
-            meta["steps"] += 1
-            if max(abs(v) for v in y) > cfg.overflow:
-                return _finish(times, states, "singular", SingularityEvent(t, STATE_OVERFLOW), meta)
-            times.append(t)
-            states.append(list(y))
+            self.t = self.t1 if self.reaches_end else self.t + self.h
+            self.y = y5
+            self.meta["steps"] += 1
+            if peak > cfg.overflow:
+                self.event = SingularityEvent(self.t, STATE_OVERFLOW)
+                return True
+            self.times.append(self.t)
+            self.states.append(y5)
         else:
-            meta["rejected"] += 1
+            self.meta["rejected"] += 1
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h = h * factor
-        if h < cfg.min_step and t < t1:
-            return _finish(times, states, "singular", SingularityEvent(t, STEP_UNDERFLOW), meta)
-    return _finish(times, states, "completed", None, meta)
+        self.h = self.h * factor
+        if self.h < cfg.min_step and self.t < self.t1:
+            self.event = SingularityEvent(self.t, STEP_UNDERFLOW)
+        return accepted
+
+    def run(self, rhs) -> Trajectory:
+        while self.start():
+            self.finish(_rkf45_attempt(rhs, self.t, self.h, self.y, self.cfg))
+        status = "completed" if self.event is None else "singular"
+        return _finish(self.times, self.states, status, self.event, self.meta)
+
+
+def _rkf45_attempt(rhs, t: float, h: float, y: list[float], cfg: IntegratorConfig) -> tuple | None:
+    """One Fehlberg step from (t, y): ``(y5, err, max |y5|)``, with err the
+    error estimate's norm, or None when a stage fails."""
+    dim = len(y)
+    try:
+        k = [_guarded_eval(rhs, t, y)]
+        for stage in range(1, 6):
+            a = _A[stage]
+            ys = [
+                y[i] + h * sum(a[m] * k[m][i] for m in range(stage))
+                for i in range(dim)
+            ]
+            k.append(_guarded_eval(rhs, t + _C[stage] * h, ys))
+    except _RhsFailure:
+        return None
+    y5 = [y[i] + h * sum(_B5[m] * k[m][i] for m in range(6)) for i in range(dim)]
+    err = 0.0
+    for i in range(dim):
+        e = h * sum(_ERR[m] * k[m][i] for m in range(6))
+        scale = cfg.atol + cfg.rtol * max(abs(y[i]), abs(y5[i]))
+        err = max(err, abs(e) / scale)
+    return y5, err, max(abs(v) for v in y5)
+
+
+def _block_sum(weights: Sequence[float], k: list[np.ndarray]) -> np.ndarray:
+    """0.0 + w0*k0 + w1*k1 + ...: the scalar step's ``sum`` on a block."""
+    total = 0.0
+    for w, km in zip(weights, k):
+        total = total + w * km
+    return total
+
+
+# a block attempt costs about as much as three scalar ones, whatever its
+# number of rows (measured on the joint systems of the order-3 and order-5
+# hierarchy rules), so fewer rows than this finish one by one
+_LOCKSTEP_MIN_ROWS = 3
+
+
+def _integrate_rkf45_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
+    rows = [_Rkf45Row(y0, t0, t1, cfg) for y0 in y0s]
+    live = rows
+    y = np.array(y0s, dtype=float).T
+    signals: list[str] = []
+
+    def signal(kind: str, flag: int) -> None:
+        signals.append(kind)
+
+    # a floating-point error anywhere in an attempt is recorded, never warned
+    with np.errstate(divide="call", over="call", invalid="call", under="ignore", call=signal):
+        while len(live) >= _LOCKSTEP_MIN_ROWS:
+            going = [row.start() for row in live]
+            if not all(going):
+                live = [row for row, go in zip(live, going) if go]
+                y = y[:, np.array(going)]
+                if not live:
+                    break
+            t = np.array([row.t for row in live])
+            h = np.array([row.h for row in live])
+            signals.clear()
+            try:
+                k = [_eval_block(rhs, t, y)]
+                for stage in range(1, 6):
+                    k.append(_eval_block(rhs, t + _C[stage] * h, y + h * _block_sum(_A[stage], k)))
+                y5 = y + h * _block_sum(_B5, k)
+                e = h * _block_sum(_ERR, k)
+                scale = cfg.atol + cfg.rtol * np.fmax(np.abs(y), np.abs(y5))
+                err = np.fmax.reduce(np.abs(e) / scale, axis=0, initial=0.0)
+                peak = np.abs(y5).max(axis=0)
+            except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
+                signals.append("raised")
+            # without a signal, a row whose y5 is finite had only finite
+            # stages, and so the scalar attempt's outcome; any other row,
+            # and every row of a signalling attempt, replays the scalar
+            # attempt, which knows which rows raise
+            if signals:
+                y5 = np.empty_like(y)
+                finite = np.zeros(len(live), dtype=bool)
+            else:
+                finite = np.isfinite(y5).all(axis=0)
+            accepted = np.zeros(len(live), dtype=bool)
+            for r, row in enumerate(live):
+                if finite[r]:
+                    attempt = (y5[:, r], float(err[r]), float(peak[r]))
+                else:
+                    attempt = _rkf45_attempt(rhs, row.t, row.h, y[:, r].tolist(), cfg)
+                    if attempt is not None:
+                        y5[:, r] = attempt[0]
+                accepted[r] = row.finish(attempt)
+            y = np.where(accepted, y5, y)
+    for r, row in enumerate(live):
+        row.y = y[:, r].tolist()
+    return [row.run(rhs) for row in rows]
 
 
 def first_integral_drift(trajectories: Sequence[Trajectory], psi: Callable[[np.ndarray], float]) -> float:

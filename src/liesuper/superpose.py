@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -171,10 +172,28 @@ def eval_pinney_rule(xi1, xi2, k1: float, k2: float, c: float) -> tuple:
     return x, p
 
 
-def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) -> list[float]:
+@cache
+def _float_p_terms(order: int) -> tuple:
+    """P_1 .. P_order of the P sequence, each as its terms ``(float(c),
+    ((i, e), ...))`` for c * y_i^e * ..., in ``DiffPoly.evaluate``'s order."""
+    ps = p_sequence(order)
+    return tuple(
+        tuple((float(c), tuple((i, e) for i, e in enumerate(jets) if e)) for (jets, _), c in ps[l].terms.items())
+        for l in range(1, order + 1)
+    )
+
+
+def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) -> list:
     """Solution jet (y, y', ..., y^(s-2)) of the order-s member from s
     solution jets of the companion linear system and constants k_1..k_{s-1}
-    (the last constant is normalized to 1)."""
+    (the last constant is normalized to 1).
+
+    The jet entries are floats, or 1-D arrays with one entry per node; the
+    output is then one array per jet component, and a node where c0
+    vanishes raises as a single point does.  Each P_l is summed from 0.0
+    term by term, each term float(c) * y_i ** e ... left to right: at a
+    point, the float operations of ``DiffPoly.evaluate`` (numpy's powers on
+    node arrays can differ from Python's by one ulp)."""
     if s < 2:
         raise ValueError("hierarchy rules start at order 2")
     if len(jets) != s:
@@ -188,14 +207,20 @@ def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) ->
         sum(k[a] * jets[a][j] for a in range(s - 1)) + jets[s - 1][j]
         for j in range(s)
     ]
-    if c[0] == 0.0:
+    if np.any(c[0] == 0.0):
         raise SingularDenominator("combined solution vanishes at this point (c0 = 0)")
     z = [cj / c[0] for cj in c]
-    ps = p_sequence(s - 1)
-    yjet: list[float] = []
-    for l in range(1, s):
+    yjet: list = []
+    for l, terms in enumerate(_float_p_terms(s - 1), 1):
         # P_l - y_{l-1} only involves y0..y_{l-2}: P_l with y_{l-1} = 0
-        yjet.append(z[l] - float(ps[l].evaluate(yjet + [0.0])))
+        point = yjet + [0.0]
+        total = 0.0
+        for coefficient, factors in terms:
+            v = coefficient
+            for i, e in factors:
+                v = v * point[i] ** e
+            total = total + v
+        yjet.append(z[l] - total)
     return yjet
 
 

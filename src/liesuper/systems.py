@@ -34,10 +34,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .algebra import Poly
 from .hierarchy import LinearODESpec, companion_linear_system, member_td_system
 from .parsing import ParseError, TimeFunction, TimePower, parse_poly, parse_timefn
-from .vectorfield import AnyRHS, GenericRHS, PolyVectorField, TDVectorField
+from .vectorfield import AnyRHS, GenericRHS, PolyVectorField, TDVectorField, time_rows
 
 # (value, path, params, errors) -> the normalized value, or None after
 # appending a "path: message" error; params holds the already checked
@@ -216,9 +218,15 @@ def pinney_system(omega: TimeFunction, c: float) -> GenericRHS:
     cval = float(c)
     w = omega.compile()
 
-    def fn(t: float, state: Sequence[float]) -> list[float]:
-        # floats or coordinate-major arrays of rows alike
+    def pull(t: float) -> float:
+        return -w(t) ** 2
+
+    def fn(t: float | np.ndarray, state: Sequence[float]) -> list[float]:
+        # floats or coordinate-major arrays of rows alike; an array t holds
+        # each row's own time, and a row gets the coefficient its time gives
         x, p = state
+        if t.__class__ is not float and isinstance(t, np.ndarray):
+            return [p, time_rows(pull, t) * x + cval / x**3]
         return [p, -w(t) ** 2 * x + cval / x**3]
 
     return GenericRHS(2, fn, label="pinney")

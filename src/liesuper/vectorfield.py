@@ -30,8 +30,10 @@ from math import lcm
 from operator import add
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .algebra import Poly
-from .parsing import TimeFunction, define_function, float_literal
+from .parsing import TimeConstant, TimeFunction, define_function, float_literal
 
 State = Sequence[float]
 
@@ -188,7 +190,7 @@ def diagonal_prolong(x: PolyVectorField, copies: int) -> PolyVectorField:
 class TDVectorField:
     """A time-dependent field sum_alpha b_alpha(t) * Y_alpha."""
 
-    __slots__ = ("dimension", "terms", "_compiled")
+    __slots__ = ("dimension", "terms", "_compiled", "_compiled_rows")
 
     def __init__(self, terms: Sequence[tuple[TimeFunction, PolyVectorField]]):
         terms = tuple(terms)
@@ -201,6 +203,7 @@ class TDVectorField:
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_compiled_rows", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("TDVectorField is immutable")
@@ -234,20 +237,28 @@ class TDVectorField:
     def constituent_fields(self) -> list[PolyVectorField]:
         return [field for _, field in self.terms]
 
-    def evaluate(self, t: float, state: State) -> list:
+    def evaluate(self, t: float | np.ndarray, state: State) -> list:
         """Component values at (t, state).  A state is a sequence with one
         entry per coordinate, each a float or a 1-D array of rows (the
-        coordinate-major layout the batched integrator passes); a component
-        is then a float or an array of rows."""
+        coordinate-major layout the batched integrators pass); a component
+        is then a float or an array of rows.  ``t`` is a float, or a 1-D
+        array with each row's own time."""
         if len(state) != self.dimension:
             raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
+        # a float t, every call but the RKF45 lockstep's, makes no call here
+        if t.__class__ is not float and isinstance(t, np.ndarray):
+            compiled = self._compiled_rows
+            if compiled is None:
+                compiled = self._compile(per_row=True)
+                object.__setattr__(self, "_compiled_rows", compiled)
+            return compiled(t, state)
         compiled = self._compiled
         if compiled is None:
-            compiled = self._compile()
+            compiled = self._compile(per_row=False)
             object.__setattr__(self, "_compiled", compiled)
         return compiled(t, state)
 
-    def _compile(self) -> Callable[[float, State], list]:
+    def _compile(self, per_row: bool) -> Callable[[float, State], list]:
         """One straight-line function of (t, state).
 
         Each distinct time coefficient's statements run once per call,
@@ -260,15 +271,26 @@ class TDVectorField:
         a constant time coefficient of one), ``-1.0 * v`` written ``-v``, and
         the zero that each monomial sum started from (it changes at most the
         sign of a zero sum, which ``0.0 + ...`` erases).
+
+        ``per_row`` compiles for an array of per-row times: each time
+        coefficient other than a constant is then the array of its compiled
+        scalar function's values, one call per row (``time_rows``), so each
+        row gets the coefficient that its own float time gives.
         """
         n = self.dimension
-        namespace: dict = {}
+        namespace: dict = {"_rows": time_rows}
         lines = [f"{''.join(f'x{j}, ' for j in range(n))}= s"]
         coefficients: dict[TimeFunction, str] = {}
         assigned = [False] * n
         for tf, field in self.terms:
             if tf not in coefficients:
-                coefficients[tf] = tf.emit(lines, namespace)
+                if per_row and not isinstance(tf, TimeConstant):
+                    name = f"c{len(coefficients)}"
+                    namespace[f"_{name}"] = tf.compile()
+                    lines.append(f"{name} = _rows(_{name}, t)")
+                    coefficients[tf] = name
+                else:
+                    coefficients[tf] = tf.emit(lines, namespace)
             s = coefficients[tf]
             for i, p in enumerate(field.components):
                 if not p.terms:
@@ -279,6 +301,12 @@ class TDVectorField:
                 assigned[i] = True
         out = ", ".join(f"o{i}" if assigned[i] else "0.0" for i in range(n))
         return define_function("t, s", lines, f"[{out}]", namespace)
+
+
+def time_rows(f: Callable[[float], float], t: np.ndarray) -> np.ndarray:
+    """``f`` at each entry of a 1-D array of per-row times, one scalar call
+    per row (so never numpy's own sin or exp)."""
+    return np.array([f(ti) for ti in t.tolist()], dtype=float)
 
 
 def _monomial_source(exps: tuple[int, ...], c: Fraction) -> str:
@@ -294,7 +322,9 @@ def _monomial_source(exps: tuple[int, ...], c: Fraction) -> str:
 
 
 class GenericRHS:
-    """A deterministic right-hand side f(t, state) of fixed dimension."""
+    """A deterministic right-hand side f(t, state) of fixed dimension.
+    ``integrate_batch`` calls it with a coordinate-major state of row
+    arrays and, under RKF45, with ``t`` a 1-D array of per-row times."""
 
     __slots__ = ("dimension", "_fn", "label")
 

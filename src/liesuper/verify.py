@@ -8,9 +8,9 @@ The protocol for one trial of one rule:
    (the direct product of the components, joined with the target), so all
    comparisons happen on a single shared grid with no interpolation,
 4. apply the formula once to the component states at every accepted node
-   (the Pinney formula in one call over all nodes, the others node by
-   node), and compare that pass against the independently integrated
-   target block,
+   (the Pinney and hierarchy formulas in one call over all nodes, the
+   others node by node), and compare that pass against the independently
+   integrated target block,
 5. apply the rule's singularity guards and consistency checks to the
    same pass (Wronskian conservation and a finite-difference derivative
    check for the Pinney rule, the exact constants round trip for the
@@ -23,11 +23,11 @@ runs are counted in the report, never hidden.
 
 The trial loop draws candidates in the sampler's stream order, a chunk at
 a time, and integrates each chunk with one ``integrate_batch`` call, so
-fixed-step RK4 trials advance together in lockstep.  Candidates are judged
-in order and the loop stops at the requested number of clean trials, so
-every record (index, constants, status) is the one a loop running one
-trial at a time would produce; a candidate drawn past that point is never
-judged.
+its trials advance together in lockstep (under RKF45 each with its own
+step control).  Candidates are judged in order and the loop stops at the
+requested number of clean trials, so every record (index, constants,
+status) is the one a loop running one trial at a time would produce; a
+candidate drawn past that point is never judged.
 
 Each verified rule also gets its dimension check: the Lie closure of the
 target system's constituent fields (for the Pinney rule, whose target is
@@ -396,6 +396,7 @@ def _build_hierarchy(spec: SystemSpec) -> RuleSetup:
         extras=extras,
         condition_generators=target.constituent_fields(),
         component_generators=companion.constituent_fields(),
+        vectorized=True,
     )
 
 
@@ -551,10 +552,11 @@ def _candidate_records(
 ) -> Iterator[TrialRecord]:
     """Records of the candidates the sampler draws from ``rng``, in stream
     order, at most ``60 * trials`` of them.  Each chunk asks for twice the
-    clean trials still missing, scaled by the clean share so far, when RK4
-    runs the chunk in lockstep (an extra row is cheap, up to a chunk
+    clean trials still missing, scaled by the clean share so far, under
+    RK4, whose rows share one grid (an extra row is cheap, up to a chunk
     history of ``_CHUNK_HISTORY_BYTES``), and exactly the missing number
-    otherwise (each row is a full integration)."""
+    under RKF45, whose lockstep rows each take their own steps, so that a
+    row not needed costs its whole integration."""
     budget = 60 * trials
     drawn = clean = 0
     while drawn < budget:

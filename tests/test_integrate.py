@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liesuper.algebra import Poly
+from liesuper.hierarchy import member_td_system
 from liesuper.integrate import (
     IntegratorConfig,
     Trajectory,
@@ -19,7 +21,7 @@ from liesuper.integrate import (
 )
 from liesuper.parsing import parse_timefn
 from liesuper.systems import oscillator_system, pinney_system
-from liesuper.vectorfield import GenericRHS, direct_product, join_rhs
+from liesuper.vectorfield import GenericRHS, PolyVectorField, TDVectorField, direct_product, join_rhs
 
 
 def decay_free(t, y):
@@ -100,6 +102,12 @@ class TestRk4:
     def test_step_required(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="rk4")
+
+    def test_max_step_below_min_step_rejected(self):
+        # it would report a step underflow at t = max_step
+        with pytest.raises(ValueError, match="^max_step"):
+            IntegratorConfig(min_step=1e-3, max_step=1e-4)
+        assert IntegratorConfig(min_step=1e-4, max_step=1e-4).max_step == 1e-4
 
     def test_settings_must_be_finite(self):
         # a NaN or infinite tolerance would switch step control off
@@ -182,14 +190,140 @@ class TestIntegrateBatch:
             assert got.times.tobytes() == want.times.tobytes()
             assert got.states.tobytes() == want.states.tobytes()
 
-    def test_rkf45_rows_run_one_by_one(self):
-        cfg = IntegratorConfig(rtol=1e-8)
-        batch = integrate_batch(PINNEY, [[1.0, 0.0], [0.7, 0.4]], (0.0, 1.0), cfg)
-        for got, x0 in zip(batch, [[1.0, 0.0], [0.7, 0.4]]):
-            assert got.states.tobytes() == integrate(PINNEY, x0, (0.0, 1.0), cfg).states.tobytes()
-
     def test_empty_batch(self):
         assert integrate_batch(PINNEY, [], (0.0, 1.0), RK4) == []
+
+
+# y' = -sin(t) - t e^t y - y^2, a Riccati equation with time-dependent
+# coefficients; from a steep negative start y runs to -infinity
+RICCATI_TD = member_td_system(2, [parse_timefn("sin(t)"), parse_timefn("t*exp(t)")])
+
+
+def _power_free_field() -> TDVectorField:
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    return TDVectorField(
+        [
+            (parse_timefn("t"), PolyVectorField([x1, -x0 * x1])),
+            (parse_timefn("sin(t)"), PolyVectorField([x0, Poly.constant(2, 1)])),
+            (parse_timefn("exp(t)"), PolyVectorField([Poly.zero(2), x0 - x1])),
+        ]
+    )
+
+
+# no x**e in its right-hand side, where numpy's powers and Python's differ
+POWER_FREE = _power_free_field()
+
+# A one-ulp change in a stage moves the error estimate, a difference of
+# nearly equal stage sums of relative size rtol = 1e-10, by about
+# 1e-16 / 1e-10 = 1e-6 of itself, and so the next step size by a fifth of
+# that: lockstep rows and ``integrate`` agree on their grids and states to
+# this relative size, not to rounding (seen: at most 2e-8).
+LOCKSTEP_RTOL = 1e-6
+
+
+def assert_rkf45_rows_match(rhs, x0s, tspan, cfg):
+    """Each row of the batch ends as ``integrate`` ends it alone, after as
+    many accepted and rejected steps, with times and states equal to
+    LOCKSTEP_RTOL relative (states relative to the row's largest entry)."""
+    batch = integrate_batch(rhs, x0s, tspan, cfg)
+    assert len(batch) == len(x0s)
+    for got, x0 in zip(batch, x0s):
+        want = integrate(rhs, x0, tspan, cfg)
+        assert (got.status, got.meta) == (want.status, want.meta)
+        assert (got.event is None) == (want.event is None)
+        if want.event is not None:
+            assert got.event.trigger == want.event.trigger
+            assert got.event.time == pytest.approx(want.event.time, rel=LOCKSTEP_RTOL, abs=0.0)
+        np.testing.assert_allclose(got.times, want.times, rtol=LOCKSTEP_RTOL, atol=0.0)
+        scale = float(np.max(np.abs(want.states)))
+        np.testing.assert_allclose(got.states, want.states, rtol=0.0, atol=LOCKSTEP_RTOL * scale)
+    return batch
+
+
+def triggers(batch):
+    return [traj.event.trigger if traj.event else None for traj in batch]
+
+
+# the steep row's end under each setting; healthy rows need at most about
+# 60 attempts on [0, 1]
+RICCATI_ENDINGS = [
+    (IntegratorConfig(), "state-overflow"),
+    (IntegratorConfig(min_step=1e-5), "step-underflow"),
+    (IntegratorConfig(max_steps=100), "max-steps"),
+]
+
+
+class TestRkf45Lockstep:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        x0s=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=6),
+        rtol=st.sampled_from([1e-6, 1e-10]),
+    )
+    def test_rows_without_powers_are_bit_identical(self, x0s, rtol):
+        # the block runs the scalar attempt's float operations in its order
+        x0s = [list(x0) for x0 in x0s]
+        cfg = IntegratorConfig(rtol=rtol)
+        for got, x0 in zip(integrate_batch(POWER_FREE, x0s, (0.0, 1.0), cfg), x0s):
+            want = integrate(POWER_FREE, x0, (0.0, 1.0), cfg)
+            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        healthy=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5),
+        steep=st.floats(-20.0, -3.0),
+        at=st.integers(0, 5),
+        ending=st.sampled_from(RICCATI_ENDINGS),
+    )
+    def test_riccati_rows_with_one_leaving_early(self, healthy, steep, at, ending):
+        cfg, trigger = ending
+        x0s = [[y0] for y0 in healthy]
+        x0s.insert(at % (len(x0s) + 1), [steep])
+        batch = assert_rkf45_rows_match(RICCATI_TD, x0s, (0.0, 1.0), cfg)
+        assert triggers(batch).count(trigger) == 1 and triggers(batch).count(None) == len(healthy)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        healthy=st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-1.0, 1.0)), min_size=2, max_size=5),
+        tiny=st.floats(1e-120, 1e-90),
+        at=st.integers(0, 5),
+    )
+    def test_pinney_rows_with_one_reaching_x_zero(self, healthy, tiny, at):
+        # the tiny row's c/x^3 divides by zero: Python raises, numpy signals,
+        # and every attempt of the block is replayed row by row until the
+        # tiny row's step has halved below the minimum
+        x0s = [list(row) for row in healthy]
+        x0s.insert(at % (len(x0s) + 1), [tiny, 0.0])
+        batch = assert_rkf45_rows_match(PINNEY, x0s, (0.0, 1.0), IntegratorConfig())
+        assert triggers(batch).count("rhs-error") == 1 and triggers(batch).count(None) == len(healthy)
+
+    def test_time_function_gone_nan_stops_every_row(self):
+        # a nan coefficient without any floating-point signal: each row's
+        # non-finite step is replayed alone
+        nan_omega = pinney_system(parse_timefn("exp(355)*exp(355) - exp(355)*exp(355)"), 1.0)
+        x0s = [[1.0, 0.0], [0.8, 0.3], [1.2, -0.5]]
+        batch = assert_rkf45_rows_match(nan_omega, x0s, (0.0, 1.0), IntegratorConfig())
+        assert {(traj.event.trigger, traj.event.time) for traj in batch} == {("rhs-error", 0.0)}
+
+    def test_rows_running_into_a_coefficient_pole_end_alike(self):
+        # over a thousand steps into the pole at t = 0.5, the rounding-level
+        # differences can flip a few accept decisions; the outcome is kept
+        pole = pinney_system(parse_timefn("1/(t - 0.5)"), 1.0)
+        x0s = [[1.0, 0.0], [0.8, 0.3], [1.2, -0.5]]
+        for got, x0 in zip(integrate_batch(pole, x0s, (0.0, 1.0), IntegratorConfig()), x0s):
+            want = integrate(pole, x0, (0.0, 1.0), IntegratorConfig())
+            assert (got.status, got.event.trigger) == (want.status, want.event.trigger)
+            assert got.event.trigger == "step-underflow"
+            assert got.event.time == pytest.approx(want.event.time, rel=1e-9)
+
+    def test_batch_of_one_is_bit_identical(self):
+        for rhs, x0 in ((PINNEY, [1.1, 0.2]), (RICCATI_TD, [-8.0]), (POWER_FREE, [0.3, -0.4])):
+            (got,) = integrate_batch(rhs, [x0], (0.0, 1.0), IntegratorConfig())
+            want = integrate(rhs, x0, (0.0, 1.0), IntegratorConfig())
+            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
 
 
 class TestRkf45Accuracy:

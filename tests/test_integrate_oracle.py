@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from liesuper.algebra import Poly
-from liesuper.integrate import IntegratorConfig, integrate
+from liesuper.integrate import IntegratorConfig, integrate, integrate_batch
 from liesuper.parsing import parse_timefn
 from liesuper.vectorfield import PolyVectorField, TDVectorField
 
@@ -24,8 +24,9 @@ COEFFS = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_d
 
 
 @st.composite
-def polynomial_systems(draw):
-    """(field, initial point) with up to two time coefficients."""
+def polynomial_systems(draw, points=1):
+    """(field, initial point) with up to two time coefficients, or (field,
+    list of initial points) when ``points`` is above one."""
     n = draw(st.integers(1, 3))
     monomials = st.tuples(*[st.integers(0, 2)] * n).filter(lambda m: sum(m) <= 2)
     sources = draw(st.lists(st.sampled_from(["1", "t", "sin(t)", "cos(t)", "exp(t)"]), min_size=1, max_size=2, unique=True))
@@ -33,8 +34,9 @@ def polynomial_systems(draw):
         (parse_timefn(src), PolyVectorField([Poly(n, draw(st.dictionaries(monomials, COEFFS, max_size=3))) for _ in range(n)]))
         for src in sources
     ]
-    x0 = draw(st.lists(st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=16), min_size=n, max_size=n))
-    return TDVectorField(terms), [float(v) for v in x0]
+    coordinates = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=16)
+    x0s = [[float(v) for v in draw(st.lists(coordinates, min_size=n, max_size=n))] for _ in range(points)]
+    return TDVectorField(terms), x0s[0] if points == 1 else x0s
 
 
 def reference(field, x0, t_eval, tol=1e-12):
@@ -53,6 +55,22 @@ def test_rkf45_agrees_with_dop853(system):
     assume(expected is not None)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(traj.final_state() - expected[-1])) <= 1e-8 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(polynomial_systems(points=4))
+def test_rkf45_batch_agrees_with_dop853(system):
+    # four rows step in lockstep, each under its own step control
+    field, x0s = system
+    batch = integrate_batch(field, x0s, SPAN, IntegratorConfig(rtol=1e-10))
+    completed = [(traj, x0) for traj, x0 in zip(batch, x0s) if traj.completed]
+    assume(completed)
+    for traj, x0 in completed:
+        expected = reference(field, x0, [SPAN[1]])
+        if expected is None:
+            continue
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(traj.final_state() - expected[-1])) <= 1e-8 * scale
 
 
 @settings(max_examples=30, deadline=None)

@@ -148,6 +148,66 @@ class TestHierarchyRule:
             assert normalized == pytest.approx(base, rel=1e-9)
 
 
+def diffpoly_hierarchy_rule(s, jets, k):
+    """The hierarchy rule through ``DiffPoly.evaluate`` and its Fraction
+    coefficients, one point at a time: the reference for the float terms."""
+    c = [sum(k[a] * jets[a][j] for a in range(s - 1)) + jets[s - 1][j] for j in range(s)]
+    z = [cj / c[0] for cj in c]
+    ps = p_sequence(s - 1)
+    yjet = []
+    for l in range(1, s):
+        yjet.append(z[l] - float(ps[l].evaluate(yjet + [0.0])))
+    return yjet
+
+
+def random_hierarchy_point(rng, s, nodes=None):
+    """Random jets and constants; each jet entry an array of ``nodes``
+    values unless ``nodes`` is None."""
+
+    def draw():
+        if nodes is None:
+            return rng.uniform(-1.5, 1.5)
+        return np.array([rng.uniform(-1.5, 1.5) for _ in range(nodes)])
+
+    jets = [[draw() for _ in range(s)] for _ in range(s)]
+    return jets, [rng.uniform(-1.5, 1.5) for _ in range(s - 1)]
+
+
+class TestHierarchyRuleFloatTerms:
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_equals_the_diffpoly_evaluation(self, s):
+        rng = random.Random(500 + s)
+        for _ in range(50):
+            jets, k = random_hierarchy_point(rng, s)
+            assert eval_hierarchy_rule(s, jets, k) == diffpoly_hierarchy_rule(s, jets, k)
+            # numpy scalars, as the trial loop's initial states pass them
+            jets64 = [np.array(jet) for jet in jets]
+            assert eval_hierarchy_rule(s, jets64, k) == diffpoly_hierarchy_rule(s, jets64, k)
+
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_node_arrays_give_each_node_its_point_value(self, s):
+        rng = random.Random(600 + s)
+        jets, k = random_hierarchy_point(rng, s, nodes=40)
+        out = eval_hierarchy_rule(s, jets, k)
+        assert len(out) == s - 1 and all(v.shape == (40,) for v in out)
+        for node in range(40):
+            point = [[float(v[node]) for v in jet] for jet in jets]
+            want = eval_hierarchy_rule(s, point, k)
+            # numpy's powers can differ from Python's by one ulp
+            got = [float(v[node]) for v in out]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_node_arrays_raise_where_c0_vanishes(self):
+        # c0 = k x0_(1) + x0_(2) vanishes at the middle node only
+        jets = [
+            [np.array([1.0, 1.0, 1.0]), np.zeros(3)],
+            [np.array([0.5, -1.0, 0.5]), np.ones(3)],
+        ]
+        with pytest.raises(SingularDenominator):
+            eval_hierarchy_rule(2, jets, [1.0])
+        assert eval_hierarchy_rule(2, [[j[::2] for j in jet] for jet in jets], [1.0])[0].shape == (2,)
+
+
 class TestSolveHierarchyConstants:
     def test_order_two_round_trip(self):
         k = solve_hierarchy_constants(2, [(1.0, 0.0), (0.0, 1.0)], [2.0])

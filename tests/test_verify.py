@@ -1,10 +1,12 @@
 """The verification harness: single trials, trial loops, and suites."""
 
 import dataclasses
+import json
 import math
 import random
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +309,36 @@ RULE_CASES = {
 }
 
 
+# Lockstep RKF45 rows take the steps of ``integrate`` up to rounding (numpy's
+# powers differ from Python's), and the formula error holds the state
+# rounding amplified by the solution jets, up to about 1e4 at order 4: the
+# two loops measure it to 1e-2 of itself (seen over 30 seeds: 3e-3 at order
+# 4, 3e-4 at order 3, 1e-4 at order 2, exact for the linear rule).
+def close_lockstep(a, b):
+    return math.isclose(a, b, rel_tol=1e-2, abs_tol=1e-12)
+
+
+def assert_records_match(records, reference, error_close=close):
+    assert len(records) == len(reference)
+    for got, want in zip(records, reference):
+        assert (got.index, got.constants, got.status) == (want.index, want.constants, want.status)
+        assert (got.max_error is None) == (want.max_error is None)
+        if want.max_error is not None:
+            assert error_close(got.max_error, want.max_error)
+        assert got.extras.keys() == want.extras.keys()
+        assert all(close(got.extras[key], want.extras[key]) for key in want.extras)
+
+
+# rules whose trials run under RKF45 with time-dependent coefficients
+RKF45_RULE_CASES = [
+    ("hierarchy", {"order": 2, "b": ["sin(t)", "1"]}, (0.0, 0.5)),
+    ("hierarchy", {"order": 3, "b": ["1", "sin(t)", "0"]}, (0.0, 0.3)),
+    ("hierarchy", {"order": 4, "b": ["1", "0", "sin(t)", "0"]}, (0.0, 0.1)),
+    ("linear", {"a": "cos(t)", "b": "1 + t"}, (0.0, 1.0)),
+    ("bernoulli", {"a": "cos(t)", "b": "0.5", "n": 2}, (0.0, 0.9)),
+]
+
+
 class TestBatchedTrialLoop:
     @settings(max_examples=12, deadline=None)
     @given(
@@ -321,15 +353,15 @@ class TestBatchedTrialLoop:
         params, tspan = RULE_CASES[rule_id]
         cfg = IntegratorConfig(method=method, step=1e-2 if method == "rk4" else None)
         report = run_rule_verification(rule_id, params, trials, seed, tspan, cfg)
-        reference = sequential_records(rule_id, params, trials, seed, tspan, cfg)
-        assert len(report.records) == len(reference)
-        for got, want in zip(report.records, reference):
-            assert (got.index, got.constants, got.status) == (want.index, want.constants, want.status)
-            assert (got.max_error is None) == (want.max_error is None)
-            if want.max_error is not None:
-                assert close(got.max_error, want.max_error)
-            assert got.extras.keys() == want.extras.keys()
-            assert all(close(got.extras[key], want.extras[key]) for key in want.extras)
+        assert_records_match(report.records, sequential_records(rule_id, params, trials, seed, tspan, cfg))
+
+    @pytest.mark.parametrize("rule_id, params, tspan", RKF45_RULE_CASES)
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_rkf45_records_match_the_sequential_loop(self, rule_id, params, tspan, seed):
+        # eight trials: the first chunk's rows step in lockstep
+        report = run_rule_verification(rule_id, params, 8, seed, tspan, CFG)
+        reference = sequential_records(rule_id, params, 8, seed, tspan, CFG)
+        assert_records_match(report.records, reference, error_close=close_lockstep)
 
     def test_chunks_keep_their_state_history_bounded(self, monkeypatch):
         sizes = []
@@ -411,6 +443,21 @@ class TestNoLeakedWarnings:
         assert [r.status for r in records] == ["singular:rhs-error"] * 5
         assert report["pass"] is False
         assert "(0 rejected, 60 singular)" in report["measured"]["error"]
+
+
+class TestTimeDependentRkf45Suite:
+    PATH = Path(__file__).parent / "data" / "rkf45_time_dependent_suite.json"
+
+    def test_suite_passes_without_any_warning(self):
+        # per-row times reach each time coefficient as a float, and the
+        # lockstep steps warn nothing
+        doc = json.loads(self.PATH.read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = run_suite(doc)
+        assert [r["rule"] for r in reports] == ["linear", "bernoulli", "hierarchy"]
+        assert suite_passed(reports)
+        assert all(r["measured"]["trial_count"] == 6 for r in reports)
 
 
 class TestDriftHelpers:

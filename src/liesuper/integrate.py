@@ -191,9 +191,13 @@ def integrate_batch(
     return lockstep(rhs, y0s, t0, t1, cfg)
 
 
-def _rk4_grid(t0: float, t1: float, h: float) -> list[float]:
-    n_steps = max(1, math.ceil((t1 - t0) / h - 1e-12))
-    return [t0] + [t1 if i == n_steps - 1 else t0 + (i + 1) * (t1 - t0) / n_steps for i in range(n_steps)]
+def _rk4_grid(t0: float, t1: float, cfg: IntegratorConfig) -> tuple[list[float], SingularityEvent | None]:
+    """The nodes of the uniform grid that at most ``cfg.max_steps`` steps
+    reach, and the max-steps event when they end short of t1."""
+    n_steps = max(1, math.ceil((t1 - t0) / cfg.step - 1e-12))
+    steps = min(n_steps, cfg.max_steps)
+    grid = [t0] + [t1 if i == n_steps - 1 else t0 + (i + 1) * (t1 - t0) / n_steps for i in range(steps)]
+    return grid, SingularityEvent(grid[-1], MAX_STEPS) if steps < n_steps else None
 
 
 def _rk4_step(rhs, t: float, dt: float, y: list[float]) -> list[float]:
@@ -206,7 +210,7 @@ def _rk4_step(rhs, t: float, dt: float, y: list[float]) -> list[float]:
 
 
 def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
-    grid = _rk4_grid(t0, t1, cfg.step)
+    grid, end = _rk4_grid(t0, t1, cfg)
     states = [list(y0)]
     meta = {"method": "rk4", "step": cfg.step, "steps": 0, "rejected": 0}
     y = list(y0)
@@ -219,7 +223,7 @@ def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
             return _finish(grid[: len(states)], states, "singular", SingularityEvent(t_next, STATE_OVERFLOW), meta)
         meta["steps"] += 1
         states.append(list(y))
-    return _finish(grid, states, "completed", None, meta)
+    return _finish(grid, states, "completed" if end is None else "singular", end, meta)
 
 
 def _eval_block(rhs, t: float, y: np.ndarray) -> np.ndarray:
@@ -232,7 +236,7 @@ def _eval_block(rhs, t: float, y: np.ndarray) -> np.ndarray:
 
 
 def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
-    grid = _rk4_grid(t0, t1, cfg.step)
+    grid, end = _rk4_grid(t0, t1, cfg)
     times = np.array(grid, dtype=float)
     rows = len(y0s)
     history = np.empty((rows, len(grid), rhs.dimension))
@@ -293,7 +297,7 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             history[live, i + 1] = y_next.T
             y = y_next
     for row in live:
-        leave(row, len(grid), "completed", None)
+        leave(row, len(grid), "completed" if end is None else "singular", end)
     return out
 
 

@@ -12,12 +12,23 @@ system:
                    the order-s linear companion system and s-1 constants
 * riccati-cross-ratio   the classical three-solution Riccati rule
 
+Every formula takes each solution coordinate as a float, or as a 1-D
+array with one entry per node, and then returns each output coordinate
+as an array over the same nodes.  Each node gets the float operations of
+the formula at one point (numpy's powers can differ from Python's by one
+ulp), and an input that fails at some node raises the error, class and
+message, that its first failing node raises alone.  A Python float
+input fails the same way: a zero raised to a negative power is a
+DomainError, never a ZeroDivisionError.
+
 The hierarchy rule evaluates x = sum_a k_a x_(a) (with k_s = 1) through
 the jets c_j = sum_a k_a u^j_(a), normalizes z_j = c_j / c_0 = P_j(y-jet),
 and recovers the y-jet by triangular inversion of the P sequence: each
 P_l is y_{l-1} plus terms in strictly lower derivatives, so
 y^(l-1) = z_l - P_l evaluated on the already-recovered jet with
-y_{l-1} = 0.
+y_{l-1} = 0.  The rule and ``solve_hierarchy_constants`` sum each P_l
+from its float terms, with the float operations of ``DiffPoly.evaluate``
+at a point.
 Scaling every constant (including k_s) by a nonzero factor leaves the
 output unchanged, which is why the normalization k_s = 1 loses nothing.
 
@@ -112,43 +123,50 @@ class MixedRule:
         return MixedRule("riccati-cross-ratio", (1, 1, 1), 1)
 
 
-def eval_linear_rule(x1: float, x2: float, k: float) -> float:
+def _first_failing_node(failing, *values) -> list[float] | None:
+    """The float ``values`` at the first node where ``failing`` holds, or
+    None when no node fails."""
+    if not np.any(failing):
+        return None
+    node = int(np.argmax(failing))
+    return [float(np.ravel(v)[node]) for v in np.broadcast_arrays(failing, *values)[1:]]
+
+
+def eval_linear_rule(x1, x2, k: float):
     return x1 + k * x2
 
 
-def eval_bernoulli_rule(x1: float, x2: float, k: float, n: int) -> float:
+def eval_bernoulli_rule(x1, x2, k: float, n: int):
     """(x1^(1-n) + k*x2^(1-n))^(1/(1-n)) with the real-branch conventions:
     even roots demand a positive base, odd roots take the signed root."""
     if n == 1:
         raise ValueError("the exponent n = 1 is not a Bernoulli case")
     e = 1 - n
-
-    def ipow(x: float) -> float:
-        if x == 0.0 and e < 0:
-            raise DomainError("zero solution value with a negative power")
-        return x**e
-
-    base = ipow(x1) + k * ipow(x2)
-    if e % 2 == 0:
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    # a zero value is found before any power is taken
+    zero = ((x1 == 0.0) | (x2 == 0.0)) & (e < 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        base = x1**e + k * x2**e
         # 1/(1-n) is one over an even integer: a real even root
-        if base <= 0.0:
-            raise DomainError(f"base {base} is not positive; no real even root")
-        return base ** (1.0 / e)
-    if base == 0.0:
-        if e < 0:
+        even = e % 2 == 0
+        bad_base = base <= 0.0 if even else (base == 0.0) & (e < 0)
+        failure = _first_failing_node(zero | bad_base, zero, base)
+        if failure is not None:
+            at_zero, base = failure
+            if at_zero:
+                raise DomainError("zero solution value with a negative power")
+            if even:
+                raise DomainError(f"base {base} is not positive; no real even root")
             raise DomainError("zero base with a negative root exponent")
-        return 0.0
-    return math.copysign(abs(base) ** (1.0 / e), base)
+        if even:
+            return base ** (1.0 / e)
+        return np.copysign(np.abs(base) ** (1.0 / e), base)
 
 
 def eval_pinney_rule(xi1, xi2, k1: float, k2: float, c: float) -> tuple:
     """The two-oscillator-solution rule for x'' = -omega^2(t) x + c/x^3,
-    phrased on the first-order system (x, p).
-
-    ``xi1 = (x1, p1)`` and ``xi2`` hold floats, or 1-D arrays with one
-    entry per node; the output is then one array per component.  Each node
-    gets the float operations of the scalar formula, and a failing input
-    raises the error of the first failing node."""
+    phrased on the first-order system (x, p); ``xi1 = (x1, p1)`` and
+    ``xi2`` give the two solutions."""
     x1, p1 = xi1
     x2, p2 = xi2
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -156,10 +174,9 @@ def eval_pinney_rule(xi1, xi2, k1: float, k2: float, c: float) -> tuple:
         disc = 4.0 * k1 * k2 - c * w * w
         root = np.sqrt(disc)
         inner = k1 * x1 * x1 + k2 * x2 * x2 + root * x1 * x2
-        failing = (w == 0.0) | (disc < 0.0) | (inner <= 0.0)
-        if np.any(failing):
-            node = int(np.argmax(failing))
-            w, disc, inner = (float(np.ravel(v)[node]) for v in np.broadcast_arrays(w, disc, inner))
+        failure = _first_failing_node((w == 0.0) | (disc < 0.0) | (inner <= 0.0), w, disc, inner)
+        if failure is not None:
+            w, disc, inner = failure
             if w == 0.0:
                 raise DegenerateWronskian("the two oscillator solutions are dependent (W = 0)")
             if disc < 0.0:
@@ -183,17 +200,23 @@ def _float_p_terms(order: int) -> tuple:
     )
 
 
+def _p_sum(terms: tuple, point: Sequence) -> float:
+    """One P_l of ``_float_p_terms`` at a jet point, summed from 0.0 term by
+    term, each term float(c) * y_i ** e ... left to right: at a point of
+    floats, the float operations of ``DiffPoly.evaluate``."""
+    total = 0.0
+    for coefficient, factors in terms:
+        v = coefficient
+        for i, e in factors:
+            v = v * point[i] ** e
+        total = total + v
+    return total
+
+
 def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) -> list:
     """Solution jet (y, y', ..., y^(s-2)) of the order-s member from s
     solution jets of the companion linear system and constants k_1..k_{s-1}
-    (the last constant is normalized to 1).
-
-    The jet entries are floats, or 1-D arrays with one entry per node; the
-    output is then one array per jet component, and a node where c0
-    vanishes raises as a single point does.  Each P_l is summed from 0.0
-    term by term, each term float(c) * y_i ** e ... left to right: at a
-    point, the float operations of ``DiffPoly.evaluate`` (numpy's powers on
-    node arrays can differ from Python's by one ulp)."""
+    (the last constant is normalized to 1)."""
     if s < 2:
         raise ValueError("hierarchy rules start at order 2")
     if len(jets) != s:
@@ -203,30 +226,18 @@ def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) ->
     for jet in jets:
         if len(jet) != s:
             raise ValueError("each component jet must have length s")
-    c = [
-        sum(k[a] * jets[a][j] for a in range(s - 1)) + jets[s - 1][j]
-        for j in range(s)
-    ]
+    c = [sum(k[a] * jets[a][j] for a in range(s - 1)) + jets[s - 1][j] for j in range(s)]
     if np.any(c[0] == 0.0):
         raise SingularDenominator("combined solution vanishes at this point (c0 = 0)")
     z = [cj / c[0] for cj in c]
     yjet: list = []
     for l, terms in enumerate(_float_p_terms(s - 1), 1):
         # P_l - y_{l-1} only involves y0..y_{l-2}: P_l with y_{l-1} = 0
-        point = yjet + [0.0]
-        total = 0.0
-        for coefficient, factors in terms:
-            v = coefficient
-            for i, e in factors:
-                v = v * point[i] ** e
-            total = total + v
-        yjet.append(z[l] - total)
+        yjet.append(z[l] - _p_sum(terms, yjet + [0.0]))
     return yjet
 
 
-def solve_hierarchy_constants(
-    s: int, jets_at_t0: Sequence[JetPoint], v0: Sequence[float]
-) -> list[float]:
+def solve_hierarchy_constants(s: int, jets_at_t0: Sequence[JetPoint], v0: Sequence[float]) -> list[float]:
     """Constants reproducing the target initial jet v0 at time t0.
 
     Builds the x-jet chi of the (normalized) combined solution from v0 via
@@ -239,8 +250,7 @@ def solve_hierarchy_constants(
         raise ValueError(f"need {s} component jets, got {len(jets_at_t0)}")
     if len(v0) != s - 1:
         raise ValueError(f"target jet must have length {s - 1}")
-    ps = p_sequence(s - 1)
-    chi = [float(ps[l].evaluate(list(v0))) for l in range(s)]
+    chi = [1.0] + [_p_sum(terms, v0) for terms in _float_p_terms(s - 1)]
     m = np.array(jets_at_t0, dtype=float).T  # columns are the jets
     try:
         kappa = np.linalg.solve(m, np.array(chi, dtype=float))
@@ -251,12 +261,14 @@ def solve_hierarchy_constants(
     return [float(kappa[a] / kappa[s - 1]) for a in range(s - 1)]
 
 
-def eval_riccati_cross_ratio(y1: float, y2: float, y3: float, k: float) -> float:
+def eval_riccati_cross_ratio(y1, y2, y3, k: float):
     """Classical three-solution rule for the Riccati equation: the output
     y keeps the cross ratio (y-y1)(y3-y2) / ((y3-y1)(y-y2)) equal to k."""
-    if y1 == y2 or y1 == y3 or y2 == y3:
-        raise CoincidentSolutions("particular solutions must be pairwise distinct")
+    coincident = (y1 == y2) | (y1 == y3) | (y2 == y3)
     den = (y3 - y2) + k * (y1 - y3)
-    if den == 0.0:
+    failure = _first_failing_node(coincident | (den == 0.0), coincident)
+    if failure is not None:
+        if failure[0]:
+            raise CoincidentSolutions("particular solutions must be pairwise distinct")
         raise SingularDenominator("cross-ratio denominator vanishes")
     return (y1 * (y3 - y2) + k * y2 * (y1 - y3)) / den

@@ -7,10 +7,9 @@ The protocol for one trial of one rule:
 3. integrate target and components together as one block-diagonal system
    (the direct product of the components, joined with the target), so all
    comparisons happen on a single shared grid with no interpolation,
-4. apply the formula once to the component states at every accepted node
-   (the Pinney and hierarchy formulas in one call over all nodes, the
-   others node by node), and compare that pass against the independently
-   integrated target block,
+4. apply the formula once to the component states at all accepted nodes
+   together (one call on node arrays), and compare that pass against the
+   independently integrated target block,
 5. apply the rule's singularity guards and consistency checks to the
    same pass (Wronskian conservation and a finite-difference derivative
    check for the Pinney rule, the exact constants round trip for the
@@ -209,9 +208,10 @@ class RuleSetup:
     """Everything one rule needs for trials: its component systems, its
     target system and their joint system (built once), the formula, a
     seeded sampler, singularity guards, and extra per-trial checks; guards
-    and checks also get the formula's output, one row per node.  A
-    ``vectorized`` formula also takes each component state as
-    coordinate-major node arrays and returns one array per component."""
+    and checks also get the formula's output, one row per node.  The
+    formula takes one coordinate-major state per component, each coordinate
+    a float or an array of nodes, and returns one value or array per
+    target coordinate."""
 
     rule: MixedRule
     components: list[TDVectorField]
@@ -222,7 +222,6 @@ class RuleSetup:
     guard: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], str | None] = _no_guard
     extras: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], dict] = _no_extras
     component_generators: list[PolyVectorField] | None = None
-    vectorized: bool = False
     joint: AnyRHS = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -234,17 +233,12 @@ class RuleSetup:
 
     def formula_pass(self, blocks: list[np.ndarray], constants: Sequence[float]) -> np.ndarray:
         """The formula at every node, one row per node."""
-        if self.vectorized:
-            return np.column_stack(self.phi([b.T for b in blocks], constants))
-        return np.array([self.phi([b[i] for b in blocks], constants) for i in range(len(blocks[0]))], dtype=float)
+        return np.column_stack(self.phi([b.T for b in blocks], constants))
 
 
 def _build_linear(spec: SystemSpec) -> RuleSetup:
     affine = build_rhs(spec)
     homogeneous = TDVectorField(affine.terms[:1])
-
-    def phi(blocks, k):
-        return [eval_linear_rule(blocks[0][0], blocks[1][0], k[0])]
 
     def sample(rng):
         x1 = rng.uniform(-2.0, 2.0)
@@ -256,7 +250,7 @@ def _build_linear(spec: SystemSpec) -> RuleSetup:
         rule=MixedRule.linear(),
         components=[affine, homogeneous],
         target=affine,
-        phi=phi,
+        phi=lambda blocks, k: [eval_linear_rule(blocks[0][0], blocks[1][0], k[0])],
         sample=sample,
         condition_generators=affine.constituent_fields(),
     )
@@ -266,9 +260,6 @@ def _build_bernoulli(spec: SystemSpec) -> RuleSetup:
     n = spec.params["n"]
     bern = build_rhs(spec)
     homogeneous = TDVectorField(bern.terms[:1])
-
-    def phi(blocks, k):
-        return [eval_bernoulli_rule(blocks[0][0], blocks[1][0], k[0], n)]
 
     def sample(rng):
         x1 = rng.uniform(0.4, 0.8)
@@ -285,7 +276,7 @@ def _build_bernoulli(spec: SystemSpec) -> RuleSetup:
         rule=MixedRule.bernoulli(n),
         components=[bern, homogeneous],
         target=bern,
-        phi=phi,
+        phi=lambda blocks, k: [eval_bernoulli_rule(blocks[0][0], blocks[1][0], k[0], n)],
         sample=sample,
         guard=guard,
         condition_generators=bern.constituent_fields(),
@@ -299,9 +290,6 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
     c = spec.params["c"]
     osc = build_rhs(SystemSpec("oscillator", {"omega": spec.params["omega"]}))
     target = build_rhs(spec)
-
-    def phi(blocks, k):
-        return list(eval_pinney_rule(blocks[0], blocks[1], k[0], k[1], c))
 
     def sample(rng):
         # with |W| >= 0.3 and k1, k2 <= 2 no draw qualifies once c is above
@@ -345,12 +333,11 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         rule=MixedRule.pinney(),
         components=[osc, osc],
         target=target,
-        phi=phi,
+        phi=lambda blocks, k: list(eval_pinney_rule(blocks[0], blocks[1], k[0], k[1], c)),
         sample=sample,
         guard=guard,
         extras=extras,
         condition_generators=osc.constituent_fields(),
-        vectorized=True,
     )
 
 
@@ -358,9 +345,6 @@ def _build_hierarchy(spec: SystemSpec) -> RuleSetup:
     s = spec.params["order"]
     companion = build_rhs(SystemSpec("linear_homogeneous", spec.params))
     target = build_rhs(spec)
-
-    def phi(blocks, k):
-        return eval_hierarchy_rule(s, [list(b) for b in blocks], list(k))
 
     def sample(rng):
         while True:
@@ -390,21 +374,17 @@ def _build_hierarchy(spec: SystemSpec) -> RuleSetup:
         rule=MixedRule.hierarchy(s),
         components=[companion] * s,
         target=target,
-        phi=phi,
+        phi=lambda blocks, k: eval_hierarchy_rule(s, blocks, k),
         sample=sample,
         guard=guard,
         extras=extras,
         condition_generators=target.constituent_fields(),
         component_generators=companion.constituent_fields(),
-        vectorized=True,
     )
 
 
 def _build_cross_ratio(spec: SystemSpec) -> RuleSetup:
     riccati = build_rhs(spec)
-
-    def phi(blocks, k):
-        return [eval_riccati_cross_ratio(blocks[0][0], blocks[1][0], blocks[2][0], k[0])]
 
     def sample(rng):
         while True:
@@ -435,7 +415,7 @@ def _build_cross_ratio(spec: SystemSpec) -> RuleSetup:
         rule=MixedRule.riccati_cross_ratio(),
         components=[riccati] * 3,
         target=riccati,
-        phi=phi,
+        phi=lambda blocks, k: [eval_riccati_cross_ratio(blocks[0][0], blocks[1][0], blocks[2][0], k[0])],
         sample=sample,
         guard=guard,
         condition_generators=riccati.constituent_fields(),
@@ -564,8 +544,9 @@ def _candidate_records(
         size = missing
         if cfg.method == "rk4":
             size = math.ceil(2 * missing * drawn / clean) if clean else 2 * missing
-            # span/step + 2 bounds the number of grid nodes
-            row_bytes = 8 * setup.joint.dimension * ((tspan[1] - tspan[0]) / cfg.step + 2)
+            # span/step + 2 bounds the number of grid nodes, as does max_steps + 1
+            nodes = min((tspan[1] - tspan[0]) / cfg.step + 2, cfg.max_steps + 1)
+            row_bytes = 8 * setup.joint.dimension * nodes
             size = min(size, max(1, int(_CHUNK_HISTORY_BYTES // row_bytes)))
         candidates = []
         failure = None

@@ -99,6 +99,27 @@ class TestRk4:
         steps = np.diff(traj.times)
         assert steps == pytest.approx(np.full(100, 1e-2))
 
+    def test_max_steps_ends_the_trajectory(self):
+        # ten of the hundred steps the span needs, alone and in lockstep,
+        # end with the event rkf45 meets under the same budget
+        cfg = IntegratorConfig(method="rk4", step=0.01, max_steps=10)
+        rhs = GenericRHS(1, growth)
+        batch = assert_rows_match(rhs, [[1.0], [2.0], [3.0]], (0.0, 1.0), cfg)
+        for traj in [integrate(rhs, [1.0], (0.0, 1.0), cfg)] + batch:
+            assert (traj.status, traj.event.trigger, traj.meta["steps"]) == ("singular", "max-steps", 10)
+            assert traj.event.time == traj.times[-1] == pytest.approx(0.1)
+            assert len(traj.states) == 11
+        rkf45 = integrate(rhs, [1.0], (0.0, 1.0), IntegratorConfig(max_steps=10))
+        assert (rkf45.status, rkf45.event.trigger) == ("singular", "max-steps")
+
+    def test_max_steps_bounds_the_grid(self):
+        # the span holds a billion steps; only the first ten are built
+        cfg = IntegratorConfig(method="rk4", step=1e-9, max_steps=10)
+        rhs = GenericRHS(1, growth)
+        for traj in [integrate(rhs, [1.0], (0.0, 1.0), cfg)] + integrate_batch(rhs, [[1.0], [2.0]], (0.0, 1.0), cfg):
+            assert traj.times == pytest.approx(np.arange(11) * 1e-9, rel=1e-12, abs=0.0)
+            assert traj.event.trigger == "max-steps"
+
     def test_step_required(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="rk4")

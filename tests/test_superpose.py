@@ -2,9 +2,12 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liesuper.hierarchy import p_sequence
 from liesuper.superpose import (
@@ -16,6 +19,7 @@ from liesuper.superpose import (
     RadicandNegative,
     SingularDenominator,
     SingularJetMatrix,
+    SuperpositionError,
     eval_bernoulli_rule,
     eval_hierarchy_rule,
     eval_linear_rule,
@@ -23,6 +27,110 @@ from liesuper.superpose import (
     eval_riccati_cross_ratio,
     solve_hierarchy_constants,
 )
+
+
+def scalar_bernoulli_rule(x1: float, x2: float, k: float, n: int) -> float:
+    """The Bernoulli rule at one point in Python floats: the reference for
+    node arrays."""
+    e = 1 - n
+
+    def ipow(x: float) -> float:
+        if x == 0.0 and e < 0:
+            raise DomainError("zero solution value with a negative power")
+        return x**e
+
+    base = ipow(x1) + k * ipow(x2)
+    if e % 2 == 0:
+        if base <= 0.0:
+            raise DomainError(f"base {base} is not positive; no real even root")
+        return base ** (1.0 / e)
+    if base == 0.0:
+        if e < 0:
+            raise DomainError("zero base with a negative root exponent")
+        return 0.0
+    return math.copysign(abs(base) ** (1.0 / e), base)
+
+
+def scalar_cross_ratio(y1: float, y2: float, y3: float, k: float) -> float:
+    """The cross-ratio rule at one point in Python floats: the reference
+    for node arrays."""
+    if y1 == y2 or y1 == y3 or y2 == y3:
+        raise CoincidentSolutions("particular solutions must be pairwise distinct")
+    den = (y3 - y2) + k * (y1 - y3)
+    if den == 0.0:
+        raise SingularDenominator("cross-ratio denominator vanishes")
+    return (y1 * (y3 - y2) + k * y2 * (y1 - y3)) / den
+
+
+NUMBER = r"-?\d[\d.e+-]*"
+
+
+def check_node_arrays(rule, reference, columns, args, same):
+    """The rule on node arrays (one per argument in ``columns``) against
+    ``reference`` node by node: the first failing node's error class and
+    message, or else ``same(got, want, node)`` at every node."""
+    want = []
+    for node in zip(*columns):
+        try:
+            want.append(reference(*node, *args))
+        except SuperpositionError as exc:
+            with pytest.raises(SuperpositionError) as raised:
+                rule(*map(np.array, columns), *args)
+            assert type(raised.value) is type(exc)
+            # a number in the message may differ by an ulp
+            assert re.sub(NUMBER, "#", str(raised.value)) == re.sub(NUMBER, "#", str(exc))
+            return
+    got = rule(*map(np.array, columns), *args)
+    assert got.shape == (len(want),)
+    for node, (g, w) in enumerate(zip(got.tolist(), want)):
+        assert same(g, w, node), (node, g, w)
+
+
+def bit_identical(got, want, node):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+magnitudes = st.floats(1e-3, 2.0)
+values = st.one_of(magnitudes, magnitudes.map(lambda v: -v))
+# coincident values, zero values and vanishing sums are common among these
+few_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+few_constants = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+def nodes(count, value):
+    return st.integers(1, 12).flatmap(lambda n: st.tuples(*[st.lists(value, min_size=n, max_size=n)] * count))
+
+
+class TestNodeArrays:
+    """Linear, Bernoulli and cross-ratio formulas on node arrays against
+    their scalar formulas."""
+
+    @given(nodes(2, values), values)
+    def test_linear_is_bit_identical(self, columns, k):
+        check_node_arrays(eval_linear_rule, lambda x1, x2, k: x1 + k * x2, columns, (k,), bit_identical)
+
+    @given(st.one_of(nodes(3, values), nodes(3, few_values)), st.one_of(values, few_constants))
+    def test_cross_ratio_is_bit_identical(self, columns, k):
+        check_node_arrays(eval_riccati_cross_ratio, scalar_cross_ratio, columns, (k,), bit_identical)
+
+    @given(
+        st.one_of(nodes(2, values), nodes(2, few_values)),
+        st.one_of(values, few_constants),
+        st.sampled_from([0, 2, 3, 4]),
+    )
+    def test_bernoulli_within_four_ulp_of_its_terms(self, columns, k, n):
+        # numpy's x**e can differ from Python's by one ulp; that moves the
+        # sum by ulps of its terms and the root by as much relative to it
+        e = 1 - n
+
+        def same(got, want, node):
+            terms = abs(columns[0][node] ** e) + abs(k * columns[1][node] ** e)
+            base = columns[0][node] ** e + k * columns[1][node] ** e
+            if want == 0.0:
+                return got == 0.0
+            return abs(got - want) <= 4 * math.ulp(1.0) * abs(want) * terms / abs(base)
+
+        check_node_arrays(eval_bernoulli_rule, scalar_bernoulli_rule, columns, (k, n), same)
 
 
 class TestLinearRule:
@@ -61,8 +169,11 @@ class TestBernoulliRule:
         assert eval_bernoulli_rule(1.0, 1.0, -2.0, 2) == pytest.approx(-1.0)
 
     def test_zero_with_negative_power(self):
-        with pytest.raises(DomainError):
+        # a DomainError, not the ZeroDivisionError of Python's 0.0 ** -1
+        with pytest.raises(DomainError, match="zero solution value"):
             eval_bernoulli_rule(0.0, 1.0, 1.0, 2)
+        with pytest.raises(DomainError, match="zero solution value"):
+            eval_bernoulli_rule(1.0, 0.0, 1.0, 4)
 
 
 class TestPinneyRule:
@@ -213,6 +324,19 @@ class TestSolveHierarchyConstants:
         k = solve_hierarchy_constants(2, [(1.0, 0.0), (0.0, 1.0)], [2.0])
         assert k == [pytest.approx(0.5)]
         assert eval_hierarchy_rule(2, [(1.0, 0.0), (0.0, 1.0)], k) == [pytest.approx(2.0)]
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_equals_the_diffpoly_chi(self, s):
+        # chi through DiffPoly.evaluate and its Fraction coefficients
+        rng = random.Random(700 + s)
+        ps = p_sequence(s - 1)
+        for _ in range(40):
+            jets, _ = random_hierarchy_point(rng, s)
+            v0 = [rng.uniform(-1.5, 1.5) for _ in range(s - 1)]
+            chi = [float(ps[l].evaluate(v0)) for l in range(s)]
+            kappa = np.linalg.solve(np.array(jets).T, np.array(chi))
+            want = [float(kappa[a] / kappa[s - 1]) for a in range(s - 1)]
+            assert solve_hierarchy_constants(s, jets, v0) == want
 
     def test_dependent_jets(self):
         with pytest.raises(SingularJetMatrix):

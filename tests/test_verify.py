@@ -159,15 +159,17 @@ class TestNonFiniteErrors:
     """A NaN error anywhere in a trial reaches the report and fails the item."""
 
     @staticmethod
-    def linear_setup(nan_at_call):
-        # phi runs once for the initial state, then once per node
+    def linear_setup(poison):
+        # phi runs once for the initial state, then once on the node arrays,
+        # whose output ``poison`` may change in place
         setup = build_rule_setup("linear", {"a": "0", "b": "1"})
         honest = setup.phi
-        calls = []
 
         def phi(blocks, k):
-            calls.append(None)
-            return [math.nan] if nan_at_call(len(calls)) else honest(blocks, k)
+            (x,) = honest(blocks, k)
+            if np.ndim(x):
+                poison(x)
+            return [x]
 
         return dataclasses.replace(setup, phi=phi)
 
@@ -182,13 +184,18 @@ class TestNonFiniteErrors:
         monkeypatch.setattr(verify, "judge_trial", fake_judge_trial)
 
     def test_nan_after_t0(self):
-        setup = self.linear_setup(lambda call: call > 2)
-        record = verify_rule(setup, [[0.0], [1.0]], [3.0], (0.0, 1.0), CFG)
+        def poison(x):
+            x[1:] = math.nan
+
+        record = verify_rule(self.linear_setup(poison), [[0.0], [1.0]], [3.0], (0.0, 1.0), CFG)
         assert math.isnan(record.max_error)
 
     def test_nan_at_one_node(self):
-        setup = self.linear_setup(lambda call: call == 4)
-        record = verify_rule(setup, [[0.0], [1.0]], [3.0], (0.0, 1.0), CFG)
+        def poison(x):
+            assert len(x) > 2
+            x[len(x) // 2] = math.nan
+
+        record = verify_rule(self.linear_setup(poison), [[0.0], [1.0]], [3.0], (0.0, 1.0), CFG)
         assert math.isnan(record.max_error)
 
     def test_nan_trial_error_fails_the_item(self, monkeypatch):
@@ -208,28 +215,53 @@ class TestNonFiniteErrors:
 class TestOneFormulaPass:
     """The formula runs once per node; guards and extras read that pass."""
 
-    def test_pinney_trial_evaluates_the_rule_once_per_node(self, monkeypatch):
-        calls = []
-        honest_rule, honest_batch = verify.eval_pinney_rule, verify.integrate_batch
-        trajectories = []
+    @staticmethod
+    def formula_calls(monkeypatch, formula, shape, rule_id, params, ics, k, tspan):
+        """The ``shape`` of the first argument of each ``verify.<formula>``
+        call in one rk4 trial, and the number of nodes of that trial."""
+        calls, trajectories = [], []
+        honest_rule, honest_batch = getattr(verify, formula), verify.integrate_batch
 
-        def counted_rule(xi1, *args):
-            calls.append(np.shape(xi1[0]))
-            return honest_rule(xi1, *args)
+        def counted_rule(first, *args):
+            calls.append(shape(first))
+            return honest_rule(first, *args)
 
         def kept_batch(*args):
             trajectories.extend(honest_batch(*args))
             return trajectories
 
-        monkeypatch.setattr(verify, "eval_pinney_rule", counted_rule)
+        monkeypatch.setattr(verify, formula, counted_rule)
         monkeypatch.setattr(verify, "integrate_batch", kept_batch)
-        setup = build_rule_setup("pinney", {"omega": "1", "c": 1.0})
         cfg = IntegratorConfig(method="rk4", step=1e-3)
-        record = verify_rule(setup, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0.0, 0.2), cfg)
+        record = verify_rule(build_rule_setup(rule_id, params), ics, k, tspan, cfg)
         assert record.ok
         (traj,) = trajectories
+        return calls, len(traj.times)
+
+    def test_pinney_trial_evaluates_the_rule_once_per_node(self, monkeypatch):
+        pinney = ("pinney", {"omega": "1", "c": 1.0}, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], (0.0, 0.2))
+        calls, nodes = self.formula_calls(monkeypatch, "eval_pinney_rule", lambda xi1: np.shape(xi1[0]), *pinney)
         # once for the initial state, then once for all nodes together
-        assert calls == [(), (len(traj.times),)]
+        assert calls == [(), (nodes,)]
+
+    @pytest.mark.parametrize(
+        "formula, rule_id, params, ics, k, tspan",
+        [
+            ("eval_linear_rule", "linear", {"a": "0", "b": "1"}, [[0.0], [1.0]], [3.0], (0.0, 1.0)),
+            ("eval_bernoulli_rule", "bernoulli", {"a": "0", "b": "1", "n": 2}, [[1.0], [1.0]], [1.0], (0.0, 0.9)),
+            (
+                "eval_riccati_cross_ratio",
+                "riccati-cross-ratio",
+                {"b0": "1", "b1": "0"},
+                [[0.0], [0.5], [1.0]],
+                [2.0],
+                (0.0, 0.3),
+            ),
+        ],
+    )
+    def test_formula_runs_twice_per_trial(self, monkeypatch, formula, rule_id, params, ics, k, tspan):
+        calls, nodes = self.formula_calls(monkeypatch, formula, np.shape, rule_id, params, ics, k, tspan)
+        assert calls == [(), (nodes,)]
 
     def test_pinney_extras_match_the_per_node_loop(self):
         setup = build_rule_setup("pinney", {"omega": "1 + 0.1*sin(t)", "c": 2.0})
@@ -306,6 +338,8 @@ RULE_CASES = {
     "pinney": ({"omega": "1 + 0.1*sin(t)", "c": 2.0}, (0.0, 0.5)),
     "linear": ({"a": "cos(t)", "b": "1 + t"}, (0.0, 1.0)),
     "hierarchy": ({"order": 3, "b": ["1", "0.5*t", "0"]}, (0.0, 0.3)),
+    "bernoulli": ({"a": "cos(t)", "b": "0.5", "n": 3}, (0.0, 0.5)),
+    "riccati-cross-ratio": ({"b0": "1 + 0.5*cos(t)", "b1": "sin(t)"}, (0.0, 0.5)),
 }
 
 
@@ -336,6 +370,8 @@ RKF45_RULE_CASES = [
     ("hierarchy", {"order": 4, "b": ["1", "0", "sin(t)", "0"]}, (0.0, 0.1)),
     ("linear", {"a": "cos(t)", "b": "1 + t"}, (0.0, 1.0)),
     ("bernoulli", {"a": "cos(t)", "b": "0.5", "n": 2}, (0.0, 0.9)),
+    ("bernoulli", {"a": "cos(t)", "b": "0.5", "n": 3}, (0.0, 0.5)),
+    ("riccati-cross-ratio", {"b0": "1 + 0.5*cos(t)", "b1": "sin(t)"}, (0.0, 0.5)),
 ]
 
 
@@ -381,6 +417,24 @@ class TestBatchedTrialLoop:
         assert sizes and max(sizes) == 3
         reference = sequential_records("pinney", params, 5, 3, tspan, cfg)
         assert [r.status for r in report.records] == [r.status for r in reference]
+
+    def test_chunk_budget_counts_at_most_max_steps_nodes(self, monkeypatch):
+        sizes = []
+        honest = verify.integrate_batch
+
+        def counted(rhs, x0s, tspan, cfg):
+            sizes.append(len(x0s))
+            return honest(rhs, x0s, tspan, cfg)
+
+        # a row keeps max_steps + 1 = 51 nodes of the 6-dimensional joint
+        # Pinney system, 2448 bytes, though the span holds a billion steps
+        monkeypatch.setattr(verify, "_CHUNK_HISTORY_BYTES", 3 * 2448)
+        monkeypatch.setattr(verify, "integrate_batch", counted)
+        setup = build_rule_setup("pinney", {"omega": "1", "c": 1.0})
+        cfg = IntegratorConfig(method="rk4", step=1e-9, max_steps=50)
+        record = next(verify._candidate_records(setup, random.Random(3), 5, (0.0, 1.0), cfg))
+        assert sizes == [3]
+        assert record.status == "singular:max-steps"
 
     def test_attempt_cap_is_kept(self):
         # every trial runs into the pole of omega at t = 0.05; the loop
@@ -455,7 +509,8 @@ class TestTimeDependentRkf45Suite:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports = run_suite(doc)
-        assert [r["rule"] for r in reports] == ["linear", "bernoulli", "hierarchy"]
+        rules = ["linear", "bernoulli", "hierarchy", "riccati-cross-ratio", "bernoulli"]
+        assert [r["rule"] for r in reports] == rules
         assert suite_passed(reports)
         assert all(r["measured"]["trial_count"] == 6 for r in reports)
 

@@ -30,7 +30,7 @@ import sys
 import tempfile
 
 from .hierarchy import generate_member, gl_basis, linear_generators, member_text
-from .integrate import IntegratorConfig, integrate, write_csv
+from .integrate import IntegratorConfig, integrate, rk4_step_count, write_csv
 from .liealg import (
     CapExceeded,
     center_dimension,
@@ -291,6 +291,8 @@ def _cmd_integrate(args) -> int:
             rtol=args.rtol,
             atol=args.atol,
         )
+        if cfg.method == "rk4":
+            rk4_step_count(args.tspan[0], args.tspan[1], cfg.step)
     except ValueError as exc:
         # the message starts with the offending setting, named as its flag
         return _fail(f"--{exc}")

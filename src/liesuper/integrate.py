@@ -191,10 +191,20 @@ def integrate_batch(
     return lockstep(rhs, y0s, t0, t1, cfg)
 
 
+def rk4_step_count(t0: float, t1: float, step: float) -> int:
+    """Steps of the uniform grid from t0 to t1 none of which exceeds
+    ``step``.  Raises ValueError, naming the step, when that count is too
+    large for a float."""
+    count = (t1 - t0) / step
+    if not math.isfinite(count):
+        raise ValueError(f"step {step!r} is too small for the span [{t0!r}, {t1!r}]")
+    return max(1, math.ceil(count - 1e-12))
+
+
 def _rk4_grid(t0: float, t1: float, cfg: IntegratorConfig) -> tuple[list[float], SingularityEvent | None]:
     """The nodes of the uniform grid that at most ``cfg.max_steps`` steps
     reach, and the max-steps event when they end short of t1."""
-    n_steps = max(1, math.ceil((t1 - t0) / cfg.step - 1e-12))
+    n_steps = rk4_step_count(t0, t1, cfg.step)
     steps = min(n_steps, cfg.max_steps)
     grid = [t0] + [t1 if i == n_steps - 1 else t0 + (i + 1) * (t1 - t0) / n_steps for i in range(steps)]
     return grid, SingularityEvent(grid[-1], MAX_STEPS) if steps < n_steps else None

@@ -158,7 +158,8 @@ class StructureConstants:
         if any(b not in range(r) or g not in range(r) for plane in planes for b, g in plane):
             raise ValueError(f"structure constant indices must lie in range({r})")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "planes", tuple({k: Fraction(v) for k, v in plane.items() if v} for plane in planes))
+        planes = tuple({k: v if type(v) is Fraction else Fraction(v) for k, v in plane.items() if v} for plane in planes)
+        object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -191,10 +192,9 @@ def structure_constants(basis: LieBasis) -> StructureConstants:
     for (a, b), coeffs in zip(pairs, solve_in_span(basis.coefficient_rows, brackets)):
         if coeffs is None:
             raise NotClosed(a, b)
-        for g, v in enumerate(coeffs):
-            if v:
-                planes[a][b, g] = v
-                planes[b][a, g] = -v
+        for g, v in coeffs.items():
+            planes[a][b, g] = v
+            planes[b][a, g] = -v
     return StructureConstants(planes)
 
 

@@ -225,9 +225,15 @@ def pinney_system(omega: TimeFunction, c: float) -> GenericRHS:
         # floats or coordinate-major arrays of rows alike; an array t holds
         # each row's own time, and a row gets the coefficient its time gives
         x, p = state
+        # the cube as two products in both branches: numpy's x**3 can differ
+        # from Python's by an ulp, and batched rows must match scalar ones
+        cube = x * x * x
         if t.__class__ is not float and isinstance(t, np.ndarray):
-            return [p, time_rows(pull, t) * x + cval / x**3]
-        return [p, -w(t) ** 2 * x + cval / x**3]
+            return [p, time_rows(pull, t) * x + cval / cube]
+        if isinstance(cube, float) and math.isinf(cube) and math.isfinite(x):
+            # numpy signals this overflow for arrays, and Python's x**3 raises it
+            raise OverflowError("x^3 overflows")
+        return [p, -w(t) ** 2 * x + cval / cube]
 
     return GenericRHS(2, fn, label="pinney")
 

@@ -49,7 +49,15 @@ import numpy as np
 
 from .algebra import Poly
 from .hierarchy import gl_basis, linear_generators, member_lie_generators, member_td_system
-from .integrate import IntegratorConfig, Trajectory, first_integral_drift, integrate, integrate_batch, wronskian
+from .integrate import (
+    IntegratorConfig,
+    Trajectory,
+    first_integral_drift,
+    integrate,
+    integrate_batch,
+    rk4_step_count,
+    wronskian,
+)
 from .liealg import (
     CapExceeded,
     center_dimension,
@@ -685,6 +693,9 @@ def _is_tspan(value) -> bool:
 
 _check_positive = checker(lambda v: is_number(v) and v > 0, "expected a positive number")
 
+_DEFAULT_RK4_STEP = 1e-3
+_DRIFT_METHOD = "rkf45"  # drift items integrate with it unless they name a method
+
 # keys shared by the item kinds, checked wherever they appear
 _ITEM_KEYS = (
     ("trials", check_integer(1)),
@@ -743,6 +754,19 @@ def _check_closure_item(item: dict, path: str, errors: list[str]) -> None:
         check_keys(GENERATOR_KEYS, gens, gens_path, errors)
 
 
+def _check_rk4_grid(item: dict, default_method: str, path: str, errors: list[str]) -> None:
+    """Under RK4, the item's step, given or default, must divide its tspan
+    into a step count a float can hold."""
+    step = item.get("step", _DEFAULT_RK4_STEP)
+    tspan = item.get("tspan")
+    if item.get("method", default_method) != "rk4" or not (_is_tspan(tspan) and is_number(step) and step > 0):
+        return
+    try:
+        rk4_step_count(tspan[0], tspan[1], step)
+    except ValueError as exc:
+        errors.append(f"{path}.step: {exc}")
+
+
 def _check_rule_item(item: dict, path: str, errors: list[str]) -> None:
     rule = lookup(_RULES, item.get("rule"), f"{path}.rule", errors)
     if rule is None:
@@ -750,12 +774,14 @@ def _check_rule_item(item: dict, path: str, errors: list[str]) -> None:
     check_keys(SYSTEM_KINDS[rule.target].params, item, path, errors)
     if item.get("method", rule.methods[0]) not in rule.methods:
         errors.append(f"{path}.method: rule {item['rule']!r} runs only with {', '.join(rule.methods)}")
+    _check_rk4_grid(item, rule.methods[0], path, errors)
 
 
 def _check_drift_item(item: dict, path: str, errors: list[str]) -> None:
     drift = lookup(_DRIFTS, item.get("invariant"), f"{path}.invariant", errors)
     if drift is None:
         return
+    _check_rk4_grid(item, _DRIFT_METHOD, path, errors)
     kind = SYSTEM_KINDS[drift.system]
     dim = kind.dimension(check_keys(kind.params, item, path, errors))
     initial = item.get("initial")
@@ -797,7 +823,7 @@ def _item_cfg(item: dict, default_method: str) -> IntegratorConfig:
     method = item.get("method", default_method)
     return IntegratorConfig(
         method=method,
-        step=item.get("step", 1e-3 if method == "rk4" else None),
+        step=item.get("step", _DEFAULT_RK4_STEP if method == "rk4" else None),
         rtol=item.get("rtol", 1e-10),
         atol=item.get("atol", 1e-12),
     )
@@ -838,7 +864,7 @@ def _run_drift_item(item: dict) -> dict:
         *map(parse_timefn, _kind_params(drift.system, item).values()),
         item["initial"],
         (item["tspan"][0], item["tspan"][1]),
-        _item_cfg(item, "rkf45"),
+        _item_cfg(item, _DRIFT_METHOD),
     )
     return {"measured": {"drift": value}, "pass": value <= float(item["tolerance"])}
 

@@ -56,6 +56,9 @@ CRASH_INPUTS = {
     "cap-string": ("verify", closure_suite(cap="x"), "items[0].cap"),
     "method-euler": ("verify", rule_suite(method="euler"), "items[0].method"),
     "step-negative": ("verify", rule_suite(method="rk4", step=-1), "items[0].step"),
+    # tspan / step overflows a float, so the RK4 grid has no step count
+    "step-subnormal": ("verify", rule_suite(method="rk4", step=1e-320), "items[0].step"),
+    "step-default-span-huge": ("verify", rule_suite(method="rk4", tspan=[0.0, 1e306]), "items[0].step"),
     "drift-initial-string": ("verify", {"items": [dict(DRIFT, initial=["a", 1.0, 2.0, 3.0])]}, "items[0].initial"),
     "seed-items-number": ("verify", {"items": 5}, "suite.items", "--seed", "1"),
     "spec-bernoulli-n-negative": ("integrate", {"kind": "bernoulli", "a": "0", "b": "1", "n": -2}, "system.n"),
@@ -107,6 +110,15 @@ def test_malformed_input_is_an_input_error(case):
     code, out, err = run_cli(command, doc, COMMAND_ARGS[command] + extra)
     assert code == 1
     assert f"error: {path}: " in err
+    assert out == ""
+
+
+def test_integrate_rk4_step_too_small_for_the_span():
+    spec = {"kind": "linear_affine", "a": "1", "b": "0"}
+    args = ["--x0", "1", "--tspan", "0", "1", "--method", "rk4", "--step", "1e-320"]
+    code, out, err = run_cli("integrate", spec, args)
+    assert code == 1
+    assert err.startswith("error: --step 1e-320 ")
     assert out == ""
 
 

@@ -67,6 +67,7 @@ from .superpose import (
 )
 from .systems import SpecError, SystemSpec, build_rhs, parse_system_spec, spec_to_doc
 from .vectorfield import (
+    ExponentLimitError,
     GenericRHS,
     PolyVectorField,
     TDVectorField,

@@ -200,6 +200,12 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
+        if len(self.terms) == 1:
+            # a monomial with coefficient +-1 is raised in one step, so that
+            # x0^3000000000 parses at once; any other power multiplies n times
+            ((exps, c),) = self.terms.items()
+            if abs(c) == 1:
+                return Poly._from_clean(self.arity, {tuple(e * n for e in exps): c**n})
         result = Poly.constant(self.arity, 1)
         for _ in range(n):
             result = result * self

@@ -39,6 +39,7 @@ from .liealg import (
     structure_constants,
 )
 from .systems import SpecError, build_rhs, parse_generators, parse_system_spec, spec_to_doc
+from .vectorfield import ExponentLimitError
 from .verify import default_suite, run_suite, suite_passed, validate_suite
 
 EXIT_OK = 0
@@ -90,6 +91,8 @@ def _cmd_closure(args) -> int:
     except CapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
+    except ExponentLimitError as exc:
+        return _fail(f"generators: {exc}")
     sc = structure_constants(basis)
     doc = {
         "dimension": basis.size,

@@ -64,12 +64,17 @@ class SparseEchelon:
     Rows are keyed by their pivot column; every entry of a stored row sits
     at a column >= its pivot, so a single ascending elimination pass is
     complete.
+
+    With ``keep_dependent``, the elimination steps of every added vector
+    that did not enlarge the span are kept, so that ``combination`` can
+    express it in the earlier vectors without a second elimination.
     """
 
-    def __init__(self):
+    def __init__(self, keep_dependent: bool = False):
         self._rows: dict = {}
         self._pivots: list = []  # ascending
         self._added = 0
+        self._dependent: dict | None = {} if keep_dependent else None
 
     @property
     def rank(self) -> int:
@@ -127,6 +132,8 @@ class SparseEchelon:
         origin = self._added
         self._added += 1
         if not rem:
+            if self._dependent is not None:
+                self._dependent[origin] = steps
             return False
         pivot = min(rem)
         c = _content(rem.values())
@@ -169,6 +176,16 @@ class SparseEchelon:
             for i, c in ints.items():
                 acc[i] = acc.get(i, 0) + m * c
         return acc, den
+
+    def combination(self, index: int) -> tuple[dict, int]:
+        """The ``index``-th added vector of a ``keep_dependent`` echelon as
+        ({added index: int}, denominator): itself if it enlarged the span,
+        else the sum of its elimination steps, over vectors that did.
+        Entries may be zero."""
+        steps = self._dependent.get(index)
+        if steps is None:
+            return {index: 1}, 1
+        return self._sum_rows(steps)
 
     def solve(self, vec: SparseVec) -> dict | None:
         """{added index: coefficient} whose combination of the added

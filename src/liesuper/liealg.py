@@ -7,6 +7,14 @@ of the fields' coefficient vectors), never by sampling, so a finite
 answer is a proof and a ``CapExceeded`` is a certificate that the
 generated algebra has dimension above the cap.
 
+Each pair of basis fields is bracketed once.  ``closure`` adds every
+bracket to one integer echelon as its packed integer sums, so the
+Fraction components of a rejected bracket are never built, and the basis
+it returns carries the table of every bracket: an admitted one is a basis
+element, a rejected one keeps the elimination steps that expressed it.
+``structure_constants`` expands that table; any other basis goes through
+the same pair loop over an echelon seeded with its fields.
+
 Structure constants are stored sparse, as the nonzero entries only; the
 Killing form and the center read them there, and the dense table ``.c``
 is a view built on its first read.
@@ -22,9 +30,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .exactlinalg import (
+from .exactlinalg import (  # solve_in_span: bench/tracing.py patches it here
     SparseEchelon,
     dense_rank,
     determinant,
@@ -56,9 +64,11 @@ class NotClosed(Exception):
 
 
 class LieBasis:
-    """A linearly independent list of polynomial fields on a common space."""
+    """A linearly independent list of polynomial fields on a common space.
+    A basis made by ``closure`` also carries the expansion of every bracket
+    of its fields (``_brackets``), which ``structure_constants`` reads."""
 
-    __slots__ = ("dimension", "fields", "coefficient_rows")
+    __slots__ = ("dimension", "fields", "_brackets")
 
     def __init__(self, fields: Sequence[PolyVectorField], dimension: int | None = None):
         fields = tuple(fields)
@@ -73,12 +83,11 @@ class LieBasis:
             raise ValueError("an empty basis needs an explicit ambient dimension")
         else:
             n = dimension
-        rows = tuple(f.coefficient_vector() for f in fields)
-        if sparse_rank(rows) != len(fields):
+        if independence_rank(fields) != len(fields):
             raise ValueError("basis fields are linearly dependent")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "coefficient_rows", rows)
+        object.__setattr__(self, "_brackets", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("LieBasis is immutable")
@@ -106,13 +115,73 @@ def independence_rank(fields: Sequence[PolyVectorField]) -> int:
     return sparse_rank([f.coefficient_vector() for f in fields])
 
 
+class _Brackets:
+    """Every bracket [Y_a, Y_b], a < b, of a basis, bracketed once.
+
+    One integer echelon (``SparseEchelon(keep_dependent=True)``) receives
+    the basis fields and the brackets as packed integer vectors
+    (``PolyVectorField.integer_vector``), each D times its field.
+    ``sources[t]`` is ``(index, D)`` for the t-th added vector, ``index``
+    being its basis index if it enlarged the span and None otherwise;
+    ``pairs[a, b]`` is the added index of [Y_a, Y_b].  A dependent bracket
+    keeps its elimination steps, so ``coordinates`` reads its expansion in
+    the basis without a second elimination.
+    """
+
+    __slots__ = ("echelon", "sources", "pairs")
+
+    def __init__(self):
+        self.echelon = SparseEchelon(keep_dependent=True)
+        self.sources: list[tuple[int | None, int]] = []
+        self.pairs: dict[tuple[int, int], int] = {}
+
+    def add(self, field: PolyVectorField) -> bool:
+        """Add ``field``; True if it enlarged the span, as the next basis
+        element."""
+        den, vec = field.integer_vector()
+        index = self.echelon.rank
+        new = self.echelon.add(vec)
+        self.sources.append((index if new else None, den))
+        return new
+
+    def bracket_pairs(
+        self, fields: list[PolyVectorField], outside: Callable[[int, int, PolyVectorField], None]
+    ) -> None:
+        """Bracket every pair j < i of ``fields`` once, i ascending, as
+        [Y_j, Y_i]; ``outside(j, i, bracket)`` runs for a bracket that
+        enlarges the span and may append it to ``fields``."""
+        i = 0
+        while i < len(fields):
+            for j in range(i):
+                bracket = lie_bracket(fields[j], fields[i])
+                self.pairs[j, i] = len(self.sources)
+                if self.add(bracket):
+                    outside(j, i, bracket)
+            i += 1
+
+    def coordinates(self, t: int) -> dict[int, Fraction]:
+        """{basis index: coefficient} of the t-th added vector's field."""
+        ints, den = self.echelon.combination(t)
+        den *= self.sources[t][1]
+        out = {}
+        for s, c in ints.items():
+            if c:
+                index, scale = self.sources[s]
+                out[index] = Fraction(c * scale, den)
+        return out
+
+
 def closure(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CAP) -> LieBasis:
     """Basis of the smallest Lie algebra containing the generators.
 
     Every unordered pair of basis fields is bracketed exactly once, in a
     fixed order, and a bracket joins the basis iff it is independent of
-    the current span.  Raises CapExceeded as soon as the basis would grow
-    past ``cap``.
+    the current span; that is decided on the bracket's packed integer
+    sums, so the Fraction components of a rejected bracket are never
+    built.  The returned basis carries every bracket's expansion for
+    ``structure_constants``.  Raises CapExceeded as soon as the basis
+    would grow past ``cap``, and ExponentLimitError for exponents that do
+    not fit packed monomials.
     """
     generators = list(generators)
     if not generators:
@@ -124,26 +193,21 @@ def closure(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CA
         if g.dimension != n:
             raise ValueError("generators must share one dimension")
 
-    ech = SparseEchelon()
+    brackets = _Brackets()
     fields: list[PolyVectorField] = []
 
-    def admit(field: PolyVectorField) -> bool:
-        if not ech.add(field.coefficient_vector()):
-            return False
+    def grow(field: PolyVectorField) -> None:
         if len(fields) == cap:
             raise CapExceeded(cap, cap + 1)
         fields.append(field)
-        return True
 
     for g in generators:
-        admit(g)
-
-    i = 0
-    while i < len(fields):
-        for j in range(i):
-            admit(lie_bracket(fields[j], fields[i]))
-        i += 1
-    return LieBasis(fields, dimension=n)
+        if brackets.add(g):
+            grow(g)
+    brackets.bracket_pairs(fields, lambda j, i, bracket: grow(bracket))
+    basis = LieBasis(fields, dimension=n)
+    object.__setattr__(basis, "_brackets", brackets)
+    return basis
 
 
 class StructureConstants:
@@ -183,16 +247,23 @@ class StructureConstants:
 def structure_constants(basis: LieBasis) -> StructureConstants:
     """Expand every bracket of basis fields in the basis, exactly.
 
+    A basis from ``closure`` carries its brackets' expansions; any other
+    basis gets the same pair loop over an echelon seeded with its fields.
     Raises NotClosed(alpha, beta) if some bracket escapes the span.
     """
-    r = basis.size
-    planes: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(r)]
-    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
-    brackets = [lie_bracket(basis.fields[a], basis.fields[b]).coefficient_vector() for a, b in pairs]
-    for (a, b), coeffs in zip(pairs, solve_in_span(basis.coefficient_rows, brackets)):
-        if coeffs is None:
-            raise NotClosed(a, b)
-        for g, v in coeffs.items():
+    brackets = basis._brackets
+    if brackets is None:
+        brackets = _Brackets()
+        for field in basis.fields:
+            brackets.add(field)
+
+        def outside(j: int, i: int, bracket: PolyVectorField):
+            raise NotClosed(j, i)
+
+        brackets.bracket_pairs(list(basis.fields), outside)
+    planes: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(basis.size)]
+    for (a, b), t in brackets.pairs.items():
+        for g, v in brackets.coordinates(t).items():
             planes[a][b, g] = v
             planes[b][a, g] = -v
     return StructureConstants(planes)
@@ -202,23 +273,25 @@ def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
     """K[a][b] = sum_{g,d} c[a][g][d] * c[b][d][g], exact and symmetric.
 
     Each plane's nonzero entries are taken as integer numerators over the
-    table's common denominator D, and K[a][b] sums only over the nonzero
-    (g, d) of plane a whose transposed (d, g) entry of plane b is nonzero.
+    table's common denominator D and indexed once by their transposed key,
+    (g, d) -> [(b, c[b][d][g])]; K[a][b] then sums only over the entries
+    of plane a that meet a nonzero entry of plane b.
     """
     r = sc.r
     den = lcm(1, *(v.denominator for plane in sc.planes for v in plane.values()))
     planes = [{k: v.numerator * (den // v.denominator) for k, v in plane.items()} for plane in sc.planes]
+    transposed: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for b, plane in enumerate(planes):
+        for (d, g), w in plane.items():
+            transposed.setdefault((g, d), []).append((b, w))
     K = [[_ZERO] * r for _ in range(r)]
     for a in range(r):
-        entries = planes[a].items()
+        acc = [0] * r
+        for key, v in planes[a].items():
+            for b, w in transposed.get(key, ()):
+                acc[b] += v * w
         for b in range(a, r):
-            other = planes[b]
-            acc = 0
-            for (g, d), v in entries:
-                w = other.get((d, g))
-                if w:
-                    acc += v * w
-            K[a][b] = K[b][a] = Fraction(acc, den * den)
+            K[a][b] = K[b][a] = Fraction(acc[b], den * den)
     return K
 
 

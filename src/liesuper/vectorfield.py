@@ -1,12 +1,23 @@
 """Polynomial vector fields, their Lie brackets, and time-dependent systems.
 
 A ``PolyVectorField`` on R^n holds one Poly per coordinate.  ``lie_bracket``
-computes [X, Y] in one pass: each field keeps (built once, on first use)
-its components and their partial derivatives as integer numerators over
-one denominator per field, the lcm of its coefficient denominators; each
-bracket component is summed as integers in one dict and becomes a
-Fraction once per surviving term.  Time-dependent systems come in two
-shapes:
+computes [X, Y] in one pass over integer forms: each field keeps (built
+once, on first use) its components and their partial derivatives as
+integer numerators over one denominator per field, the lcm of its
+coefficient denominators, with each monomial packed into one int
+(Kronecker substitution): the exponent of x_j sits in a 32-bit field at
+bit 32*j, so a product of monomials is one integer addition and a partial
+derivative in x_j subtracts ``1 << 32*j``.  An exponent above
+``EXPONENT_LIMIT`` = 2^32 - 1 does not fit: packing such a field, or
+bracketing two fields whose largest exponents add up past it, raises
+``ExponentLimitError``.  Each bracket component is summed as integers in
+one dict keyed by packed monomials, and the result keeps these sums over
+the denominator D_X * D_Y: its Fraction ``components`` are built on their
+first read (``closure`` decides independence on the sums alone and never
+reads the components of a bracket it rejects), with the same terms in
+the same insertion order as an eager build.
+
+Time-dependent systems come in two shapes:
 
 * ``TDVectorField`` -- a sum of (time function) * (autonomous polynomial
   field) terms.  This decomposed storage is what makes minimal-Lie-algebra
@@ -26,8 +37,7 @@ spaces into one system on the product space.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import gcd, lcm
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -38,10 +48,38 @@ from .parsing import TimeConstant, TimeFunction, define_function, float_literal
 State = Sequence[float]
 
 
-class PolyVectorField:
-    """An autonomous vector field on R^n with polynomial components."""
+EXPONENT_BITS = 32
+EXPONENT_LIMIT = (1 << EXPONENT_BITS) - 1
+"""The largest exponent of one variable that a packed monomial key holds."""
 
-    __slots__ = ("dimension", "components", "_integer")
+
+class ExponentLimitError(ValueError):
+    """A monomial exponent does not fit the packed keys of ``lie_bracket``."""
+
+    def __init__(self, exponent: int):
+        super().__init__(
+            f"exponent {exponent} is above the packed monomial limit {EXPONENT_LIMIT} (2^{EXPONENT_BITS} - 1)"
+        )
+        self.exponent = exponent
+
+
+def _shifts(n: int) -> range:
+    """The bit offset of each variable's exponent in a packed monomial."""
+    return range(0, EXPONENT_BITS * n, EXPONENT_BITS)
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple((key >> shift) & EXPONENT_LIMIT for shift in _shifts(n))
+
+
+class PolyVectorField:
+    """An autonomous vector field on R^n with polynomial components.
+
+    A field made by ``lie_bracket`` starts as integer sums keyed by packed
+    monomials (``_sums``) and builds its Fraction ``components`` on their
+    first read."""
+
+    __slots__ = ("dimension", "_components", "_integer", "_sums")
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -52,11 +90,35 @@ class PolyVectorField:
             if p.arity != n:
                 raise ValueError(f"component arity {p.arity} does not match dimension {n}")
         object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_components", components)
         object.__setattr__(self, "_integer", None)
+        object.__setattr__(self, "_sums", None)
+
+    @classmethod
+    def _from_sums(cls, n: int, den: int, sums: list[dict]) -> PolyVectorField:
+        """The field whose component i is ``sum(v * x^unpack(k)) / den`` over
+        ``sums[i]``, a dict {packed monomial: int} that may hold zeros."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "dimension", n)
+        object.__setattr__(field, "_components", None)
+        object.__setattr__(field, "_integer", None)
+        object.__setattr__(field, "_sums", (den, sums))
+        return field
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyVectorField is immutable")
+
+    @property
+    def components(self) -> tuple[Poly, ...]:
+        comps = self._components
+        if comps is None:
+            n = self.dimension
+            den, sums = self._sums
+            comps = tuple(
+                Poly._from_clean(n, {_unpack(k, n): Fraction(v, den) for k, v in acc.items() if v}) for acc in sums
+            )
+            object.__setattr__(self, "_components", comps)
+        return comps
 
     @classmethod
     def zero(cls, dimension: int) -> PolyVectorField:
@@ -109,30 +171,57 @@ class PolyVectorField:
                 out[(i, exps)] = c
         return out
 
-    def _integer_form(self) -> tuple[int, list, list]:
-        """``(D, terms, partials)``: D is the lcm of every coefficient
-        denominator, ``terms[i]`` lists the ``(exponents, numerator)`` pairs
-        of D times component i, and ``partials[i][j]`` those of D times its
-        derivative in x_j.  Built on first use and kept."""
+    def integer_vector(self) -> tuple[int, dict[int, int]]:
+        """``(D, vec)`` with ``vec`` D times the coefficient vector, keyed by
+        ``packed monomial * n + component``: what ``closure`` eliminates.
+        A bracket gives its own sums over D = D_X * D_Y, read without
+        building its components."""
+        n = self.dimension
+        if self._sums is not None:
+            den, sums = self._sums
+            return den, {k * n + i: v for i, acc in enumerate(sums) for k, v in acc.items() if v}
+        den, terms, _, _ = self._integer_form()
+        return den, {k * n + i: v for i, comp in enumerate(terms) for k, v in comp}
+
+    def _integer_form(self) -> tuple[int, list, list, int]:
+        """``(D, terms, partials, top)``: D is the lcm of every coefficient
+        denominator, ``terms[i]`` lists the ``(packed monomial, numerator)``
+        pairs of D times component i, ``partials[i][j]`` those of D times
+        its derivative in x_j, and ``top`` is the largest exponent of any
+        variable.  Built on first use and kept; a bracket's is read off its
+        sums, so its components are never built for it."""
         form = self._integer
         if form is None:
-            den = 1
-            for p in self.components:
-                for c in p.terms.values():
-                    den = lcm(den, c.denominator)
-            terms = [
-                [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-                for p in self.components
-            ]
+            n = self.dimension
+            if self._sums is not None:
+                den, sums = self._sums
+                g = gcd(den, *(v for acc in sums for v in acc.values()))
+                terms = [[(k, v // g) for k, v in acc.items() if v] for acc in sums]
+                den //= g
+            else:
+                den = lcm(1, *(c.denominator for p in self.components for c in p.terms.values()))
+                terms = []
+                for p in self.components:
+                    comp = []
+                    for e, c in p.terms.items():
+                        if max(e, default=0) > EXPONENT_LIMIT:
+                            raise ExponentLimitError(max(e))
+                        key = sum(k << shift for shift, k in zip(_shifts(n), e))
+                        comp.append((key, c.numerator * (den // c.denominator)))
+                    terms.append(comp)
+            top = 0
             partials = []
             for comp in terms:
-                rows: list[list] = [[] for _ in range(self.dimension)]
-                for e, v in comp:
-                    for j, k in enumerate(e):
+                rows: list[list] = [[] for _ in range(n)]
+                for key, v in comp:
+                    for j, shift in enumerate(_shifts(n)):
+                        k = (key >> shift) & EXPONENT_LIMIT
                         if k:
-                            rows[j].append((e[:j] + (k - 1,) + e[j + 1 :], v * k))
+                            rows[j].append((key - (1 << shift), v * k))
+                            if k > top:
+                                top = k
                 partials.append(rows)
-            form = (den, terms, partials)
+            form = (den, terms, partials, top)
             object.__setattr__(self, "_integer", form)
         return form
 
@@ -147,30 +236,34 @@ class PolyVectorField:
 def lie_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     """Exact commutator [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i).
 
-    Each component is summed in one dict of integers, from the two fields'
-    integer forms, and divided by D_X * D_Y once per surviving term.
+    Each component is summed in one dict of integers keyed by packed
+    monomials, from the two fields' integer forms; the result holds these
+    sums over D_X * D_Y and builds its Fraction components on first read.
+    Raises ExponentLimitError, before any work, when the two fields'
+    largest exponents add up past ``EXPONENT_LIMIT``.
     """
     if x.dimension != y.dimension:
         raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")
     n = x.dimension
-    dx, xterms, xpartials = x._integer_form()
-    dy, yterms, ypartials = y._integer_form()
-    den = dx * dy
-    comps = []
+    dx, xterms, xpartials, xtop = x._integer_form()
+    dy, yterms, ypartials, ytop = y._integer_form()
+    if xtop + ytop > EXPONENT_LIMIT:
+        raise ExponentLimitError(xtop + ytop)
+    sums = []
     for i in range(n):
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for j in range(n):
             for ea, va in xterms[j]:
                 for eb, vb in ypartials[i][j]:
-                    key = tuple(map(add, ea, eb))
+                    key = ea + eb
                     acc[key] = get(key, 0) + va * vb
             for ea, va in yterms[j]:
                 for eb, vb in xpartials[i][j]:
-                    key = tuple(map(add, ea, eb))
+                    key = ea + eb
                     acc[key] = get(key, 0) - va * vb
-        comps.append(Poly._from_clean(n, {e: Fraction(v, den) for e, v in acc.items() if v}))
-    return PolyVectorField(comps)
+        sums.append(acc)
+    return PolyVectorField._from_sums(n, dx * dy, sums)
 
 
 def diagonal_prolong(x: PolyVectorField, copies: int) -> PolyVectorField:

@@ -94,6 +94,7 @@ from .systems import (
 )
 from .vectorfield import (
     AnyRHS,
+    ExponentLimitError,
     PolyVectorField,
     TDVectorField,
     diagonal_prolong,
@@ -934,6 +935,8 @@ def run_suite(doc: dict) -> list[dict]:
             result.update(_ITEM_KINDS[item["kind"]].run(item))
         except (RuntimeError, SuperpositionError, CapExceeded) as exc:
             result.update({"measured": {"error": str(exc)}, "pass": False})
+        except ExponentLimitError as exc:
+            result.update({"measured": {"error": f"items[{i}]: {exc}"}, "pass": False})
         reports.append(result)
     return reports
 

@@ -48,3 +48,10 @@ def test_closure_golden(golden, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["closure", str(path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_closure_golden_of_scaled_member5(capsys):
+    """member(5) scaled by 3/7, dimension 24, from the committed generators file."""
+    data = pathlib.Path(__file__).parent / "data" / "closure_member5_scaled_generators.json"
+    assert main(["closure", str(data)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "closure_member5_scaled.json").read_text()

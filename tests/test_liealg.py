@@ -176,6 +176,85 @@ class TestStructureConstants:
                             assert total == 0
 
 
+# affine fields (degree <= 1) in up to three variables, and fields of
+# degree <= 2 on the line, close within aff(3) and sl(2): finite closures
+COEFFS = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-2, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def finite_families(draw):
+    n = draw(st.integers(1, 3))
+    degree = 2 if n == 1 else 1
+    monomials = [e for e in [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]]
+    if degree == 2:
+        monomials.append((2,))
+
+    def field():
+        return PolyVectorField([Poly(n, {e: draw(COEFFS) for e in monomials}) for _ in range(n)])
+
+    gens = [field() for _ in range(draw(st.integers(1, 4)))]
+    # duplicates, scaled copies and sums are dependent generators
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["duplicate", "scaled", "sum", "zero"]))
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        extra = {"duplicate": a, "scaled": a * Fraction(-5, 3), "sum": a + b, "zero": PolyVectorField.zero(n)}[kind]
+        gens.insert(draw(st.integers(0, len(gens))), extra)
+    return gens
+
+
+class TestBracketOnce:
+    @settings(max_examples=40, deadline=None)
+    @given(finite_families())
+    def test_closure_table_equals_the_hand_built_pass(self, gens):
+        basis = closure(gens)
+        sc = structure_constants(basis)
+        assert sc.planes == structure_constants(LieBasis(basis.fields, dimension=basis.dimension)).planes
+        # the table expands every bracket exactly
+        fields = basis.fields
+        for a in range(sc.r):
+            for b in range(a + 1, sc.r):
+                expanded = PolyVectorField.zero(basis.dimension)
+                for (beta, g), v in sc.planes[a].items():
+                    if beta == b:
+                        expanded = expanded + fields[g] * v
+                assert expanded == lie_bracket(fields[a], fields[b])
+
+    def test_zero_brackets_give_an_empty_table(self):
+        sc = structure_constants(closure([VF("1", "0"), VF("0", "1"), VF("2", "-3")]))
+        assert sc.r == 2 and sc.planes == ({}, {})
+
+    def test_structure_constants_of_a_closure_bracket_nothing(self, monkeypatch):
+        from liesuper import liealg
+        from liesuper.hierarchy import member_lie_generators
+
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return lie_bracket(x, y)
+
+        monkeypatch.setattr(liealg, "lie_bracket", counted)
+        basis = closure([f * Fraction(2, 3) for f in member_lie_generators(3)])
+        r = basis.size
+        assert len(calls) == r * (r - 1) // 2
+        sc = structure_constants(basis)
+        assert len(calls) == r * (r - 1) // 2
+        assert sc.planes == structure_constants(LieBasis(basis.fields)).planes
+        assert len(calls) == r * (r - 1)
+
+    def test_not_closed_names_an_escaping_pair(self):
+        fields = [VF("1", "0"), VF("x1", "0"), VF("0", "1"), VF("0", "x0")]
+        with pytest.raises(NotClosed) as info:
+            structure_constants(LieBasis(fields))
+        a, b = info.value.alpha, info.value.beta
+        assert independence_rank(fields + [lie_bracket(fields[a], fields[b])]) == len(fields) + 1
+
+
 def ad_matrix(sc, a):
     return [[sc.c[a][b][g] for b in range(sc.r)] for g in range(sc.r)]
 

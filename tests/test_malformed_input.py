@@ -47,6 +47,8 @@ DRIFT = {
 
 DEEP = "(" * 3000 + "t" + ")" * 3000  # deeper than the recursion limit
 
+BIG_EXPONENTS = {"dim": 1, "fields": [["x0^3000000000"], ["x0^2000000000"]]}
+
 # (command, document, the path the error must name, extra arguments...)
 CRASH_INPUTS = {
     "tolerance-string": ("verify", rule_suite(tolerance="abc"), "items[0].tolerance"),
@@ -63,6 +65,9 @@ CRASH_INPUTS = {
     "seed-items-number": ("verify", {"items": 5}, "suite.items", "--seed", "1"),
     "spec-bernoulli-n-negative": ("integrate", {"kind": "bernoulli", "a": "0", "b": "1", "n": -2}, "system.n"),
     "generators-field-number": ("closure", {"dim": 1, "fields": [[3]]}, "generators.fields[0][0]"),
+    # exponents that do not fit the packed monomial keys of a bracket
+    "generators-bracket-past-exponent-limit": ("closure", BIG_EXPONENTS, "generators"),
+    "generators-past-exponent-limit": ("closure", {"dim": 1, "fields": [["x0^5000000000"]]}, "generators"),
     "timefn-too-deep": ("integrate", {"kind": "oscillator", "omega": DEEP}, "system.omega"),
     "report-list": ("report", [], "report"),
     "report-string": ("report", "s", "report"),
@@ -120,6 +125,27 @@ def test_integrate_rk4_step_too_small_for_the_span():
     assert code == 1
     assert err.startswith("error: --step 1e-320 ")
     assert out == ""
+
+
+def test_exponent_limit_error_names_the_limit():
+    code, out, err = run_cli("closure", BIG_EXPONENTS)
+    assert code == 1 and out == ""
+    assert err == "error: generators: exponent 5000000000 is above the packed monomial limit 4294967295 (2^32 - 1)\n"
+
+
+def test_exponent_limit_in_a_suite_item_is_its_measured_error():
+    doc = {"items": closure_suite()["items"] + closure_suite(generators=BIG_EXPONENTS)["items"]}
+    code, out, err = run_cli("verify", doc)
+    report = json.loads(out)
+    assert code == 3 and err == ""
+    assert report["items"][0]["pass"] is True
+    assert report["items"][1]["pass"] is False
+    assert report["items"][1]["measured"]["error"].startswith("items[1]: exponent 5000000000 is above the packed")
+
+
+def test_high_exponents_below_the_limit_still_reach_the_cap():
+    code, out, err = run_cli("closure", {"dim": 1, "fields": [["1"], ["x0^40000"]]}, ["--cap", "3"])
+    assert (code, out, err) == (2, "", "cap exceeded at dimension 4\n")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 import struct
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from liesuper.algebra import Poly
 from liesuper.parsing import parse_poly, parse_timefn
 from liesuper.vectorfield import (
+    EXPONENT_LIMIT,
+    ExponentLimitError,
     GenericRHS,
     PolyVectorField,
     TDVectorField,
@@ -128,6 +131,72 @@ def test_lie_bracket_matches_sympy(pair):
             assert type(c) is Fraction and c != 0
             assert len(exps) == n and all(type(e) is int for e in exps)
     assert lie_bracket(y, x) == -bracket
+
+
+def tuple_keyed_bracket(x, y):
+    """[X, Y] summed term by term in dicts keyed by exponent tuples, in the
+    visiting order of ``lie_bracket``: the reference for its packed keys."""
+    n = x.dimension
+
+    def integer_form(field):
+        den = lcm(1, *(c.denominator for p in field.components for c in p.terms.values()))
+        terms = [[(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()] for p in field.components]
+        partials = [
+            [[(e[:j] + (e[j] - 1,) + e[j + 1 :], v * e[j]) for e, v in comp if e[j]] for j in range(n)]
+            for comp in terms
+        ]
+        return den, terms, partials
+
+    dx, xterms, xpartials = integer_form(x)
+    dy, yterms, ypartials = integer_form(y)
+    comps = []
+    for i in range(n):
+        acc = {}
+        for j in range(n):
+            for ea, va in xterms[j]:
+                for eb, vb in ypartials[i][j]:
+                    key = tuple(a + b for a, b in zip(ea, eb))
+                    acc[key] = acc.get(key, 0) + va * vb
+            for ea, va in yterms[j]:
+                for eb, vb in xpartials[i][j]:
+                    key = tuple(a + b for a, b in zip(ea, eb))
+                    acc[key] = acc.get(key, 0) - va * vb
+        comps.append(Poly._from_clean(n, {e: Fraction(v, dx * dy) for e, v in acc.items() if v}))
+    return PolyVectorField(comps)
+
+
+@st.composite
+def high_degree_fields(draw, n):
+    monomials = st.tuples(*[st.integers(0, 40)] * n)
+    return PolyVectorField([Poly(n, draw(st.dictionaries(monomials, COEFFS, max_size=4))) for _ in range(n)])
+
+
+class TestPackedBracket:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[high_degree_fields(n)] * 3)))
+    def test_components_equal_the_tuple_keyed_sum_in_order(self, fields):
+        x, y, z = fields
+        expected = tuple_keyed_bracket(x, y)
+        bracket = lie_bracket(x, y)
+        assert [list(p.terms.items()) for p in bracket.components] == [
+            list(p.terms.items()) for p in expected.components
+        ]
+        # a bracket of a bracket packs from the first bracket's integer sums
+        nested = lie_bracket(lie_bracket(x, y), z)
+        assert [list(p.terms.items()) for p in nested.components] == [
+            list(p.terms.items()) for p in tuple_keyed_bracket(expected, z).components
+        ]
+
+    def test_exponents_at_the_limit_fit(self):
+        top = VF(f"x0^{EXPONENT_LIMIT}")
+        assert lie_bracket(VF("1"), top) == VF(f"{EXPONENT_LIMIT}*x0^{EXPONENT_LIMIT - 1}")
+
+    def test_exponents_past_the_limit_raise(self):
+        with pytest.raises(ExponentLimitError, match="4294967295"):
+            lie_bracket(VF("x0^3000000000"), VF("x0^2000000000"))
+        with pytest.raises(ExponentLimitError):
+            lie_bracket(VF("1", "0"), VF("0", f"x1^{EXPONENT_LIMIT + 1}"))
+        assert issubclass(ExponentLimitError, ValueError)
 
 
 class TestDiagonalProlong:

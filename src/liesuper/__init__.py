@@ -68,13 +68,10 @@ from .superpose import (
 from .systems import SpecError, SystemSpec, build_rhs, parse_system_spec, spec_to_doc
 from .vectorfield import (
     ExponentLimitError,
-    GenericRHS,
     PolyVectorField,
     TDVectorField,
     diagonal_prolong,
     direct_product,
-    eval_rhs,
-    join_rhs,
     lie_bracket,
 )
 from .verify import (

@@ -6,7 +6,11 @@ Two polynomial flavours back the rest of the library:
   ``fractions.Fraction`` coefficients, stored sparsely as a mapping from
   exponent tuples (one entry per variable) to coefficients.  The zero
   polynomial stores no terms.  All arithmetic prunes zero coefficients,
-  so two polynomials are equal iff their term maps are.
+  so two polynomials are equal iff their term maps are.  An exponent may
+  be negative (a Laurent polynomial, such as the c/x^3 of the Pinney
+  equation): +, -, * and partial derivatives stay exact, ``evaluate``
+  raises ZeroDivisionError at a zero coordinate of such a term, and
+  ``to_text`` writes ``x0^-3`` (which ``parsing.parse_poly`` does not read).
 
 * ``DiffPoly`` -- differential polynomials in one dependent variable and
   its derivatives y0, y1, y2, ... (y0 is the variable itself, y1 its first
@@ -92,8 +96,6 @@ class Poly:
                 key = tuple(int(e) for e in exps)
                 if len(key) != arity:
                     raise ValueError(f"exponent tuple {key} does not match arity {arity}")
-                if any(e < 0 for e in key):
-                    raise ValueError(f"negative exponent in {key}")
                 clean[key] = c
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
@@ -198,17 +200,21 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
+        """``self`` to a non-negative integer power, by repeated squaring
+        (about 2 log2(n) products, so the time follows the size of the
+        result).  The product of a sum's terms is the same polynomial in
+        any grouping, but its terms may be listed in another order than n
+        successive products would list them."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        if len(self.terms) == 1:
-            # a monomial with coefficient +-1 is raised in one step, so that
-            # x0^3000000000 parses at once; any other power multiplies n times
-            ((exps, c),) = self.terms.items()
-            if abs(c) == 1:
-                return Poly._from_clean(self.arity, {tuple(e * n for e in exps): c**n})
         result = Poly.constant(self.arity, 1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

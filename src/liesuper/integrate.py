@@ -16,20 +16,27 @@ or 'singular' with an event recording the estimated time and trigger
 
 The returned grid is the accepted steps; there is no dense interpolation.
 
+The right-hand side is anything with a ``dimension`` and an
+``evaluate(t, state)``, as ``TDVectorField`` has: on a point (a list of
+floats) it returns a sequence of floats, and on a (dim, rows) float
+ndarray block, one state per column, the (dim, rows) float ndarray of
+their values.
+
 ``integrate_batch`` integrates many initial states of one system in
-lockstep, as one (dim, rows) block (every operation acts on all rows at
-once, see Hairer, Norsett and Wanner, *Solving ODEs I*), so the
-right-hand side must accept a coordinate-major state whose coordinates
-are 1-D arrays of rows.  RK4 rows share the uniform grid.  RKF45 rows
-keep their own time, step size, attempt count and grid: an attempt runs
-the Fehlberg stages on the block at the 1-D array of per-row times (which
-the right-hand side must accept as ``t``), with the scalar attempt's
-float operations in its order, and each row's own step control then
-accepts or rejects its step; fewer than three rows finish one by one,
-since a block attempt costs about as much as three scalar ones.
+lockstep, as one such block (every operation acts on all rows at once,
+see Hairer, Norsett and Wanner, *Solving ODEs I*).  RK4 rows share the
+uniform grid.  RKF45 rows keep their own time, step size, attempt count
+and grid: an attempt runs the Fehlberg stages on the block at the 1-D
+array of per-row times (which the right-hand side must accept as ``t``),
+with the scalar attempt's float operations in its order, and each row's
+own step control then accepts or rejects its step; fewer than three rows
+finish one by one, since a block attempt costs about as much as three
+scalar ones.
 
 A row leaves the block with the event that ``integrate`` gives it alone:
-a step in which the block's arithmetic raises or signals a floating-point
+an RK4 step that raised no floating-point signal and stays within the
+overflow bound (a NaN fails that test) is kept at once; any other step
+in which the block's arithmetic raises or signals a floating-point
 error is replayed row by row with the scalar step, as is an RKF45 row
 whose attempt comes out non-finite, and a row whose step overflows
 leaves at its end.  Rows agree with ``integrate`` to rounding on RK4's
@@ -43,16 +50,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
-
-from .vectorfield import AnyRHS
 
 STATE_OVERFLOW = "state-overflow"
 STEP_UNDERFLOW = "step-underflow"
 RHS_ERROR = "rhs-error"
 MAX_STEPS = "max-steps"
+
+
+class RHS(Protocol):
+    """What the integrators read of a right-hand side (see the module
+    docstring for the shapes of ``evaluate``)."""
+
+    dimension: int
+
+    def evaluate(self, t, state): ...
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,7 @@ class _RhsFailure(Exception):
     pass
 
 
-def _guarded_eval(rhs: AnyRHS, t: float, y: list[float]) -> list[float]:
+def _guarded_eval(rhs: RHS, t: float, y: list[float]) -> list[float]:
     try:
         out = rhs.evaluate(t, y)
     except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError) as exc:
@@ -162,14 +176,14 @@ def _checked_span(tspan: tuple[float, float]) -> tuple[float, float]:
     return t0, t1
 
 
-def _initial_state(rhs: AnyRHS, x0: Sequence[float]) -> list[float]:
+def _initial_state(rhs: RHS, x0: Sequence[float]) -> list[float]:
     y0 = [float(v) for v in x0]
     if len(y0) != rhs.dimension:
         raise ValueError(f"initial state of length {len(y0)} for dimension {rhs.dimension}")
     return y0
 
 
-def integrate(rhs: AnyRHS, x0: Sequence[float], tspan: tuple[float, float], cfg: IntegratorConfig) -> Trajectory:
+def integrate(rhs: RHS, x0: Sequence[float], tspan: tuple[float, float], cfg: IntegratorConfig) -> Trajectory:
     """Integrate from tspan[0] to tspan[1]; failures land in the status."""
     t0, t1 = _checked_span(tspan)
     y0 = _initial_state(rhs, x0)
@@ -179,7 +193,7 @@ def integrate(rhs: AnyRHS, x0: Sequence[float], tspan: tuple[float, float], cfg:
 
 
 def integrate_batch(
-    rhs: AnyRHS, x0s: Sequence[Sequence[float]], tspan: tuple[float, float], cfg: IntegratorConfig
+    rhs: RHS, x0s: Sequence[Sequence[float]], tspan: tuple[float, float], cfg: IntegratorConfig
 ) -> list[Trajectory]:
     """One trajectory per initial state, each with the status and event
     ``integrate`` gives it; two or more states run in lockstep."""
@@ -236,15 +250,6 @@ def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
     return _finish(grid, states, "completed" if end is None else "singular", end, meta)
 
 
-def _eval_block(rhs, t: float, y: np.ndarray) -> np.ndarray:
-    """The right-hand side on a (dim, rows) block, as a (dim, rows) block
-    (a component may come back as one float for all rows)."""
-    k = np.empty_like(y)
-    for row, value in zip(k, rhs.evaluate(t, y), strict=True):
-        row[...] = value
-    return k
-
-
 def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     grid, end = _rk4_grid(t0, t1, cfg)
     times = np.array(grid, dtype=float)
@@ -270,13 +275,18 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             dt = t_next - t
             signals.clear()
             try:
-                k1 = _eval_block(rhs, t, y)
-                k2 = _eval_block(rhs, t + dt / 2, y + dt / 2 * k1)
-                k3 = _eval_block(rhs, t + dt / 2, y + dt / 2 * k2)
-                k4 = _eval_block(rhs, t + dt, y + dt * k3)
+                k1 = rhs.evaluate(t, y)
+                k2 = rhs.evaluate(t + dt / 2, y + dt / 2 * k1)
+                k3 = rhs.evaluate(t + dt / 2, y + dt / 2 * k2)
+                k4 = rhs.evaluate(t + dt, y + dt * k3)
                 y_next = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
                 signals.append("raised")
+            # the common step: no signal, every row finite and in bounds
+            if not signals and np.abs(y_next).max() <= cfg.overflow:
+                history[live, i + 1] = y_next.T
+                y = y_next
+                continue
             if signals:
                 # replay the step row by row: the scalar step knows which
                 # rows raise and which merely pass through inf or nan
@@ -445,9 +455,9 @@ def _integrate_rkf45_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             h = np.array([row.h for row in live])
             signals.clear()
             try:
-                k = [_eval_block(rhs, t, y)]
+                k = [rhs.evaluate(t, y)]
                 for stage in range(1, 6):
-                    k.append(_eval_block(rhs, t + _C[stage] * h, y + h * _block_sum(_A[stage], k)))
+                    k.append(rhs.evaluate(t + _C[stage] * h, y + h * _block_sum(_A[stage], k)))
                 y5 = y + h * _block_sum(_B5, k)
                 e = h * _block_sum(_ERR, k)
                 scale = cfg.atol + cfg.rtol * np.fmax(np.abs(y), np.abs(y5))

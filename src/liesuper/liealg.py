@@ -269,6 +269,13 @@ def structure_constants(basis: LieBasis) -> StructureConstants:
     return StructureConstants(planes)
 
 
+def _integer_planes(sc: StructureConstants) -> tuple[int, list[dict[tuple[int, int], int]]]:
+    """``(D, planes)``: D the lcm of every constant's denominator, and each
+    plane's nonzero entries as integer numerators over D."""
+    den = lcm(1, *(v.denominator for plane in sc.planes for v in plane.values()))
+    return den, [{k: v.numerator * (den // v.denominator) for k, v in plane.items()} for plane in sc.planes]
+
+
 def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
     """K[a][b] = sum_{g,d} c[a][g][d] * c[b][d][g], exact and symmetric.
 
@@ -278,8 +285,7 @@ def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
     of plane a that meet a nonzero entry of plane b.
     """
     r = sc.r
-    den = lcm(1, *(v.denominator for plane in sc.planes for v in plane.values()))
-    planes = [{k: v.numerator * (den // v.denominator) for k, v in plane.items()} for plane in sc.planes]
+    den, planes = _integer_planes(sc)
     transposed: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for b, plane in enumerate(planes):
         for (d, g), w in plane.items():
@@ -302,9 +308,11 @@ def killing_determinant(sc: StructureConstants) -> Fraction:
 def center_dimension(sc: StructureConstants) -> int:
     """Dimension of {v : [v, Y_b] = 0 for all b} via an exact nullspace:
     r minus the rank of the rows (b, g), each {a: c[a][b][g]} over its
-    nonzero entries only.  Equal rows are eliminated once."""
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, plane in enumerate(sc.planes):
+    nonzero entries only, as integer numerators over the table's common
+    denominator (which leaves the rank as it is).  Equal rows are
+    eliminated once."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for a, plane in enumerate(_integer_planes(sc)[1]):
         for key, v in plane.items():
             rows.setdefault(key, {})[a] = v
     distinct = {tuple(row.items()): row for row in rows.values()}

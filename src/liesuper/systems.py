@@ -4,6 +4,9 @@ A spec is a JSON object with a ``kind`` and all of that kind's parameters.
 ``SYSTEM_KINDS`` is the one description of each kind: its parameters with
 their checkers, its state dimension and its builder.  The suite's rules
 and drift checks name one of these kinds and take exactly its parameters.
+Every kind builds a ``TDVectorField`` (the pinney kind's c/x^3 is a
+Laurent term), whose ``evaluate`` takes a point or a (dim, rows) ndarray
+block of states and returns a list or a (dim, rows) ndarray.
 
 kind                 parameters   system                                      dim
 linear_homogeneous   order, b     x^(order) = -sum_l b_l(t) x^(l), companion  order
@@ -32,14 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .algebra import Poly
 from .hierarchy import LinearODESpec, companion_linear_system, member_td_system
 from .parsing import ParseError, TimeFunction, TimePower, parse_poly, parse_timefn
-from .vectorfield import AnyRHS, GenericRHS, PolyVectorField, TDVectorField, time_rows
+from .vectorfield import PolyVectorField, TDVectorField
 
 # (value, path, params, errors) -> the normalized value, or None after
 # appending a "path: message" error; params holds the already checked
@@ -213,29 +215,14 @@ def oscillator_system(omega: TimeFunction) -> TDVectorField:
     return TDVectorField([(TimeFunction.constant(1), drift), (TimePower(omega, 2), pull)])
 
 
-def pinney_system(omega: TimeFunction, c: float) -> GenericRHS:
-    """x' = p, p' = -omega^2(t) x + c/x^3 on the half-plane x > 0."""
-    cval = float(c)
-    w = omega.compile()
-
-    def pull(t: float) -> float:
-        return -w(t) ** 2
-
-    def fn(t: float | np.ndarray, state: Sequence[float]) -> list[float]:
-        # floats or coordinate-major arrays of rows alike; an array t holds
-        # each row's own time, and a row gets the coefficient its time gives
-        x, p = state
-        # the cube as two products in both branches: numpy's x**3 can differ
-        # from Python's by an ulp, and batched rows must match scalar ones
-        cube = x * x * x
-        if t.__class__ is not float and isinstance(t, np.ndarray):
-            return [p, time_rows(pull, t) * x + cval / cube]
-        if isinstance(cube, float) and math.isinf(cube) and math.isfinite(x):
-            # numpy signals this overflow for arrays, and Python's x**3 raises it
-            raise OverflowError("x^3 overflows")
-        return [p, -w(t) ** 2 * x + cval / cube]
-
-    return GenericRHS(2, fn, label="pinney")
+def pinney_system(omega: TimeFunction, c: float) -> TDVectorField:
+    """x' = p, p' = -omega^2(t) x + c/x^3 on the half-plane x > 0, in
+    decomposed form: c/x^3 is a Laurent monomial, with c the float's exact
+    Fraction, and the compiled field computes it as c / (x * x * x)."""
+    x, p = Poly.variable(2, 0), Poly.variable(2, 1)
+    drift = PolyVectorField([p, Poly.monomial(2, (-3, 0), Fraction(c))])
+    pull = PolyVectorField([Poly.zero(2), -x])
+    return TDVectorField([(TimeFunction.constant(1), drift), (TimePower(omega, 2), pull)])
 
 
 @dataclass(frozen=True)
@@ -245,7 +232,7 @@ class SystemKind:
 
     params: tuple[tuple[str, Checker], ...]
     dimension: Callable[[dict], int]
-    build: Callable[[dict], AnyRHS]
+    build: Callable[[dict], TDVectorField]
 
 
 _ORDER_B = (("order", check_integer(2)), ("b", _check_timefns))
@@ -312,7 +299,7 @@ def parse_system_spec(doc: dict, path: str = "system") -> SystemSpec:
     return SystemSpec(doc["kind"], params)
 
 
-def build_rhs(spec: SystemSpec) -> AnyRHS:
+def build_rhs(spec: SystemSpec) -> TDVectorField:
     """Instantiate the right-hand side described by a spec."""
     return SYSTEM_KINDS[spec.kind].build(spec.params)
 

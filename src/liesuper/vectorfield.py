@@ -10,35 +10,36 @@ bit 32*j, so a product of monomials is one integer addition and a partial
 derivative in x_j subtracts ``1 << 32*j``.  An exponent above
 ``EXPONENT_LIMIT`` = 2^32 - 1 does not fit: packing such a field, or
 bracketing two fields whose largest exponents add up past it, raises
-``ExponentLimitError``.  Each bracket component is summed as integers in
-one dict keyed by packed monomials, and the result keeps these sums over
-the denominator D_X * D_Y: its Fraction ``components`` are built on their
-first read (``closure`` decides independence on the sums alone and never
-reads the components of a bracket it rejects), with the same terms in
+``ExponentLimitError``; so does packing a field with a negative exponent
+(a Laurent field such as the Pinney target, which can be evaluated and
+integrated but not bracketed).  Each bracket component is summed as
+integers in one dict keyed by packed monomials, and the result keeps these
+sums over the denominator D_X * D_Y: its Fraction ``components`` are built
+on their first read (``closure`` decides independence on the sums alone and
+never reads the components of a bracket it rejects), with the same terms in
 the same insertion order as an eager build.
 
-Time-dependent systems come in two shapes:
-
-* ``TDVectorField`` -- a sum of (time function) * (autonomous polynomial
-  field) terms.  This decomposed storage is what makes minimal-Lie-algebra
-  computations exact: the closure is taken over the constituent autonomous
-  fields rather than estimated from samples.
-
-* ``GenericRHS`` -- an opaque but deterministic right-hand side, for
-  systems whose components are not polynomial in the state (or are more
-  convenient to evaluate directly).  These are only ever integrated, never
-  bracketed.
+A time-dependent system is a ``TDVectorField``: a sum of (time function) *
+(autonomous field) terms.  This decomposed storage is what makes
+minimal-Lie-algebra computations exact: the closure is taken over the
+constituent autonomous fields rather than estimated from samples.  It is
+also the one right-hand side the integrators take: ``evaluate`` runs code
+compiled once per field, on a point (a list of floats back) or on a
+(dim, rows) float ndarray block of states (the (dim, rows) float ndarray
+of their values back, ``t`` being a float or a 1-D array of per-row
+times), which is how ``integrate_batch`` advances many states at once.
 
 ``diagonal_prolong`` copies a field blockwise onto several copies of its
 state space; ``direct_product`` glues time-dependent systems on different
-spaces into one system on the product space.
+spaces into one system on the product space, such as a superposition
+rule's target joined with its components.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,12 +55,15 @@ EXPONENT_LIMIT = (1 << EXPONENT_BITS) - 1
 
 
 class ExponentLimitError(ValueError):
-    """A monomial exponent does not fit the packed keys of ``lie_bracket``."""
+    """A monomial exponent does not fit the packed keys of ``lie_bracket``:
+    it is above ``EXPONENT_LIMIT``, or negative."""
 
     def __init__(self, exponent: int):
-        super().__init__(
-            f"exponent {exponent} is above the packed monomial limit {EXPONENT_LIMIT} (2^{EXPONENT_BITS} - 1)"
-        )
+        if exponent < 0:
+            message = f"exponent {exponent} is negative: packed monomials hold exponents 0 to {EXPONENT_LIMIT}"
+        else:
+            message = f"exponent {exponent} is above the packed monomial limit {EXPONENT_LIMIT} (2^{EXPONENT_BITS} - 1)"
+        super().__init__(message)
         self.exponent = exponent
 
 
@@ -206,6 +210,8 @@ class PolyVectorField:
                     for e, c in p.terms.items():
                         if max(e, default=0) > EXPONENT_LIMIT:
                             raise ExponentLimitError(max(e))
+                        if min(e, default=0) < 0:
+                            raise ExponentLimitError(min(e))
                         key = sum(k << shift for shift, k in zip(_shifts(n), e))
                         comp.append((key, c.numerator * (den // c.denominator)))
                     terms.append(comp)
@@ -280,10 +286,14 @@ def diagonal_prolong(x: PolyVectorField, copies: int) -> PolyVectorField:
     return PolyVectorField(comps)
 
 
+# the three shapes ``TDVectorField.evaluate`` compiles for
+_POINT, _BLOCK, _ROWS = range(3)
+
+
 class TDVectorField:
     """A time-dependent field sum_alpha b_alpha(t) * Y_alpha."""
 
-    __slots__ = ("dimension", "terms", "_compiled", "_compiled_rows")
+    __slots__ = ("dimension", "terms", "_compiled")
 
     def __init__(self, terms: Sequence[tuple[TimeFunction, PolyVectorField]]):
         terms = tuple(terms)
@@ -295,8 +305,7 @@ class TDVectorField:
                 raise ValueError("all terms must share one dimension")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_compiled", None)
-        object.__setattr__(self, "_compiled_rows", None)
+        object.__setattr__(self, "_compiled", [None, None, None])
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("TDVectorField is immutable")
@@ -330,28 +339,24 @@ class TDVectorField:
     def constituent_fields(self) -> list[PolyVectorField]:
         return [field for _, field in self.terms]
 
-    def evaluate(self, t: float | np.ndarray, state: State) -> list:
-        """Component values at (t, state).  A state is a sequence with one
-        entry per coordinate, each a float or a 1-D array of rows (the
-        coordinate-major layout the batched integrators pass); a component
-        is then a float or an array of rows.  ``t`` is a float, or a 1-D
-        array with each row's own time."""
+    def evaluate(self, t: float | np.ndarray, state: State | np.ndarray) -> list | np.ndarray:
+        """Component values at (t, state).  A point, a sequence of one float
+        per coordinate, gives a list of floats.  A (dim, rows) float ndarray
+        block, one state per column, gives the (dim, rows) float ndarray of
+        their values; ``t`` is then a float, or a 1-D array with each row's
+        own time."""
         if len(state) != self.dimension:
             raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
-        # a float t, every call but the RKF45 lockstep's, makes no call here
-        if t.__class__ is not float and isinstance(t, np.ndarray):
-            compiled = self._compiled_rows
-            if compiled is None:
-                compiled = self._compile(per_row=True)
-                object.__setattr__(self, "_compiled_rows", compiled)
-            return compiled(t, state)
-        compiled = self._compiled
+        if state.__class__ is np.ndarray and state.ndim == 2:
+            mode = _ROWS if t.__class__ is np.ndarray else _BLOCK
+        else:
+            mode = _POINT
+        compiled = self._compiled[mode]
         if compiled is None:
-            compiled = self._compile(per_row=False)
-            object.__setattr__(self, "_compiled", compiled)
+            compiled = self._compiled[mode] = self._compile(mode)
         return compiled(t, state)
 
-    def _compile(self, per_row: bool) -> Callable[[float, State], list]:
+    def _compile(self, mode: int) -> Callable:
         """One straight-line function of (t, state).
 
         Each distinct time coefficient's statements run once per call,
@@ -363,21 +368,30 @@ class TDVectorField:
         it.  Omitted are only the exact no-ops ``1.0 * v`` (a coefficient or
         a constant time coefficient of one), ``-1.0 * v`` written ``-v``, and
         the zero that each monomial sum started from (it changes at most the
-        sign of a zero sum, which ``0.0 + ...`` erases).
+        sign of a zero sum, which ``0.0 + ...`` erases); ``s * (-m)`` is
+        written ``-s * (m)``, the same product, so that a block negates one
+        float rather than a row of them.  A negative power
+        divides by the repeated product, ``c / (x_j * x_j * x_j)`` for
+        c x_j^-3, where the loop would take ``x_j ** -3``.
 
-        ``per_row`` compiles for an array of per-row times: each time
-        coefficient other than a constant is then the array of its compiled
-        scalar function's values, one call per row (``time_rows``), so each
-        row gets the coefficient that its own float time gives.
+        A block (``_BLOCK``, ``_ROWS``) returns its components stacked into
+        one (dim, rows) ndarray; a component constant in the state (its time
+        coefficients all constant under ``_ROWS``) is one float for all rows,
+        and is broadcast to the rows.  Under ``_ROWS`` each time coefficient
+        other than a constant is the array of its compiled scalar function's
+        values, one call per row (``time_rows``), so each row gets the
+        coefficient that its own float time gives.
         """
         n = self.dimension
-        namespace: dict = {"_rows": time_rows}
+        namespace: dict = {"_rows": time_rows, "_array": np.array, "_full": np.full}
         lines = [f"{''.join(f'x{j}, ' for j in range(n))}= s"]
         coefficients: dict[TimeFunction, str] = {}
         assigned = [False] * n
+        varying = [False] * n
         for tf, field in self.terms:
+            per_row = mode == _ROWS and not isinstance(tf, TimeConstant)
             if tf not in coefficients:
-                if per_row and not isinstance(tf, TimeConstant):
+                if per_row:
                     name = f"c{len(coefficients)}"
                     namespace[f"_{name}"] = tf.compile()
                     lines.append(f"{name} = _rows(_{name}, t)")
@@ -389,11 +403,23 @@ class TDVectorField:
                 if not p.terms:
                     continue
                 total = " + ".join(_monomial_source(exps, c) for exps, c in p.terms.items())
-                part = f"({total})" if s == "1.0" else f"{s} * ({total})"
+                if s == "1.0":
+                    part = f"({total})"
+                elif len(p.terms) == 1 and total.startswith("-"):
+                    # s * (-m) as -s * (m): on a block, s is one float
+                    part = f"-{s} * ({total[1:]})"
+                else:
+                    part = f"{s} * ({total})"
                 lines.append(f"o{i} = {f'o{i}' if assigned[i] else '0.0'} + {part}")
                 assigned[i] = True
-        out = ", ".join(f"o{i}" if assigned[i] else "0.0" for i in range(n))
-        return define_function("t, s", lines, f"[{out}]", namespace)
+                varying[i] = varying[i] or per_row or any(any(exps) for exps in p.terms)
+        out = [f"o{i}" if assigned[i] else "0.0" for i in range(n)]
+        if mode == _POINT:
+            return define_function("t, s", lines, f"[{', '.join(out)}]", namespace)
+        if not all(varying):
+            lines.append("r = s.shape[1]")
+        rows = [o if varying[i] else f"_full(r, {o})" for i, o in enumerate(out)]
+        return define_function("t, s", lines, f"_array([{', '.join(rows)}])", namespace)
 
 
 def time_rows(f: Callable[[float], float], t: np.ndarray) -> np.ndarray:
@@ -403,45 +429,18 @@ def time_rows(f: Callable[[float], float], t: np.ndarray) -> np.ndarray:
 
 
 def _monomial_source(exps: tuple[int, ...], c: Fraction) -> str:
-    factors = " * ".join(f"x{j}" if e == 1 else f"x{j} ** {e}" for j, e in enumerate(exps) if e)
+    factors = " * ".join(f"x{j}" if e == 1 else f"x{j} ** {e}" for j, e in enumerate(exps) if e > 0)
     value = float(c)
     if not factors:
-        return float_literal(value)
-    if value == 1.0:
-        return factors
-    if value == -1.0:
-        return f"-{factors}"
-    return f"{float_literal(value)} * {factors}"
-
-
-class GenericRHS:
-    """A deterministic right-hand side f(t, state) of fixed dimension.
-    ``integrate_batch`` calls it with a coordinate-major state of row
-    arrays and, under RKF45, with ``t`` a 1-D array of per-row times."""
-
-    __slots__ = ("dimension", "_fn", "label")
-
-    def __init__(self, dimension: int, fn: Callable[[float, State], Sequence[float]], label: str = ""):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "_fn", fn)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GenericRHS is immutable")
-
-    def evaluate(self, t: float, state: State) -> list[float]:
-        if len(state) != self.dimension:
-            raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
-        out = self._fn(t, state)
-        return list(out)
-
-    def __repr__(self) -> str:
-        return f"GenericRHS(dim={self.dimension}, {self.label!r})"
-
-
-AnyRHS = Union[TDVectorField, GenericRHS]
+        source = float_literal(value)
+    elif value == 1.0:
+        source = factors
+    elif value == -1.0:
+        source = f"-{factors}"
+    else:
+        source = f"{float_literal(value)} * {factors}"
+    divisor = " * ".join(f"x{j}" for j, e in enumerate(exps) for _ in range(-e))
+    return f"{source} / ({divisor})" if divisor else source
 
 
 def direct_product(systems: Sequence[TDVectorField]) -> TDVectorField:
@@ -467,30 +466,3 @@ def direct_product(systems: Sequence[TDVectorField]) -> TDVectorField:
             terms.append((tf, PolyVectorField(comps)))
         offset += n
     return TDVectorField(terms)
-
-
-def join_rhs(parts: Sequence[AnyRHS]) -> GenericRHS:
-    """Blockwise join of heterogeneous right-hand sides (evaluation only)."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("cannot join an empty family")
-    dims = [p.dimension for p in parts]
-    total = sum(dims)
-    offsets = []
-    acc = 0
-    for d in dims:
-        offsets.append(acc)
-        acc += d
-
-    def fn(t: float, state: State) -> list[float]:
-        out: list[float] = []
-        for part, off, d in zip(parts, offsets, dims):
-            out.extend(part.evaluate(t, state[off : off + d]))
-        return out
-
-    return GenericRHS(total, fn, label="join")
-
-
-def eval_rhs(rhs: AnyRHS, t: float, state: State) -> list[float]:
-    """Evaluate a right-hand side at (t, state)."""
-    return rhs.evaluate(t, state)

@@ -5,8 +5,9 @@ The protocol for one trial of one rule:
 1. sample initial conditions for the component systems and constants,
 2. compute the target's initial state through the rule's formula,
 3. integrate target and components together as one block-diagonal system
-   (the direct product of the components, joined with the target), so all
-   comparisons happen on a single shared grid with no interpolation,
+   (the direct product of the target and the components, one compiled
+   field), so all comparisons happen on a single shared grid with no
+   interpolation,
 4. apply the formula once to the component states at all accepted nodes
    together (one call on node arrays), and compare that pass against the
    independently integrated target block,
@@ -29,9 +30,9 @@ status) is the one a loop running one trial at a time would produce; a
 candidate drawn past that point is never judged.
 
 Each verified rule also gets its dimension check: the Lie closure of the
-target system's constituent fields (for the Pinney rule, whose target is
-not polynomial, the component oscillator's fields stand in) must not
-exceed the sum of the component space dimensions.
+target system's constituent fields (for the Pinney rule, whose Laurent
+target cannot be bracketed, the component oscillator's fields stand in)
+must not exceed the sum of the component space dimensions.
 
 ``run_suite`` drives a declarative list of such checks -- rules, raw
 closures, first-integral drifts, and the bracket/prolongation identity --
@@ -93,13 +94,11 @@ from .systems import (
     parse_system_spec,
 )
 from .vectorfield import (
-    AnyRHS,
     ExponentLimitError,
     PolyVectorField,
     TDVectorField,
     diagonal_prolong,
     direct_product,
-    join_rhs,
     lie_bracket,
 )
 
@@ -224,17 +223,17 @@ class RuleSetup:
 
     rule: MixedRule
     components: list[TDVectorField]
-    target: AnyRHS
+    target: TDVectorField
     phi: Callable[[list[np.ndarray], Sequence[float]], list[float]]
     sample: Callable[[random.Random], tuple[list[list[float]], list[float]]]
     condition_generators: list[PolyVectorField]
     guard: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], str | None] = _no_guard
     extras: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], dict] = _no_extras
     component_generators: list[PolyVectorField] | None = None
-    joint: AnyRHS = field(init=False, repr=False)
+    joint: TDVectorField = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.joint = join_rhs([self.target, direct_product(self.components)])
+        self.joint = direct_product([self.target, *self.components])
 
     def component_blocks(self, traj: Trajectory) -> list[np.ndarray]:
         components = traj.states[:, self.rule.target_dim :]

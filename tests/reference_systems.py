@@ -1,13 +1,36 @@
 """Independent reference systems the tests compare the library against."""
 
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from liesuper.hierarchy import HierarchyMember
 from liesuper.parsing import TimeFunction
-from liesuper.vectorfield import GenericRHS
 
 
-def member_first_order_system(member: HierarchyMember, bvals: Sequence[TimeFunction]) -> GenericRHS:
+class FunctionRHS:
+    """A right-hand side f(t, state) of fixed dimension, with the
+    ``dimension`` and ``evaluate`` the integrators read.  On a (dim, rows)
+    block of states ``fn`` gets the block's coordinate rows and may return
+    one float for all rows; ``evaluate`` returns the (dim, rows) block."""
+
+    def __init__(self, dimension: int, fn: Callable[[float, Sequence[float]], Sequence[float]]):
+        self.dimension = dimension
+        self._fn = fn
+
+    def evaluate(self, t, state):
+        if len(state) != self.dimension:
+            raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
+        out = self._fn(t, state)
+        if isinstance(state, np.ndarray) and state.ndim == 2:
+            block = np.empty_like(state)
+            for row, value in zip(block, out, strict=True):
+                row[...] = value
+            return block
+        return list(out)
+
+
+def member_first_order_system(member: HierarchyMember, bvals: Sequence[TimeFunction]) -> FunctionRHS:
     """First-order form of a hierarchy member on R^{s-1}:
     v_i' = v_{i+1} and v_{s-2}' = rhs(t, v), with the b symbols bound to
     the given time functions.  Built straight from the member equation, it
@@ -25,4 +48,4 @@ def member_first_order_system(member: HierarchyMember, bvals: Sequence[TimeFunct
         out.append(float(rhs.evaluate(state, bs)))
         return out
 
-    return GenericRHS(dim, fn, label=f"hierarchy-member-{s}")
+    return FunctionRHS(dim, fn)

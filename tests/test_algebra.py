@@ -1,10 +1,13 @@
 """Exact polynomial and differential-polynomial arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesuper.algebra import DiffPoly, Poly, diff_eval, diff_total_derivative, poly_partial
 
@@ -111,6 +114,50 @@ class TestPolyArithmetic:
         assert Poly.zero(3).to_text() == "0"
         assert P("0 - x0 + 1", 1).to_text() == "-x0 + 1"
         assert P("x0/2", 1).to_text() == "1/2*x0"
+
+
+@st.composite
+def small_polys(draw):
+    arity = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-2, 3)] * arity)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return Poly(arity, draw(st.dictionaries(exps, coeffs, max_size=4)))
+
+
+class TestPolyPower:
+    @settings(max_examples=60, deadline=None)
+    @given(p=small_polys(), n=st.integers(0, 12))
+    def test_equals_repeated_products(self, p, n):
+        product = Poly.constant(p.arity, 1)
+        for _ in range(n):
+            product = product * p
+        assert p**n == product
+
+    def test_large_power_of_a_scaled_variable_parses_at_once(self):
+        # n successive products took seconds here; squaring takes 18 products
+        started = time.perf_counter()
+        p = P("(2*x0)^200000", 1)
+        assert time.perf_counter() - started < 0.5
+        assert p == Poly.monomial(1, (200000,), 2**200000)
+
+
+class TestLaurent:
+    def test_negative_exponents_are_kept(self):
+        p = Poly.monomial(2, (-3, 1), 2)
+        assert p.terms == {(-3, 1): Fraction(2)}
+        assert p * Poly.monomial(2, (3, 0), 1) == P("2*x1", 2)
+        assert p.partial(0) == Poly.monomial(2, (-4, 1), -6)
+
+    def test_text_writes_negative_powers(self):
+        assert Poly.monomial(1, (-3,), 2).to_text() == "2*x0^-3"
+        assert (Poly.monomial(2, (-3, 0), Fraction(1, 2)) + P("x1", 2)).to_text() == "x1 + 1/2*x0^-3"
+
+    def test_evaluate_at_a_zero_coordinate_raises(self):
+        p = Poly.monomial(2, (-3, 0), 2) + P("x1", 2)
+        assert p.evaluate([Fraction(1, 2), Fraction(1)]) == Fraction(17)
+        for zero in (0.0, -0.0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                p.evaluate([zero, 1.0])
 
 
 def sympy_jet_derivative(expr, jets):

@@ -55,3 +55,18 @@ def test_closure_golden_of_scaled_member5(capsys):
     data = pathlib.Path(__file__).parent / "data" / "closure_member5_scaled_generators.json"
     assert main(["closure", str(data)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "closure_member5_scaled.json").read_text()
+
+
+# the Pinney trajectory the CLI printed when the system was a hand-written
+# function; the decomposed Laurent field must print it byte for byte
+PINNEY_SPEC = {"kind": "pinney", "omega": "1 + 0.1*sin(t)", "c": 2}
+PINNEY_METHODS = {"rk4": ["--method", "rk4", "--step", "0.01"], "rkf45": []}
+
+
+@pytest.mark.parametrize("method", sorted(PINNEY_METHODS))
+def test_pinney_integrate_golden(method, tmp_path, capsys):
+    spec = tmp_path / "pinney.json"
+    spec.write_text(json.dumps(PINNEY_SPEC))
+    argv = ["integrate", str(spec), "--x0", "1.0,0.5", "--tspan", "0", "2", *PINNEY_METHODS[method]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"pinney_integrate_{method}.csv").read_text()

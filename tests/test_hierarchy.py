@@ -24,7 +24,7 @@ from liesuper.hierarchy import (
 from liesuper.integrate import IntegratorConfig, integrate
 from liesuper.liealg import center_dimension, closure, structure_constants
 from liesuper.parsing import TimeFunction, parse_timefn
-from liesuper.vectorfield import eval_rhs, lie_bracket
+from liesuper.vectorfield import lie_bracket
 from reference_systems import member_first_order_system
 
 
@@ -166,17 +166,17 @@ class TestCompanionSystem:
     def test_constant_frequency_oscillator(self):
         spec = LinearODESpec(2, (parse_timefn("1"), parse_timefn("0")))
         system = companion_linear_system(spec)
-        assert eval_rhs(system, 0.3, [2.0, 5.0]) == pytest.approx([5.0, -2.0])
+        assert system.evaluate(0.3, [2.0, 5.0]) == pytest.approx([5.0, -2.0])
 
     def test_free_particle(self):
         spec = LinearODESpec(2, (parse_timefn("0"), parse_timefn("0")))
         system = companion_linear_system(spec)
-        assert eval_rhs(system, 0.0, [7.0, 3.0]) == pytest.approx([3.0, 0.0])
+        assert system.evaluate(0.0, [7.0, 3.0]) == pytest.approx([3.0, 0.0])
 
     def test_integrator_chain(self):
         spec = LinearODESpec(3, tuple(parse_timefn("0") for _ in range(3)))
         system = companion_linear_system(spec)
-        assert eval_rhs(system, 0.0, [1.0, 2.0, 3.0]) == pytest.approx([2.0, 3.0, 0.0])
+        assert system.evaluate(0.0, [1.0, 2.0, 3.0]) == pytest.approx([2.0, 3.0, 0.0])
 
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
@@ -187,21 +187,21 @@ class TestMemberFirstOrderSystem:
     def test_riccati_constant(self):
         member = generate_member(2)
         rhs = member_first_order_system(member, [parse_timefn("1"), parse_timefn("0")])
-        assert eval_rhs(rhs, 0.0, [0.0]) == pytest.approx([-1.0])
-        assert eval_rhs(rhs, 0.0, [2.0]) == pytest.approx([-5.0])
+        assert rhs.evaluate(0.0, [0.0]) == pytest.approx([-1.0])
+        assert rhs.evaluate(0.0, [2.0]) == pytest.approx([-5.0])
 
     def test_second_order_free(self):
         member = generate_member(3)
         zero = parse_timefn("0")
         rhs = member_first_order_system(member, [zero, zero, zero])
         v0, v1 = 0.7, -1.2
-        assert eval_rhs(rhs, 0.0, [v0, v1]) == pytest.approx([v1, -3 * v0 * v1 - v0**3])
+        assert rhs.evaluate(0.0, [v0, v1]) == pytest.approx([v1, -3 * v0 * v1 - v0**3])
 
     def test_pure_quadratic(self):
         member = generate_member(2)
         zero = parse_timefn("0")
         rhs = member_first_order_system(member, [zero, zero])
-        assert eval_rhs(rhs, 0.0, [3.0]) == pytest.approx([-9.0])
+        assert rhs.evaluate(0.0, [3.0]) == pytest.approx([-9.0])
 
     def test_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ class TestMemberFirstOrderSystem:
         for _ in range(10):
             t = rng.uniform(0.0, 2.0)
             state = [rng.uniform(-2.0, 2.0) for _ in range(s - 1)]
-            assert eval_rhs(generic, t, state) == pytest.approx(eval_rhs(decomposed, t, state))
+            assert generic.evaluate(t, state) == pytest.approx(decomposed.evaluate(t, state))
 
 
 class TestGlBasis:

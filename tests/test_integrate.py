@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from liesuper.integrate import (
 )
 from liesuper.parsing import parse_timefn
 from liesuper.systems import oscillator_system, pinney_system
-from liesuper.vectorfield import GenericRHS, PolyVectorField, TDVectorField, direct_product, join_rhs
+from liesuper.vectorfield import PolyVectorField, TDVectorField, direct_product
+from reference_systems import FunctionRHS
 
 
 def decay_free(t, y):
@@ -40,18 +42,18 @@ def riccati_blowup(t, y):
 
 class TestIntegrate:
     def test_constant_solution(self):
-        traj = integrate(GenericRHS(1, decay_free), [5.0], (0.0, 1.0), IntegratorConfig())
+        traj = integrate(FunctionRHS(1, decay_free), [5.0], (0.0, 1.0), IntegratorConfig())
         assert traj.completed
         assert np.all(traj.states == 5.0)
 
     def test_exponential_growth(self):
         cfg = IntegratorConfig(rtol=1e-10)
-        traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), cfg)
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), cfg)
         assert abs(traj.final_state()[0] - math.e) <= 1e-8
 
     def test_blow_up_detection(self):
         cfg = IntegratorConfig(rtol=1e-10)
-        traj = integrate(GenericRHS(1, riccati_blowup), [0.0], (0.0, 1.6), cfg)
+        traj = integrate(FunctionRHS(1, riccati_blowup), [0.0], (0.0, 1.6), cfg)
         assert traj.status == "singular"
         assert traj.event.trigger == "state-overflow"
         assert 1.45 < traj.event.time < 1.58
@@ -59,13 +61,13 @@ class TestIntegrate:
         assert np.all(np.abs(traj.states) <= 1e8)
 
     def test_times_strictly_increasing(self):
-        traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
 
     def test_tspan_ordering_required(self):
         with pytest.raises(ValueError):
-            integrate(GenericRHS(1, growth), [1.0], (1.0, 0.0), IntegratorConfig())
+            integrate(FunctionRHS(1, growth), [1.0], (1.0, 0.0), IntegratorConfig())
 
     def test_rhs_error_status(self):
         def bad(t, y):
@@ -73,14 +75,14 @@ class TestIntegrate:
                 raise ZeroDivisionError("boom")
             return [1.0]
 
-        traj = integrate(GenericRHS(1, bad), [0.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.01))
+        traj = integrate(FunctionRHS(1, bad), [0.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.01))
         assert traj.status == "singular"
         assert traj.event.trigger == "rhs-error"
         assert traj.event.time <= 0.51
 
     def test_max_steps_status(self):
         cfg = IntegratorConfig(max_steps=5)
-        traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), cfg)
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), cfg)
         assert traj.status == "singular"
         assert traj.event.trigger == "max-steps"
 
@@ -89,13 +91,13 @@ class TestRk4:
     def test_fourth_order_convergence(self):
         errors = []
         for h in (0.02, 0.01):
-            traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=h))
+            traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=h))
             errors.append(abs(traj.final_state()[0] - math.e))
         ratio = errors[0] / errors[1]
         assert 12.0 <= ratio <= 20.0
 
     def test_uniform_grid(self):
-        traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=1e-2))
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=1e-2))
         steps = np.diff(traj.times)
         assert steps == pytest.approx(np.full(100, 1e-2))
 
@@ -103,7 +105,7 @@ class TestRk4:
         # ten of the hundred steps the span needs, alone and in lockstep,
         # end with the event rkf45 meets under the same budget
         cfg = IntegratorConfig(method="rk4", step=0.01, max_steps=10)
-        rhs = GenericRHS(1, growth)
+        rhs = FunctionRHS(1, growth)
         batch = assert_rows_match(rhs, [[1.0], [2.0], [3.0]], (0.0, 1.0), cfg)
         for traj in [integrate(rhs, [1.0], (0.0, 1.0), cfg)] + batch:
             assert (traj.status, traj.event.trigger, traj.meta["steps"]) == ("singular", "max-steps", 10)
@@ -115,7 +117,7 @@ class TestRk4:
     def test_max_steps_bounds_the_grid(self):
         # the span holds a billion steps; only the first ten are built
         cfg = IntegratorConfig(method="rk4", step=1e-9, max_steps=10)
-        rhs = GenericRHS(1, growth)
+        rhs = FunctionRHS(1, growth)
         for traj in [integrate(rhs, [1.0], (0.0, 1.0), cfg)] + integrate_batch(rhs, [[1.0], [2.0]], (0.0, 1.0), cfg):
             assert traj.times == pytest.approx(np.arange(11) * 1e-9, rel=1e-12, abs=0.0)
             assert traj.event.trigger == "max-steps"
@@ -142,6 +144,14 @@ PINNEY = pinney_system(parse_timefn("1 + 0.1*sin(t)"), 1.0)
 RK4 = IntegratorConfig(method="rk4", step=1e-2)
 
 
+def pinney_start_is_finite(x: float) -> bool:
+    """Whether PINNEY's right-hand side at (x, 0) and t = 0 is finite."""
+    try:
+        return all(map(math.isfinite, PINNEY.evaluate(0.0, [x, 0.0])))
+    except ZeroDivisionError:
+        return False
+
+
 def assert_rows_match(rhs, x0s, tspan, cfg):
     """Each row of the batch ends as ``integrate`` ends it alone, on the
     same nodes, with states equal to 1e-12 relative."""
@@ -166,13 +176,18 @@ class TestIntegrateBatch:
     # once became a 3e-12 relative difference
     @example(healthy=[(1.2703954195547686, 0.5)], tiny=9.937859395208302e-91, at=0)
     def test_pinney_rows_with_one_reaching_x_zero(self, healthy, tiny, at):
-        # near x = 0 the c/x^3 term underflows to a division by zero or
-        # overflows a later stage: Python raises, numpy returns inf or 0
+        # when c/x^3 divides by zero or overflows at the start (Python
+        # raises or gives inf, numpy signals), the tiny row ends there;
+        # otherwise x^3 overflows a later stage of its first step to inf,
+        # c/x^3 becomes 0, and the row leaves with its state past the bound
+        # (the exact solution reaches x ~ sqrt(c) t / tiny)
         x0s = [list(row) for row in healthy]
         x0s.insert(at % (len(x0s) + 1), [tiny, 0.0])
         batch = assert_rows_match(PINNEY, x0s, (0.0, 1.0), RK4)
-        triggers = [traj.event.trigger if traj.event else None for traj in batch]
-        assert triggers.count("rhs-error") == 1 and triggers.count(None) == len(healthy)
+        event = batch[at % len(x0s)].event
+        expected = ("state-overflow", 0.01) if pinney_start_is_finite(tiny) else ("rhs-error", 0.0)
+        assert (event.trigger, event.time) == expected
+        assert [traj.event for traj in batch].count(None) == len(healthy)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -184,7 +199,7 @@ class TestIntegrateBatch:
         # y = tan(atan(y0) - t) reaches -infinity at t = atan(y0) + pi/2
         x0s = [[y0] for y0 in healthy]
         x0s.insert(at % (len(x0s) + 1), [steep])
-        batch = assert_rows_match(GenericRHS(1, riccati_blowup), x0s, (0.0, 1.0), RK4)
+        batch = assert_rows_match(FunctionRHS(1, riccati_blowup), x0s, (0.0, 1.0), RK4)
         triggers = [traj.event.trigger if traj.event else None for traj in batch]
         assert triggers.count("state-overflow") == 1 and triggers.count(None) == len(healthy)
 
@@ -201,13 +216,13 @@ class TestIntegrateBatch:
 
     def test_joint_system_rows(self):
         osc = oscillator_system(parse_timefn("1 + 0.1*sin(t)"))
-        joint = join_rhs([PINNEY, direct_product([osc, osc])])
+        joint = direct_product([PINNEY, osc, osc])
         x0s = [[1.0, 0.1, 1.0, 0.0, 0.0, 1.0], [1.3, -0.2, 0.5, 0.5, -1.0, 0.2], [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]]
         batch = assert_rows_match(joint, x0s, (0.0, 1.0), RK4)
         assert [traj.status for traj in batch] == ["completed", "completed", "singular"]
 
     def test_batch_of_one_is_bit_identical(self):
-        for rhs, x0 in ((PINNEY, [1.1, 0.2]), (GenericRHS(1, riccati_blowup), [-3.0])):
+        for rhs, x0 in ((PINNEY, [1.1, 0.2]), (FunctionRHS(1, riccati_blowup), [-3.0])):
             (got,) = integrate_batch(rhs, [x0], (0.0, 1.0), RK4)
             want = integrate(rhs, x0, (0.0, 1.0), RK4)
             assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
@@ -216,6 +231,32 @@ class TestIntegrateBatch:
 
     def test_empty_batch(self):
         assert integrate_batch(PINNEY, [], (0.0, 1.0), RK4) == []
+
+
+class TestLockstepBlocks:
+    def test_rk4_blocks_make_no_scalar_replay(self, monkeypatch):
+        # x' = 1 has a component constant in the state, which the compiled
+        # field broadcasts to the rows.  A block of the wrong shape would
+        # raise a ValueError inside the step, which the lockstep loop takes
+        # for a signal and answers by replaying every row with the scalar
+        # step: correct results, at the scalar cost.
+        x = Poly.variable(2, 0)
+        ramp = TDVectorField([(parse_timefn("1"), PolyVectorField([Poly.constant(2, 1), x]))])
+        omega = parse_timefn("1 + 0.1*sin(t)")
+        osc = oscillator_system(omega)
+        joint = direct_product([pinney_system(omega, 2.0), osc, osc])
+        module = sys.modules["liesuper.integrate"]
+        replays = []
+        scalar_step = module._rk4_step
+        monkeypatch.setattr(module, "_rk4_step", lambda *args: replays.append(args[1]) or scalar_step(*args))
+        rng = np.random.default_rng(7)
+        for rhs in (ramp, joint):
+            x0s = rng.uniform(0.5, 1.5, size=(20, rhs.dimension))
+            for t in (0.3, np.full(20, 0.3)):
+                assert rhs.evaluate(t, x0s.T.copy()).shape == (rhs.dimension, 20)
+            batch = integrate_batch(rhs, x0s.tolist(), (0.0, 1.0), RK4)
+            assert [traj.status for traj in batch] == ["completed"] * 20
+        assert replays == []
 
 
 # y' = -sin(t) - t e^t y - y^2, a Riccati equation with time-dependent
@@ -314,13 +355,18 @@ class TestRkf45Lockstep:
         at=st.integers(0, 5),
     )
     def test_pinney_rows_with_one_reaching_x_zero(self, healthy, tiny, at):
-        # the tiny row's c/x^3 divides by zero: Python raises, numpy signals,
-        # and every attempt of the block is replayed row by row until the
-        # tiny row's step has halved below the minimum
+        # the tiny row never takes a step: an attempt whose c/x^3 divides
+        # by zero or overflows (Python raises or gives inf, numpy signals,
+        # and the block's attempt is replayed row by row) halves the step,
+        # and one that passes x^3 through inf is rejected, until the step
+        # is below the minimum
         x0s = [list(row) for row in healthy]
         x0s.insert(at % (len(x0s) + 1), [tiny, 0.0])
         batch = assert_rkf45_rows_match(PINNEY, x0s, (0.0, 1.0), IntegratorConfig())
-        assert triggers(batch).count("rhs-error") == 1 and triggers(batch).count(None) == len(healthy)
+        tiny_row = batch[at % len(x0s)]
+        assert tiny_row.event.trigger in ("rhs-error", "step-underflow")
+        assert (tiny_row.event.time, tiny_row.meta["steps"]) == (0.0, 0)
+        assert triggers(batch).count(None) == len(healthy)
 
     def test_time_function_gone_nan_stops_every_row(self):
         # a nan coefficient without any floating-point signal: each row's
@@ -354,7 +400,7 @@ class TestRkf45Accuracy:
     @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
     def test_endpoint_error_scales_with_rtol(self, rtol):
         cfg = IntegratorConfig(rtol=rtol)
-        traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), cfg)
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), cfg)
         assert abs(traj.final_state()[0] - math.e) <= 10 * rtol * math.e
 
 
@@ -367,7 +413,7 @@ def oscillator_pair_trajectory(omega_src: str, rtol=1e-10):
 
 class TestFirstIntegralDrift:
     def test_constant_function(self):
-        traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
         assert first_integral_drift([traj], lambda row: 42.0) == 0.0
 
     def test_wronskian_of_basis_solutions(self):
@@ -391,8 +437,8 @@ class TestFirstIntegralDrift:
         assert first_integral_drift(parts, psi) <= 1e-7
 
     def test_grid_mismatch_rejected(self):
-        t1 = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.1))
-        t2 = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.05))
+        t1 = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.1))
+        t2 = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.05))
         with pytest.raises(ValueError):
             first_integral_drift([t1, t2], lambda row: 0.0)
 
@@ -416,7 +462,7 @@ class TestWronskian:
         assert np.max(np.abs(w - w[0])) <= 1e-8
 
     def test_dimension_check(self):
-        traj = integrate(GenericRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
         with pytest.raises(ValueError):
             wronskian(traj, traj)
 

@@ -331,6 +331,7 @@ class TestCenter:
     def test_sl2_centerless(self):
         assert center_dimension(structure_constants(LieBasis(SL2))) == 0
 
+
     def test_abelian_all_central(self):
         sc = structure_constants(LieBasis([VF("1", "0"), VF("0", "1")]))
         assert center_dimension(sc) == 2
@@ -339,6 +340,22 @@ class TestCenter:
     @given(antisymmetric_tables())
     def test_matches_sympy_nullspace_on_random_tables(self, sc):
         # the center is the nullspace of the rows (b, g) with entries c[a][b][g]
+        r = sc.r
+        rows = [[sympy.Rational(str(sc.c[a][b][g])) for a in range(r)] for b in range(r) for g in range(r)]
+        assert center_dimension(sc) == len(sympy.Matrix(rows).nullspace())
+
+    @settings(max_examples=40, deadline=None)
+    @given(antisymmetric_tables(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=5))
+    def test_matches_sympy_nullspace_with_a_planted_relation(self, sc, weights):
+        # the last plane made a combination of the others with fractional
+        # weights: a relation among the columns a of the rows (b, g) whose
+        # entries have mixed denominators, which the integer rows must keep
+        planes = list(sc.planes)
+        last = {}
+        for plane, w in zip(planes[:-1], weights):
+            for key, v in plane.items():
+                last[key] = last.get(key, 0) + w * v
+        sc = StructureConstants(planes[:-1] + [last])
         r = sc.r
         rows = [[sympy.Rational(str(sc.c[a][b][g])) for a in range(r)] for b in range(r) for g in range(r)]
         assert center_dimension(sc) == len(sympy.Matrix(rows).nullspace())

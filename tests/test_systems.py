@@ -1,9 +1,17 @@
 """System spec validation, construction, and round-tripping."""
 
-import pytest
+import struct
+from fractions import Fraction
 
-from liesuper.systems import SpecError, build_rhs, parse_system_spec, spec_to_doc
-from liesuper.vectorfield import eval_rhs
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liesuper.algebra import Poly
+from liesuper.parsing import parse_timefn
+from liesuper.systems import SpecError, build_rhs, oscillator_system, parse_system_spec, pinney_system, spec_to_doc
+from liesuper.vectorfield import ExponentLimitError, PolyVectorField, direct_product, lie_bracket
 
 
 class TestParseSystemSpec:
@@ -49,17 +57,17 @@ class TestBuildRhs:
         a = build_rhs(spec_td)
         b = build_rhs(spec_member)
         for t, y in ((0.0, 0.5), (1.2, -2.0)):
-            assert eval_rhs(a, t, [y]) == pytest.approx(eval_rhs(b, t, [y]))
+            assert a.evaluate(t, [y]) == pytest.approx(b.evaluate(t, [y]))
 
     def test_pinney_rhs(self):
         spec = parse_system_spec({"kind": "pinney", "omega": "1", "c": 2.0})
         rhs = build_rhs(spec)
-        assert eval_rhs(rhs, 0.0, [1.0, 0.5]) == pytest.approx([0.5, -1.0 + 2.0])
+        assert rhs.evaluate(0.0, [1.0, 0.5]) == pytest.approx([0.5, -1.0 + 2.0])
 
     def test_bernoulli_rhs(self):
         spec = parse_system_spec({"kind": "bernoulli", "a": "0", "b": "1", "n": 2})
         rhs = build_rhs(spec)
-        assert eval_rhs(rhs, 0.0, [3.0]) == pytest.approx([9.0])
+        assert rhs.evaluate(0.0, [3.0]) == pytest.approx([9.0])
 
     def test_custom_td(self):
         spec = parse_system_spec(
@@ -73,7 +81,95 @@ class TestBuildRhs:
             }
         )
         rhs = build_rhs(spec)
-        assert eval_rhs(rhs, 0.0, [2.0, 3.0]) == pytest.approx([3.0, -2.0])
+        assert rhs.evaluate(0.0, [2.0, 3.0]) == pytest.approx([3.0, -2.0])
+
+
+def hand_written_pinney(omega: str, c: float):
+    """The hand-written Pinney right-hand side that the decomposed field
+    replaced (without its OverflowError for an infinite x^3): floats, or
+    coordinate-major arrays of rows with ``t`` a float or per-row times."""
+    w = parse_timefn(omega).compile()
+
+    def fn(t, state):
+        x, p = state
+        cube = x * x * x
+        if isinstance(t, np.ndarray):
+            return [p, np.array([-w(ti) ** 2 for ti in t.tolist()]) * x + c / cube]
+        return [p, -w(t) ** 2 * x + c / cube]
+
+    return fn
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in np.ravel(values)]
+
+
+PINNEY_OMEGAS = st.sampled_from(["1", "1 + 0.1*sin(t)", "0", "t - 1", "2*cos(3*t)"])
+PINNEY_CS = st.sampled_from([0.5, 1.0, 2.0, 3.7, -1.0, 1e-3])
+NONZERO_X = st.one_of(st.floats(0.05, 1e50), st.floats(-1e50, -0.05), st.sampled_from([1.0, -1.0, 1e-30]))
+ANY_P = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+class TestPinneyField:
+    @settings(max_examples=150, deadline=None)
+    @given(omega=PINNEY_OMEGAS, c=PINNEY_CS, t=st.floats(0.0, 2.0), x=NONZERO_X, p=ANY_P)
+    def test_points_equal_the_hand_written_formula_bit_for_bit(self, omega, c, t, x, p):
+        got = pinney_system(parse_timefn(omega), c).evaluate(t, [x, p])
+        want = hand_written_pinney(omega, c)(t, [x, p])
+        assert bits(got[1]) == bits(want[1])
+        # x' is summed from 0.0 like every compiled component, so a p of
+        # -0.0 comes back as +0.0; any other p comes back as it is
+        assert bits(got[0]) == bits(0.0 + want[0]) and got[0] == want[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=PINNEY_OMEGAS, c=PINNEY_CS, t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
+    def test_blocks_equal_the_hand_written_formula_bit_for_bit(self, omega, c, t, rows, data):
+        block = np.array([data.draw(st.lists(strategy, min_size=rows, max_size=rows)) for strategy in (NONZERO_X, ANY_P)])
+        per_row = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=rows, max_size=rows)))
+        field, fn = pinney_system(parse_timefn(omega), c), hand_written_pinney(omega, c)
+        for times in (t, per_row):
+            got = field.evaluate(times, block)
+            assert got.shape == (2, rows) and got.dtype == np.float64
+            want = fn(times, block)
+            assert bits(got[1]) == bits(want[1])
+            assert bits(got[0]) == bits(0.0 + want[0])
+
+    def test_a_zero_x_raises_where_the_formula_did(self):
+        field, fn = pinney_system(parse_timefn("1"), 2.0), hand_written_pinney("1", 2.0)
+        for x in (0.0, -0.0):
+            for rhs in (field.evaluate, fn):
+                with pytest.raises(ZeroDivisionError):
+                    rhs(0.3, [x, 1.0])
+
+    def test_decomposed_form(self):
+        # (1, p d/dx + c x^-3 d/dp) and (omega^2, -x d/dp), c the float's
+        # exact Fraction; the second term is the oscillator's
+        omega = parse_timefn("1 + 0.1*sin(t)")
+        (_, drift), pull = pinney_system(omega, 0.1).terms
+        assert drift.components == (Poly.variable(2, 1), Poly.monomial(2, (-3, 0), Fraction(0.1)))
+        assert pull == oscillator_system(omega).terms[1]
+
+    def test_laurent_field_cannot_be_bracketed(self):
+        drift = pinney_system(parse_timefn("1"), 2.0).terms[0][1]
+        linear = PolyVectorField([Poly.variable(2, 1), Poly.zero(2)])
+        for pair in ((drift, linear), (linear, drift)):
+            with pytest.raises(ExponentLimitError, match="exponent -3 is negative"):
+                lie_bracket(*pair)
+
+    def test_joint_collect_keeps_the_oscillator_fields(self):
+        omega = parse_timefn("1 + 0.1*sin(t)")
+        pinney, osc = pinney_system(omega, 2.0), oscillator_system(omega)
+        joint = direct_product([pinney, osc, osc])
+        merged = joint.collect()
+        # the target's and both components' terms share two coefficients
+        assert [tf for tf, _ in merged.terms] == [tf for tf, _ in pinney.terms]
+        for tf_index in range(2):
+            field = merged.terms[tf_index][1]
+            for block, system in enumerate((pinney, osc, osc)):
+                part = system.terms[tf_index][1]
+                for i in range(2):
+                    want = part.components[i].remap(6, [2 * block, 2 * block + 1])
+                    assert field.components[2 * block + i] == want
 
 
 class TestRoundTrip:

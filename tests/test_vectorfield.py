@@ -16,13 +16,10 @@ from liesuper.parsing import parse_poly, parse_timefn
 from liesuper.vectorfield import (
     EXPONENT_LIMIT,
     ExponentLimitError,
-    GenericRHS,
     PolyVectorField,
     TDVectorField,
     diagonal_prolong,
     direct_product,
-    eval_rhs,
-    join_rhs,
     lie_bracket,
 )
 from liesuper.verify import random_field
@@ -236,7 +233,7 @@ class TestDirectProduct:
         x = td([("cos(t)", VF("x0"))])
         z = direct_product([x])
         for t, state in ((0.0, [2.0]), (1.0, [-3.0])):
-            assert eval_rhs(z, t, state) == eval_rhs(x, t, state)
+            assert z.evaluate(t, state) == x.evaluate(t, state)
 
     def test_two_copies_equal_prolongation(self):
         y = VF("x0^2")
@@ -249,7 +246,7 @@ class TestDirectProduct:
         x1 = td([("1", VF("1"))])
         x2 = td([("1", VF("x0"))])
         z = direct_product([x1, x2])
-        assert eval_rhs(z, 0.0, [7.0, 4.0]) == [1.0, 4.0]
+        assert z.evaluate(0.0, [7.0, 4.0]) == [1.0, 4.0]
 
     def test_projection_property(self):
         rng = random.Random(31)
@@ -261,9 +258,9 @@ class TestDirectProduct:
         for _ in range(10):
             t = rng.uniform(0.0, 2.0)
             state = [rng.uniform(-2, 2) for _ in range(3)]
-            joint = eval_rhs(z, t, state)
-            assert joint[:1] == pytest.approx(eval_rhs(factors[0], t, state[:1]))
-            assert joint[1:] == pytest.approx(eval_rhs(factors[1], t, state[1:]))
+            joint = z.evaluate(t, state)
+            assert joint[:1] == pytest.approx(factors[0].evaluate(t, state[:1]))
+            assert joint[1:] == pytest.approx(factors[1].evaluate(t, state[1:]))
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
@@ -324,9 +321,11 @@ class TestCompiledField:
         n = field.dimension
         columns = [data.draw(st.lists(STATE_VALUES, min_size=n, max_size=n)) for _ in range(rows)]
         block = np.array(columns).T
-        got = np.empty((n, rows))
-        for i, value in enumerate(field.evaluate(t, block)):
-            got[i] = value
+        got = field.evaluate(t, block)
+        # one (dim, rows) float block, components constant in the state
+        # broadcast to the rows, and the same bits with per-row times
+        assert got.shape == (n, rows) and got.dtype == np.float64
+        assert field.evaluate(np.full(rows, t), block).tobytes() == got.tobytes()
         want = np.array([per_monomial_sum(field, t, column) for column in columns]).T
         # numpy's x**e may round differently from Python's by an ulp per
         # monomial, so the bound scales with the summed magnitudes
@@ -350,34 +349,33 @@ class TestCompiledField:
 class TestEvalRhs:
     def test_constant_field(self):
         x = td([("1", VF("1"))])
-        assert eval_rhs(x, 0.0, [7.0]) == [1.0]
+        assert x.evaluate(0.0, [7.0]) == [1.0]
 
     def test_cosine_coefficient(self):
         x = td([("cos(t)", VF("x0"))])
-        assert eval_rhs(x, 0.0, [2.0]) == [2.0]
+        assert x.evaluate(0.0, [2.0]) == [2.0]
 
     def test_harmonic_oscillator(self):
         from liesuper.systems import oscillator_system
 
         osc = oscillator_system(parse_timefn("1"))
-        assert eval_rhs(osc, 0.0, [0.0, 1.0]) == pytest.approx([1.0, 0.0])
+        assert osc.evaluate(0.0, [0.0, 1.0]) == pytest.approx([1.0, 0.0])
 
     def test_dimension_mismatch(self):
         x = td([("1", VF("1"))])
         with pytest.raises(ValueError):
-            eval_rhs(x, 0.0, [1.0, 2.0])
-        rhs = GenericRHS(2, lambda t, s: [s[1], -s[0]])
+            x.evaluate(0.0, [1.0, 2.0])
         with pytest.raises(ValueError):
-            eval_rhs(rhs, 0.0, [1.0])
+            x.evaluate(0.0, np.ones((2, 3)))
 
     def test_time_function_failure_propagates(self):
         x = td([("1/t", VF("1"))])
         with pytest.raises(ZeroDivisionError):
-            eval_rhs(x, 0.0, [1.0])
+            x.evaluate(0.0, [1.0])
 
-    def test_join_rhs_blocks(self):
+    def test_product_of_blocks(self):
         a = td([("1", VF("x0"))])
-        b = GenericRHS(2, lambda t, s: [s[1], -s[0]])
-        joint = join_rhs([a, b])
+        b = td([("1", VF("x1", "-x0"))])
+        joint = direct_product([a, b])
         assert joint.dimension == 3
-        assert eval_rhs(joint, 0.0, [2.0, 0.5, 1.5]) == pytest.approx([2.0, 1.5, -0.5])
+        assert joint.evaluate(0.0, [2.0, 0.5, 1.5]) == pytest.approx([2.0, 1.5, -0.5])

@@ -289,7 +289,6 @@ class TestOneFormulaPass:
             raise AssertionError("the joint system is built with the setup")
 
         monkeypatch.setattr(verify, "direct_product", unexpected)
-        monkeypatch.setattr(verify, "join_rhs", unexpected)
         record = verify_rule(setup, [[1.0, 0.0], [0.0, 1.0]], [1.0], (0.0, 0.7), CFG)
         assert record.ok
 

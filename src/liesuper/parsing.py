@@ -71,10 +71,10 @@ def _tokenize(src: str) -> list[_Token]:
             tokens.append(_Token("op", ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+        if ch in "0123456789" or (ch == "." and i + 1 < n and src[i + 1] in "0123456789"):
             j = i
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j] in "0123456789" or (src[j] == "." and not seen_dot)):
                 if src[j] == ".":
                     seen_dot = True
                 j += 1

@@ -23,11 +23,11 @@ A time-dependent system is a ``TDVectorField``: a sum of (time function) *
 (autonomous field) terms.  This decomposed storage is what makes
 minimal-Lie-algebra computations exact: the closure is taken over the
 constituent autonomous fields rather than estimated from samples.  It is
-also the one right-hand side the integrators take: ``evaluate`` runs code
-compiled once per field, on a point (a list of floats back) or on a
-(dim, rows) float ndarray block of states (the (dim, rows) float ndarray
-of their values back, ``t`` being a float or a 1-D array of per-row
-times), which is how ``integrate_batch`` advances many states at once.
+also the one right-hand side the integrators take, compiled once per field
+into ``evaluate`` on a point (a list of floats back) and the block kernel
+of ``bind(state, out)``, which writes the values of the (dim, rows) float
+ndarray of states ``state`` into ``out``, ``t`` being a float or a 1-D
+array of per-row times: how ``integrate_batch`` advances many states.
 
 ``diagonal_prolong`` copies a field blockwise onto several copies of its
 state space; ``direct_product`` glues time-dependent systems on different
@@ -37,14 +37,15 @@ rule's target joined with its components.
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm, nan
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import Poly
-from .parsing import TimeConstant, TimeFunction, define_function, float_literal
+from .parsing import TimeFunction, TimeVariable, define_function, float_literal
 
 State = Sequence[float]
 
@@ -286,10 +287,6 @@ def diagonal_prolong(x: PolyVectorField, copies: int) -> PolyVectorField:
     return PolyVectorField(comps)
 
 
-# the three shapes ``TDVectorField.evaluate`` compiles for
-_POINT, _BLOCK, _ROWS = range(3)
-
-
 class TDVectorField:
     """A time-dependent field sum_alpha b_alpha(t) * Y_alpha."""
 
@@ -305,7 +302,7 @@ class TDVectorField:
                 raise ValueError("all terms must share one dimension")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_compiled", [None, None, None])
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("TDVectorField is immutable")
@@ -341,91 +338,126 @@ class TDVectorField:
 
     def evaluate(self, t: float | np.ndarray, state: State | np.ndarray) -> list | np.ndarray:
         """Component values at (t, state).  A point, a sequence of one float
-        per coordinate, gives a list of floats.  A (dim, rows) float ndarray
+        per coordinate, gives a list of floats.  A (dim, rows) ndarray
         block, one state per column, gives the (dim, rows) float ndarray of
-        their values; ``t`` is then a float, or a 1-D array with each row's
-        own time."""
+        their values: the kernel bound to it and a fresh buffer (``bind``)."""
         if len(state) != self.dimension:
             raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
         if state.__class__ is np.ndarray and state.ndim == 2:
-            mode = _ROWS if t.__class__ is np.ndarray else _BLOCK
-        else:
-            mode = _POINT
-        compiled = self._compiled[mode]
-        if compiled is None:
-            compiled = self._compiled[mode] = self._compile(mode)
-        return compiled(t, state)
+            self.bind(state.astype(float, copy=False), out := np.empty(state.shape))(t)
+            return out
+        return (self._compiled or self._compile())[0](t, state)
 
-    def _compile(self, mode: int) -> Callable:
-        """One straight-line function of (t, state).
+    def bind(self, state: np.ndarray, out: np.ndarray) -> Callable[[float | np.ndarray], None]:
+        """The kernel, bound once to two (dim, rows) float64 buffers, whose call
+        ``kernel(t)`` writes the values of the states in ``state`` into ``out``."""
+        return (self._compiled or self._compile())[1](state, out)
 
-        Each distinct time coefficient's statements run once per call,
-        where its first term needs the value.  Component i is summed term
-        by term as ``o_i = 0.0 + s * (m_1 + m_2 + ...)``, then
-        ``o_i = o_i + ...``, each monomial ``m`` being
-        ``coefficient * x_j * x_k ** e ...`` left to right: the operations of
-        the plain per-monomial loop, so float results are bit-identical to
-        it.  Omitted are only the exact no-ops ``1.0 * v`` (a coefficient or
-        a constant time coefficient of one), ``-1.0 * v`` written ``-v``, and
-        the zero that each monomial sum started from (it changes at most the
-        sign of a zero sum, which ``0.0 + ...`` erases); ``s * (-m)`` is
-        written ``-s * (m)``, the same product, so that a block negates one
-        float rather than a row of them.  A negative power
-        divides by the repeated product, ``c / (x_j * x_j * x_j)`` for
-        c x_j^-3, where the loop would take ``x_j ** -3``.
+    def _compile(self) -> tuple[Callable, Callable]:
+        """The point form and the kernel's binder, straight-line Python.
 
-        A block (``_BLOCK``, ``_ROWS``) returns its components stacked into
-        one (dim, rows) ndarray; a component constant in the state (its time
-        coefficients all constant under ``_ROWS``) is one float for all rows,
-        and is broadcast to the rows.  Under ``_ROWS`` each time coefficient
-        other than a constant is the array of its compiled scalar function's
-        values, one call per row (``time_rows``), so each row gets the
-        coefficient that its own float time gives.
+        Each distinct time coefficient is computed once per call into
+        ``c<k>``.  One that does not read t is folded into a float literal
+        (unless its evaluation raises or is not finite), and a term whose
+        coefficient folds to zero is dropped.  Component i is summed as
+        ``o_i = 0.0 + s * (m_1 + m_2 + ...)``, then ``o_i = o_i + ...``, each
+        monomial ``m`` being ``coefficient * x_j * x_k ** e ...`` left to
+        right: the operations of the plain per-monomial loop, so float
+        results are bit-identical to it.  Omitted are only the exact no-ops
+        ``1.0 * v``, ``-1.0 * v`` written ``-v``, and the zero that each
+        monomial sum started from (it changes at most the sign of a zero
+        sum, which ``0.0 + ...`` erases, and so a dropped term's +-0.0 is
+        exact on finite states); ``-s * (m)`` is ``s * (-m)`` negating one
+        float.  A negative power divides by the repeated product,
+        ``c / (x_j * x_j)`` for c x_j^-2.  The kernel runs the same
+        statements as ufunc calls into bound rows (``_kernel_calls``); at
+        per-row times, the coefficients' statements run once per row.
         """
         n = self.dimension
-        namespace: dict = {"_rows": time_rows, "_array": np.array, "_full": np.full}
-        lines = [f"{''.join(f'x{j}, ' for j in range(n))}= s"]
-        coefficients: dict[TimeFunction, str] = {}
+        namespace: dict = dict(_KERNEL_NAMES)
+        times: list[str] = []  # the statements of the coefficients c<k>
+        sums: list[str] = []
+        coefficients: dict[TimeFunction, str | None] = {}
         assigned = [False] * n
-        varying = [False] * n
         for tf, field in self.terms:
-            per_row = mode == _ROWS and not isinstance(tf, TimeConstant)
             if tf not in coefficients:
-                if per_row:
-                    name = f"c{len(coefficients)}"
-                    namespace[f"_{name}"] = tf.compile()
-                    lines.append(f"{name} = _rows(_{name}, t)")
-                    coefficients[tf] = name
+                try:
+                    value = nan if _reads_t(tf) else tf.eval(0.0)
+                except (ArithmeticError, ValueError):
+                    value = nan
+                if isfinite(value):
+                    coefficients[tf] = float_literal(value) if value else None
                 else:
-                    coefficients[tf] = tf.emit(lines, namespace)
+                    coefficients[tf] = name = f"c{len(coefficients)}"
+                    times.append(f"{name} = {tf.emit(times, namespace)}")
             s = coefficients[tf]
             for i, p in enumerate(field.components):
-                if not p.terms:
+                if s is None or not p.terms:
                     continue
                 total = " + ".join(_monomial_source(exps, c) for exps, c in p.terms.items())
                 if s == "1.0":
                     part = f"({total})"
                 elif len(p.terms) == 1 and total.startswith("-"):
-                    # s * (-m) as -s * (m): on a block, s is one float
+                    # s * (-m) as -s * (m): in a kernel, s is one float
                     part = f"-{s} * ({total[1:]})"
                 else:
                     part = f"{s} * ({total})"
-                lines.append(f"o{i} = {f'o{i}' if assigned[i] else '0.0'} + {part}")
+                sums.append(f"o{i} = {f'o{i}' if assigned[i] else '0.0'} + {part}")
                 assigned[i] = True
-                varying[i] = varying[i] or per_row or any(any(exps) for exps in p.terms)
-        out = [f"o{i}" if assigned[i] else "0.0" for i in range(n)]
-        if mode == _POINT:
-            return define_function("t, s", lines, f"[{', '.join(out)}]", namespace)
-        if not all(varying):
-            lines.append("r = s.shape[1]")
-        rows = [o if varying[i] else f"_full(r, {o})" for i, o in enumerate(out)]
-        return define_function("t, s", lines, f"_array([{', '.join(rows)}])", namespace)
+        sums += [f"o{i} = 0.0" for i in range(n) if not assigned[i]]
+        xs, os = (" ".join(f"{v}{j}," for j in range(n)) for v in "xo")
+        point = define_function("t, s", [f"{xs} = s", *times, *sums], f"[{os}]", namespace)
+        calls: list[str] = []
+        ws = " ".join(f"w{k}," for k in range(max(_kernel_calls(line, calls) for line in sums) or 1))
+        kernel = [f"{xs} = s", f"{os} = out", f"{ws} = _empty(({ws.count(',')}, s.shape[1]))", "def kernel(t):"]
+        cs = " ".join(f"{c}," for c in coefficients.values() if c and c[0] == "c")
+        if cs:
+            namespace["_cs"] = define_function("t", times, f"({cs})", namespace)
+            per_row = f"_array([_cs(ti) for ti in t.tolist()]).reshape(-1, {cs.count(',')}).T"
+            kernel.append(f"    {cs} = {per_row} if t.__class__ is _ndarray else _cs(t)")
+        kernel += [f"    {call}" for call in calls]
+        object.__setattr__(self, "_compiled", (point, define_function("s, out", kernel, "kernel", namespace)))
+        return self._compiled
 
 
-def time_rows(f: Callable[[float], float], t: np.ndarray) -> np.ndarray:
-    """``f`` at each entry of a 1-D array of per-row times, one scalar call
-    per row (so never numpy's own sin or exp)."""
-    return np.array([f(ti) for ti in t.tolist()], dtype=float)
+# what a kernel calls; each ufunc writes into its ``out`` row
+_KERNEL_NAMES = dict(_add=np.add, _mul=np.multiply, _div=np.divide, _neg=np.negative, _square=np.square,
+                     _power=np.power, _empty=np.empty, _array=np.array, _ndarray=np.ndarray)
+_UFUNCS = {ast.Add: "_add", ast.Mult: "_mul", ast.Div: "_div"}
+
+
+def _reads_t(tf: TimeFunction) -> bool:
+    nodes = map(tf.__getattribute__, tf.__slots__)
+    return isinstance(tf, TimeVariable) or any(isinstance(v, TimeFunction) and _reads_t(v) for v in nodes)
+
+
+def _kernel_calls(statement: str, calls: list[str]) -> int:
+    """Append the ufunc calls computing ``o_i = <expression>`` into row
+    ``o_i``, one per operation on a bound row (``x<j>``, ``o<i>``), in
+    Python's order, a right operand going into the next scratch row ``w<k>``
+    when the left one holds the current row; return the scratch rows used."""
+    target, source = statement.split(" = ", 1)
+    used = 0
+
+    def emit(node: ast.expr, level: int) -> str:
+        nonlocal used
+        if isinstance(node, ast.Name) or not any(getattr(v, "id", "_")[0] in "xo" for v in ast.walk(node)):
+            return ast.unparse(node)
+        dest, used = (target if level < 0 else f"w{level}"), max(used, level + 1)
+        if isinstance(node, ast.UnaryOp):
+            calls.append(f"_neg({emit(node.operand, level)}, {dest})")
+        elif isinstance(node.op, ast.Pow):  # as numpy takes x ** e: np.square for e = 2
+            x, e = node.left.id, node.right.value
+            calls.append(f"_square({x}, {dest})" if e == 2 else f"_power({x}, {e}, {dest})")
+        else:
+            left = emit(node.left, level)
+            calls.append(f"{_UFUNCS[type(node.op)]}({left}, {emit(node.right, level + (left == dest))}, {dest})")
+        return dest
+
+    result = emit(ast.parse(source, mode="eval").body, -1)
+    if result != target:
+        calls.append(f"{target}[...] = {result}")
+    return used
 
 
 def _monomial_source(exps: tuple[int, ...], c: Fraction) -> str:

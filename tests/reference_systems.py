@@ -2,17 +2,16 @@
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from liesuper.hierarchy import HierarchyMember
 from liesuper.parsing import TimeFunction
 
 
 class FunctionRHS:
     """A right-hand side f(t, state) of fixed dimension, with the
-    ``dimension`` and ``evaluate`` the integrators read.  On a (dim, rows)
-    block of states ``fn`` gets the block's coordinate rows and may return
-    one float for all rows; ``evaluate`` returns the (dim, rows) block."""
+    ``dimension``, ``evaluate`` and ``bind`` the integrators read.  Bound to
+    a (dim, rows) block of states, ``fn`` gets the block's coordinate rows
+    and may return one float for all rows; its values fill the rows of
+    ``out``."""
 
     def __init__(self, dimension: int, fn: Callable[[float, Sequence[float]], Sequence[float]]):
         self.dimension = dimension
@@ -21,13 +20,14 @@ class FunctionRHS:
     def evaluate(self, t, state):
         if len(state) != self.dimension:
             raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
-        out = self._fn(t, state)
-        if isinstance(state, np.ndarray) and state.ndim == 2:
-            block = np.empty_like(state)
-            for row, value in zip(block, out, strict=True):
+        return list(self._fn(t, state))
+
+    def bind(self, state, out):
+        def kernel(t):
+            for row, value in zip(out, self._fn(t, state), strict=True):
                 row[...] = value
-            return block
-        return list(out)
+
+        return kernel
 
 
 def member_first_order_system(member: HierarchyMember, bvals: Sequence[TimeFunction]) -> FunctionRHS:

@@ -13,6 +13,7 @@ from liesuper.algebra import Poly
 from liesuper.hierarchy import member_td_system
 from liesuper.integrate import (
     IntegratorConfig,
+    SingularityEvent,
     Trajectory,
     first_integral_drift,
     integrate,
@@ -221,6 +222,26 @@ class TestIntegrateBatch:
         batch = assert_rows_match(joint, x0s, (0.0, 1.0), RK4)
         assert [traj.status for traj in batch] == ["completed", "completed", "singular"]
 
+    def test_rows_leaving_at_different_steps_end_bit_identical(self):
+        # Row 4's first stage lands on x = 0.005 - 0.005 * 1.0 = 0 exactly,
+        # where c/x^3 raises in the scalar step and signals in the block;
+        # row 11 oscillates with an amplitude just past the bound and leaves
+        # some steps later.  The kernels are bound again after each, the
+        # other rows' nodes go into the history by rows from then on, and
+        # the Pinney field (no powers) makes the block the scalar step's
+        # bits.
+        x0s = np.random.default_rng(3).uniform(0.5, 1.5, size=(20, 2)).tolist()
+        x0s[4], x0s[11] = [0.005, -1.0], [9e7, 5e7]
+        batch = integrate_batch(PINNEY, x0s, (0.0, 1.0), RK4)
+        for got, x0 in zip(batch, x0s):
+            want = integrate(PINNEY, x0, (0.0, 1.0), RK4)
+            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
+        assert batch[4].event == SingularityEvent(0.0, "rhs-error")
+        assert batch[11].event.trigger == "state-overflow" and len(batch[11].times) > 5
+        assert [traj.event for traj in batch].count(None) == 18
+
     def test_batch_of_one_is_bit_identical(self):
         for rhs, x0 in ((PINNEY, [1.1, 0.2]), (FunctionRHS(1, riccati_blowup), [-3.0])):
             (got,) = integrate_batch(rhs, [x0], (0.0, 1.0), RK4)
@@ -235,8 +256,8 @@ class TestIntegrateBatch:
 
 class TestLockstepBlocks:
     def test_rk4_blocks_make_no_scalar_replay(self, monkeypatch):
-        # x' = 1 has a component constant in the state, which the compiled
-        # field broadcasts to the rows.  A block of the wrong shape would
+        # x' = 1 has a component constant in the state, which the kernel
+        # writes into every row.  A block of the wrong shape would
         # raise a ValueError inside the step, which the lockstep loop takes
         # for a signal and answers by replaying every row with the scalar
         # step: correct results, at the scalar cost.

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liesuper.algebra import Poly
-from liesuper.parsing import parse_poly, parse_timefn
+from liesuper.parsing import TimeConstant, parse_poly, parse_timefn
+from liesuper.systems import oscillator_system, pinney_system
 from liesuper.vectorfield import (
     EXPONENT_LIMIT,
     ExponentLimitError,
@@ -267,6 +268,10 @@ class TestDirectProduct:
             direct_product([])
 
 
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in np.ravel(values)]
+
+
 def per_monomial_sum(field: TDVectorField, t: float, state, absolute: bool = False) -> list[float]:
     """The plain loop over terms, components and monomials that the
     compiled evaluator replaces; ``absolute`` sums magnitudes instead."""
@@ -344,6 +349,91 @@ class TestCompiledField:
         osc.evaluate(0.4, [1.0, 2.0])
         assert calls == []
         assert osc.evaluate(0.3, [1.0, 2.0]) == per_monomial_sum(osc, 0.3, [1.0, 2.0])
+
+
+# time coefficients that fold when compiled: zeros (-0.0 among them), a
+# one, and other constants, next to one that reads t
+FOLDING_COEFFS = st.sampled_from(["0", "0 - 0", "2 - 2", "0*(0 - 1)", "2 - 1", "0 - 1", "3/4", "1/3", "sin(t)"])
+
+
+@st.composite
+def folding_fields(draw):
+    # no powers, where numpy's x**e and Python's may round apart
+    n = draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(0, 1)] * n)
+    terms = [
+        (
+            parse_timefn(draw(FOLDING_COEFFS)),
+            PolyVectorField([Poly(n, draw(st.dictionaries(monomials, COEFFS, max_size=3))) for _ in range(n)]),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    return TDVectorField(terms)
+
+
+class TestBoundKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(field=td_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
+    def test_a_kernel_bound_once_gives_the_bytes_of_evaluate(self, field, t, rows, data):
+        n = field.dimension
+        columns = [data.draw(st.lists(STATE_VALUES, min_size=n, max_size=n)) for _ in range(rows)]
+        per_row = data.draw(st.lists(st.floats(0.0, 2.0), min_size=rows, max_size=rows))
+        state, out = np.array(columns).T.copy(), np.empty((n, rows))
+        kernel = field.bind(state, out)
+        for times in (t, np.array(per_row), t):
+            kernel(times)
+            assert out.tobytes() == field.evaluate(times, state).tobytes()
+            for column, row_t, got in zip(columns, per_row if isinstance(times, np.ndarray) else [t] * rows, out.T):
+                want = per_monomial_sum(field, row_t, column)
+                scale = per_monomial_sum(field, row_t, column, absolute=True)
+                assert np.all(np.abs(got - want) <= 1e-15 * np.array(scale))
+
+    def test_a_bound_kernel_reads_its_buffers_at_each_call(self):
+        # the Pinney joint has no powers, so its kernel's columns are the
+        # point form's bits; the last factor's component is zero
+        omega = parse_timefn("1 + 0.1*sin(t)")
+        field = direct_product([pinney_system(omega, 2.0), oscillator_system(omega), td([("sin(t)", VF("0"))])])
+        rng = np.random.default_rng(11)
+        state, out = np.empty((5, 4)), np.empty((5, 4))
+        kernel = field.bind(state, out)
+        for t in (0.3, np.linspace(0.0, 1.0, 4), 0.7):
+            state[...] = rng.uniform(0.5, 1.5, size=(5, 4))
+            out.fill(np.nan)
+            kernel(t)
+            for r, row_t in enumerate(np.broadcast_to(t, 4).tolist()):
+                assert bits(out[:, r]) == bits(field.evaluate(row_t, state[:, r].tolist()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(field=folding_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 4), data=st.data())
+    def test_folded_and_zero_coefficient_terms_keep_the_bits(self, field, t, rows, data):
+        n = field.dimension
+        columns = [data.draw(st.lists(STATE_VALUES, min_size=n, max_size=n)) for _ in range(rows)]
+        block = field.evaluate(t, np.array(columns).T.copy())
+        for column, got in zip(columns, block.T):
+            want = bits(per_monomial_sum(field, t, column))
+            assert bits(field.evaluate(t, column)) == want and bits(got) == want
+
+    def test_an_empty_block(self):
+        field = td([("sin(t)", VF("x1", "1")), ("t", VF("x0", "0"))])
+        for t in (0.5, np.array([])):
+            assert field.evaluate(t, np.empty((2, 0))).shape == (2, 0)
+
+    def test_a_term_folded_to_zero_is_dropped(self):
+        # 1/x0 under the coefficient 2 - 2 is never computed: a zero or
+        # non-finite state leaves the component at the other term's value
+        field = TDVectorField(
+            [(parse_timefn("2 - 2"), PolyVectorField([Poly.monomial(1, (-1,), 1)])), (parse_timefn("2 - 1"), VF("1"))]
+        )
+        assert field.evaluate(0.0, [0.0]) == [1.0]
+        assert field.evaluate(0.0, np.array([[0.0, np.inf, np.nan]])).tolist() == [[1.0, 1.0, 1.0]]
+
+    def test_a_coefficient_whose_evaluation_raises_stays_unfolded(self):
+        too_large = TDVectorField([(TimeConstant(Fraction(10**400)), VF("x0"))])
+        cases = [(td([("1/0", VF("x0"))]), ZeroDivisionError), (td([("exp(1000)", VF("x0"))]), OverflowError)]
+        for field, error in cases + [(too_large, OverflowError)]:
+            for state in ([1.0], np.ones((1, 3))):
+                with pytest.raises(error):
+                    field.evaluate(0.0, state)
 
 
 class TestEvalRhs:

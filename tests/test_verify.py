@@ -514,6 +514,21 @@ class TestTimeDependentRkf45Suite:
         assert all(r["measured"]["trial_count"] == 6 for r in reports)
 
 
+class TestRk4LockstepSuite:
+    PATH = Path(__file__).parent / "data" / "rk4_lockstep_suite.json"
+
+    def test_suite_passes_without_any_warning(self):
+        # every item integrates its trials as one RK4 lockstep batch
+        doc = json.loads(self.PATH.read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = run_suite(doc)
+        assert [r["rule"] for r in reports] == ["pinney"] * 4 + ["hierarchy"]
+        assert all(r["method"] == "rk4" for r in reports)
+        assert suite_passed(reports)
+        assert all(r["measured"]["trial_count"] == 10 for r in reports)
+
+
 class TestDriftHelpers:
     def test_cross_ratio_drift_small(self):
         drift = riccati_cross_ratio_drift(

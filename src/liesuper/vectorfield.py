@@ -260,15 +260,20 @@ def lie_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     for i in range(n):
         acc: dict[int, int] = {}
         get = acc.get
+        ypi, xpi = ypartials[i], xpartials[i]
         for j in range(n):
-            for ea, va in xterms[j]:
-                for eb, vb in ypartials[i][j]:
-                    key = ea + eb
-                    acc[key] = get(key, 0) + va * vb
-            for ea, va in yterms[j]:
-                for eb, vb in xpartials[i][j]:
-                    key = ea + eb
-                    acc[key] = get(key, 0) - va * vb
+            # a side with no terms or no partials adds nothing: skipping it
+            # keeps the order in which keys enter acc
+            if xterms[j] and ypi[j]:
+                for ea, va in xterms[j]:
+                    for eb, vb in ypi[j]:
+                        key = ea + eb
+                        acc[key] = get(key, 0) + va * vb
+            if yterms[j] and xpi[j]:
+                for ea, va in yterms[j]:
+                    for eb, vb in xpi[j]:
+                        key = ea + eb
+                        acc[key] = get(key, 0) - va * vb
         sums.append(acc)
     return PolyVectorField._from_sums(n, dx * dy, sums)
 
@@ -369,9 +374,20 @@ class TDVectorField:
         sum, which ``0.0 + ...`` erases, and so a dropped term's +-0.0 is
         exact on finite states); ``-s * (m)`` is ``s * (-m)`` negating one
         float.  A negative power divides by the repeated product,
-        ``c / (x_j * x_j)`` for c x_j^-2.  The kernel runs the same
-        statements as ufunc calls into bound rows (``_kernel_calls``); at
-        per-row times, the coefficients' statements run once per row.
+        ``c / (x_j * x_j)`` for c x_j^-2.
+
+        The kernel runs the same statements as ufunc calls into bound rows
+        (``_kernel_calls``), and every operand of those calls is a float64
+        array: a ufunc call on 20-row operands costs 0.35-0.37 us, and
+        0.54-0.59 us when one operand is a Python float, which numpy
+        converts on each call (numpy 2.4, a 2-core Xeon VM).  A literal
+        (``0.0``, a folded coefficient, an exponent) is a read-only 0-d
+        array made once here; each coefficient ``c<k>`` and each ``-c<k>``
+        the statements read is a row that ``bind`` allocates for that
+        binding alone and that each call writes once, from one evaluation of
+        the coefficients at a float t (the value fills the row) or one per
+        row at per-row times.  The ufuncs see the float64 values they saw as
+        Python floats, so the bits do not move.
         """
         n = self.dimension
         namespace: dict = dict(_KERNEL_NAMES)
@@ -408,21 +424,26 @@ class TDVectorField:
         xs, os = (" ".join(f"{v}{j}," for j in range(n)) for v in "xo")
         point = define_function("t, s", [f"{xs} = s", *times, *sums], f"[{os}]", namespace)
         calls: list[str] = []
-        ws = " ".join(f"w{k}," for k in range(max(_kernel_calls(line, calls) for line in sums) or 1))
-        kernel = [f"{xs} = s", f"{os} = out", f"{ws} = _empty(({ws.count(',')}, s.shape[1]))", "def kernel(t):"]
-        cs = " ".join(f"{c}," for c in coefficients.values() if c and c[0] == "c")
-        if cs:
-            namespace["_cs"] = define_function("t", times, f"({cs})", namespace)
-            per_row = f"_array([_cs(ti) for ti in t.tolist()]).reshape(-1, {cs.count(',')}).T"
-            kernel.append(f"    {cs} = {per_row} if t.__class__ is _ndarray else _cs(t)")
-        kernel += [f"    {call}" for call in calls]
+        operands = _Operands(namespace)
+        ws = " ".join(f"w{k}," for k in range(max(_kernel_calls(line, calls, operands) for line in sums) or 1))
+        kernel = [f"{xs} = s", f"{os} = out", f"{ws} = _empty(({ws.count(',')}, s.shape[1]))"]
+        body = [f"    {call}" for call in calls]
+        if slots := operands.slots:
+            # the slots are the rows of one block; its transpose takes a
+            # tuple of values, broadcast to every row, or one tuple per row
+            # (none for an empty block, whose broadcast 0.0 writes nothing)
+            namespace["_cs"] = define_function("t", times, f"({', '.join(slots.values())},)", namespace)
+            kernel += [f"{' '.join(f'{c},' for c in slots)} = cs = _empty(({len(slots)}, s.shape[1]))", "by_row = cs.T"]
+            per_row = "[_cs(ti) for ti in t.tolist()] or 0.0"
+            body.insert(0, f"    by_row[...] = ({per_row}) if t.__class__ is _ndarray else _cs(t)")
+        kernel += ["def kernel(t):", *body]
         object.__setattr__(self, "_compiled", (point, define_function("s, out", kernel, "kernel", namespace)))
         return self._compiled
 
 
 # what a kernel calls; each ufunc writes into its ``out`` row
 _KERNEL_NAMES = dict(_add=np.add, _mul=np.multiply, _div=np.divide, _neg=np.negative, _square=np.square,
-                     _power=np.power, _empty=np.empty, _array=np.array, _ndarray=np.ndarray)
+                     _power=np.power, _empty=np.empty, _ndarray=np.ndarray)
 _UFUNCS = {ast.Add: "_add", ast.Mult: "_mul", ast.Div: "_div"}
 
 
@@ -431,24 +452,61 @@ def _reads_t(tf: TimeFunction) -> bool:
     return isinstance(tf, TimeVariable) or any(isinstance(v, TimeFunction) and _reads_t(v) for v in nodes)
 
 
-def _kernel_calls(statement: str, calls: list[str]) -> int:
+class _Operands:
+    """A kernel's operands other than its buffers' rows: literals, made
+    once into its namespace, and coefficient slots (``slots`` maps each
+    slot's name to its source, ``c<k>`` or ``-c<k>``)."""
+
+    def __init__(self, namespace: dict):
+        self.namespace = namespace
+        self.constants: dict[str, str] = {}  # keyed by repr, so that 0.0 and -0.0 stay apart
+        self.slots: dict[str, str] = {}
+
+    def constant(self, value) -> str:
+        key = repr(value)
+        if key not in self.constants:
+            try:
+                array = np.array(float(value))
+            except OverflowError:
+                # an exponent too large for a float: the ufunc raises on
+                # each call, where the point form raises
+                return key
+            array.flags.writeable = False
+            self.constants[key] = name = f"k{len(self.constants)}"
+            self.namespace[name] = array
+        return self.constants[key]
+
+    def slot(self, source: str) -> str:
+        name = f"{source[1:]}_neg" if source[0] == "-" else source
+        self.slots[name] = source
+        return name
+
+
+def _kernel_calls(statement: str, calls: list[str], operands: _Operands) -> int:
     """Append the ufunc calls computing ``o_i = <expression>`` into row
-    ``o_i``, one per operation on a bound row (``x<j>``, ``o<i>``), in
-    Python's order, a right operand going into the next scratch row ``w<k>``
-    when the left one holds the current row; return the scratch rows used."""
+    ``o_i``, in Python's order, a right operand going into the next scratch
+    row ``w<k>`` when the left one holds the current row; return the scratch
+    rows used.  A state row ``x<j>`` is an operand as it is, a subexpression
+    without a name is a literal folded once into a 0-d constant (Python's
+    float arithmetic, which the statement ran on each call), and ``c<k>`` and
+    ``-c<k>`` are coefficient slots."""
     target, source = statement.split(" = ", 1)
     used = 0
 
     def emit(node: ast.expr, level: int) -> str:
         nonlocal used
-        if isinstance(node, ast.Name) or not any(getattr(v, "id", "_")[0] in "xo" for v in ast.walk(node)):
-            return ast.unparse(node)
+        if isinstance(node, ast.Name):
+            return operands.slot(node.id) if node.id[0] == "c" else node.id
+        if not any(isinstance(v, ast.Name) for v in ast.walk(node)):
+            return operands.constant(eval(ast.unparse(node), {}))
+        if isinstance(node, ast.UnaryOp) and getattr(node.operand, "id", "_")[0] == "c":
+            return operands.slot(ast.unparse(node))
         dest, used = (target if level < 0 else f"w{level}"), max(used, level + 1)
         if isinstance(node, ast.UnaryOp):
             calls.append(f"_neg({emit(node.operand, level)}, {dest})")
         elif isinstance(node.op, ast.Pow):  # as numpy takes x ** e: np.square for e = 2
             x, e = node.left.id, node.right.value
-            calls.append(f"_square({x}, {dest})" if e == 2 else f"_power({x}, {e}, {dest})")
+            calls.append(f"_square({x}, {dest})" if e == 2 else f"_power({x}, {operands.constant(e)}, {dest})")
         else:
             left = emit(node.left, level)
             calls.append(f"{_UFUNCS[type(node.op)]}({left}, {emit(node.right, level + (left == dest))}, {dest})")

@@ -70,3 +70,15 @@ def test_pinney_integrate_golden(method, tmp_path, capsys):
     argv = ["integrate", str(spec), "--x0", "1.0,0.5", "--tspan", "0", "2", *PINNEY_METHODS[method]]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"pinney_integrate_{method}.csv").read_text()
+
+
+# the reports of the suites whose rule trials run in lockstep on bound
+# kernels: RK4 trials on their shared grid, and RKF45 trials at per-row times
+LOCKSTEP_SUITES = ["rk4_lockstep_suite", "rkf45_time_dependent_suite"]
+
+
+@pytest.mark.parametrize("suite", LOCKSTEP_SUITES)
+def test_lockstep_verify_report_golden(suite, capsys):
+    data = pathlib.Path(__file__).parent / "data" / f"{suite}.json"
+    assert main(["verify", str(data)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"verify_{suite}.json").read_text()

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liesuper.algebra import Poly
+from liesuper.integrate import IntegratorConfig, SingularityEvent, integrate_batch
 from liesuper.parsing import TimeConstant, parse_poly, parse_timefn
 from liesuper.systems import oscillator_system, pinney_system
 from liesuper.vectorfield import (
@@ -67,6 +68,25 @@ class TestLieBracket:
                 + lie_bracket(z, lie_bracket(x, y))
             )
             assert total == PolyVectorField.zero(dim)
+
+    def test_bracket_terms_come_in_the_order_of_the_plain_loop(self):
+        # lie_bracket skips a side with no terms or no partials; each
+        # component keeps the order in which the loop over every j, x-side
+        # before y-side, first meets its monomials
+        rng = random.Random(23)
+        for _ in range(40):
+            dim = rng.randint(1, 4)
+            x, y = random_field(rng, dim), random_field(rng, dim)
+            bracket = lie_bracket(x, y).components
+            for i in range(dim):
+                order: dict = {}
+                for j in range(dim):
+                    for a, b in ((x, y), (y, x)):
+                        for ea in a.components[j].terms:
+                            for eb in b.components[i].terms:
+                                if eb[j]:
+                                    order.setdefault(tuple(p + q - (k == j) for k, (p, q) in enumerate(zip(ea, eb))))
+                assert list(bracket[i].terms) == [e for e in order if e in bracket[i].terms]
 
 
 # zero-heavy coefficients with non-unit denominators; a component whose
@@ -412,6 +432,52 @@ class TestBoundKernel:
         for column, got in zip(columns, block.T):
             want = bits(per_monomial_sum(field, t, column))
             assert bits(field.evaluate(t, column)) == want and bits(got) == want
+
+    def test_two_kernels_bound_from_one_field_keep_their_own_slots(self):
+        # each binding owns its coefficient slots (here -c for omega^2 and c
+        # for cos(t)): two kernels on blocks of different widths, called in
+        # alternation at float and per-row times, keep evaluate's bytes
+        omega = parse_timefn("1 + 0.1*sin(t)")
+        field = direct_product([pinney_system(omega, 2.0), td([("cos(t)", VF("x0 + 1"))])])
+        rng = np.random.default_rng(5)
+        bound = []
+        for rows in (3, 5):
+            state, out = rng.uniform(0.5, 1.5, size=(3, rows)), np.empty((3, rows))
+            bound.append((field.bind(state, out), state, out))
+        for times in (lambda rows: 0.3, lambda rows: rng.uniform(0.0, 2.0, rows), lambda rows: 1.7):
+            for kernel, state, out in bound:
+                t = times(out.shape[1])
+                kernel(t)
+                assert out.tobytes() == field.evaluate(t, state).tobytes()
+                for r, row_t in enumerate(np.broadcast_to(t, out.shape[1]).tolist()):
+                    assert bits(out[:, r]) == bits(field.evaluate(row_t, state[:, r].tolist()))
+
+    def test_a_negative_zero_coordinate_comes_out_positive(self):
+        # 0.0 + x, the 0.0 a 0-d array operand, maps -0.0 to +0.0 as the
+        # point form's float addition does
+        omega = parse_timefn("1 + 0.1*sin(t)")
+        field = direct_product([pinney_system(omega, 2.0), oscillator_system(omega), oscillator_system(omega)])
+        columns = [[1.0, -0.0, 0.0, -0.0, -0.0, 0.0], [0.7, -0.0, -0.0, 0.0, 0.0, -0.0]]
+        state, out = np.array(columns).T.copy(), np.empty((6, 2))
+        kernel = field.bind(state, out)
+        for t in (0.4, np.array([0.4, 1.3])):
+            kernel(t)
+            for column, row_t, got in zip(columns, np.broadcast_to(t, 2).tolist(), out.T):
+                assert bits(got) == bits(field.evaluate(row_t, column))
+            assert not np.signbit(out[[0, 2, 3, 4, 5]]).any()
+
+    def test_an_exponent_too_large_for_a_float_raises_on_each_call(self):
+        # numpy converts the exponent to a float on each call, as Python
+        # does: binding works, and every evaluation raises OverflowError,
+        # which the integrators record as an rhs-error
+        field = TDVectorField([(parse_timefn("1"), PolyVectorField([Poly.monomial(1, (10**400,), 1)]))])
+        kernel = field.bind(np.full((1, 3), 0.5), np.empty((1, 3)))
+        for call in (lambda: kernel(0.0), lambda: field.evaluate(0.0, [0.5])):
+            with pytest.raises(OverflowError):
+                call()
+        cfg = IntegratorConfig(method="rk4", step=0.5)
+        for traj in integrate_batch(field, [[0.5], [0.7], [0.9]], (0.0, 1.0), cfg):
+            assert traj.event == SingularityEvent(0.0, "rhs-error")
 
     def test_an_empty_block(self):
         field = td([("sin(t)", VF("x1", "1")), ("t", VF("x0", "0"))])

@@ -33,6 +33,7 @@ CLI output and golden tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -41,6 +42,30 @@ Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+@cache
+def power_plan(e: int) -> tuple[tuple[int, int], ...]:
+    """x^e, e >= 1, by square and multiply: the products x^(a+b) = x^a * x^b
+    that build it from x, each squaring the power so far or multiplying it
+    by x (x^4 is (x*x)*(x*x)).  Every float power of the numeric layer is
+    these products, so its evaluators round alike."""
+    plan, k = [], 1
+    for bit in bin(e)[3:]:
+        plan.append((k, k))
+        k += k
+        if bit == "1":
+            plan.append((k, 1))
+            k += 1
+    return tuple(plan)
+
+
+def power(x, e: int):
+    """x^e for an integer e >= 1, by the products of ``power_plan``."""
+    p = x
+    for a, b in power_plan(e):
+        p = p * (p if a == b else x)
+    return p
 
 
 def _trim(exps: Iterable[int]) -> tuple[int, ...]:
@@ -250,8 +275,10 @@ class Poly:
         for exps, c in self.terms.items():
             v = c
             for x, e in zip(point, exps):
-                if e:
-                    v = v * x**e
+                if e > 0:
+                    v = v * power(x, e)
+                elif e:
+                    v = v / power(x, -e)
             total = total + v
         return total
 
@@ -484,10 +511,10 @@ class DiffPoly:
             v = c
             for i, e in enumerate(jets):
                 if e:
-                    v = v * yjet[i] ** e
+                    v = v * power(yjet[i], e)
             for i, e in enumerate(bs):
                 if e:
-                    v = v * bvals[i] ** e
+                    v = v * power(bvals[i], e)
             total = total + v
         return total
 

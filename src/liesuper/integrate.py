@@ -39,11 +39,9 @@ overflow bound (a NaN fails that test) is kept at once; any other step
 in which the block's arithmetic raises or signals a floating-point
 error is replayed row by row with the scalar step, as is an RKF45 row
 whose attempt comes out non-finite, and a row whose step overflows
-leaves at its end.  Rows agree with ``integrate`` to rounding on RK4's
-fixed grid (numpy's ``x**3`` can differ from Python's by one ulp); under
-RKF45's step control that rounding moves the error estimate, a
-difference of nearly equal sums, by about ulp / rtol of itself, and the
-step sizes with it.
+leaves at its end.  The kernel has the point form's float operations,
+powers included, so each row's times, states and step counts are the
+bytes ``integrate`` gives it alone, whatever rows share its block.
 """
 
 from __future__ import annotations
@@ -468,9 +466,10 @@ def _block_sum(weights: Sequence[np.ndarray], k: np.ndarray, total: np.ndarray, 
     return total
 
 
-# fewer rows than this finish one by one: set when a block attempt cost
-# about three scalar ones; bound kernels brought that to 1.1-1.5 (measured
-# on the joint systems of the order-5 and order-3 hierarchy rules)
+# fewer rows than this finish one by one, a pure speed choice (a row's bits
+# are the same either way): set when a block attempt cost about three
+# scalar ones; bound kernels brought that to 1.1-1.5 (measured on the joint
+# systems of the order-5 and order-3 hierarchy rules)
 _LOCKSTEP_MIN_ROWS = 3
 
 

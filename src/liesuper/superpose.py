@@ -15,11 +15,10 @@ system:
 Every formula takes each solution coordinate as a float, or as a 1-D
 array with one entry per node, and then returns each output coordinate
 as an array over the same nodes.  Each node gets the float operations of
-the formula at one point (numpy's powers can differ from Python's by one
-ulp), and an input that fails at some node raises the error, class and
-message, that its first failing node raises alone.  A Python float
-input fails the same way: a zero raised to a negative power is a
-DomainError, never a ZeroDivisionError.
+the formula at one point, and an input that fails at some node raises the
+error, class and message, that its first failing node raises alone.  A
+Python float input fails the same way: a zero raised to a negative power
+is a DomainError, never a ZeroDivisionError.
 
 The hierarchy rule evaluates x = sum_a k_a x_(a) (with k_s = 1) through
 the jets c_j = sum_a k_a u^j_(a), normalizes z_j = c_j / c_0 = P_j(y-jet),
@@ -47,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebra import power
 from .hierarchy import p_sequence
 
 JetPoint = Sequence[float]
@@ -202,13 +202,13 @@ def _float_p_terms(order: int) -> tuple:
 
 def _p_sum(terms: tuple, point: Sequence) -> float:
     """One P_l of ``_float_p_terms`` at a jet point, summed from 0.0 term by
-    term, each term float(c) * y_i ** e ... left to right: at a point of
-    floats, the float operations of ``DiffPoly.evaluate``."""
+    term, each term float(c) * y_i^e ... left to right, each power by
+    ``algebra.power``: the float operations of ``DiffPoly.evaluate``."""
     total = 0.0
     for coefficient, factors in terms:
         v = coefficient
         for i, e in factors:
-            v = v * point[i] ** e
+            v = v * power(point[i], e)
         total = total + v
     return total
 

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Poly
+from .algebra import Poly, power_plan
 from .parsing import TimeFunction, TimeVariable, define_function, float_literal
 
 State = Sequence[float]
@@ -366,34 +366,41 @@ class TDVectorField:
         (unless its evaluation raises or is not finite), and a term whose
         coefficient folds to zero is dropped.  Component i is summed as
         ``o_i = 0.0 + s * (m_1 + m_2 + ...)``, then ``o_i = o_i + ...``, each
-        monomial ``m`` being ``coefficient * x_j * x_k ** e ...`` left to
-        right: the operations of the plain per-monomial loop, so float
-        results are bit-identical to it.  Omitted are only the exact no-ops
-        ``1.0 * v``, ``-1.0 * v`` written ``-v``, and the zero that each
-        monomial sum started from (it changes at most the sign of a zero
-        sum, which ``0.0 + ...`` erases, and so a dropped term's +-0.0 is
-        exact on finite states); ``-s * (m)`` is ``s * (-m)`` negating one
-        float.  A negative power divides by the repeated product,
-        ``c / (x_j * x_j)`` for c x_j^-2.
+        monomial ``m`` being ``coefficient * x_j * x_k^e ...`` left to right:
+        the operations of the plain per-monomial loop, so float results are
+        bit-identical to it.  Omitted are only the exact no-ops ``1.0 * v``,
+        ``-1.0 * v`` written ``-v``, and the zero that each monomial sum
+        started from (it changes at most the sign of a zero sum, which
+        ``0.0 + ...`` erases, and so a dropped term's +-0.0 is exact on
+        finite states); ``-s * (m)`` is ``s * (-m)`` negating one float.
+
+        A power has one rule: x_j^e, e >= 1, is the square-and-multiply
+        products of ``algebra.power_plan``, each made once per call into a
+        name ``x<j>_<k>`` that every monomial reading x_j^k shares (so the
+        statements grow with log e), and a negative power divides by them,
+        ``c / x0_3`` for c x0^-3.  An exponent too large for a float is
+        written ``x_j * e``, which raises OverflowError on each call in
+        Python and numpy alike, as ``x_j ** e`` does.
 
         The kernel runs the same statements as ufunc calls into bound rows
         (``_kernel_calls``), and every operand of those calls is a float64
         array: a ufunc call on 20-row operands costs 0.35-0.37 us, and
         0.54-0.59 us when one operand is a Python float, which numpy
         converts on each call (numpy 2.4, a 2-core Xeon VM).  A literal
-        (``0.0``, a folded coefficient, an exponent) is a read-only 0-d
-        array made once here; each coefficient ``c<k>`` and each ``-c<k>``
-        the statements read is a row that ``bind`` allocates for that
-        binding alone and that each call writes once, from one evaluation of
-        the coefficients at a float t (the value fills the row) or one per
-        row at per-row times.  The ufuncs see the float64 values they saw as
-        Python floats, so the bits do not move.
+        (``0.0``, a folded coefficient) is a read-only 0-d array made once
+        here; each coefficient ``c<k>`` and each ``-c<k>`` the statements
+        read is a row that ``bind`` allocates for that binding alone and
+        that each call writes once, from one evaluation of the coefficients
+        at a float t (the value fills the row) or one per row at per-row
+        times.  The ufuncs see the float64 values they saw as Python floats,
+        so the bits do not move.
         """
         n = self.dimension
         namespace: dict = dict(_KERNEL_NAMES)
         times: list[str] = []  # the statements of the coefficients c<k>
         sums: list[str] = []
         coefficients: dict[TimeFunction, str | None] = {}
+        powers: dict[str, str] = {}  # the statements of the powers x<j>_<k>
         assigned = [False] * n
         for tf, field in self.terms:
             if tf not in coefficients:
@@ -410,7 +417,7 @@ class TDVectorField:
             for i, p in enumerate(field.components):
                 if s is None or not p.terms:
                     continue
-                total = " + ".join(_monomial_source(exps, c) for exps, c in p.terms.items())
+                total = " + ".join(_monomial_source(exps, c, powers) for exps, c in p.terms.items())
                 if s == "1.0":
                     part = f"({total})"
                 elif len(p.terms) == 1 and total.startswith("-"):
@@ -422,11 +429,14 @@ class TDVectorField:
                 assigned[i] = True
         sums += [f"o{i} = 0.0" for i in range(n) if not assigned[i]]
         xs, os = (" ".join(f"{v}{j}," for j in range(n)) for v in "xo")
-        point = define_function("t, s", [f"{xs} = s", *times, *sums], f"[{os}]", namespace)
+        statements = [*powers.values(), *sums]
+        point = define_function("t, s", [f"{xs} = s", *times, *statements], f"[{os}]", namespace)
         calls: list[str] = []
         operands = _Operands(namespace)
-        ws = " ".join(f"w{k}," for k in range(max(_kernel_calls(line, calls, operands) for line in sums) or 1))
-        kernel = [f"{xs} = s", f"{os} = out", f"{ws} = _empty(({ws.count(',')}, s.shape[1]))"]
+        scratch = max(_kernel_calls(line, calls, operands) for line in statements) or 1
+        # the scratch rows w<k>, then one row per power
+        rows = " ".join([f"w{k}," for k in range(scratch)] + [f"{p}," for p in powers])
+        kernel = [f"{xs} = s", f"{os} = out", f"{rows} = _empty(({rows.count(',')}, s.shape[1]))"]
         body = [f"    {call}" for call in calls]
         if slots := operands.slots:
             # the slots are the rows of one block; its transpose takes a
@@ -442,8 +452,8 @@ class TDVectorField:
 
 
 # what a kernel calls; each ufunc writes into its ``out`` row
-_KERNEL_NAMES = dict(_add=np.add, _mul=np.multiply, _div=np.divide, _neg=np.negative, _square=np.square,
-                     _power=np.power, _empty=np.empty, _ndarray=np.ndarray)
+_KERNEL_NAMES = dict(_add=np.add, _mul=np.multiply, _div=np.divide, _neg=np.negative, _empty=np.empty,
+                     _ndarray=np.ndarray)
 _UFUNCS = {ast.Add: "_add", ast.Mult: "_mul", ast.Div: "_div"}
 
 
@@ -469,7 +479,7 @@ class _Operands:
                 array = np.array(float(value))
             except OverflowError:
                 # an exponent too large for a float: the ufunc raises on
-                # each call, where the point form raises
+                # each call, as the point form does
                 return key
             array.flags.writeable = False
             self.constants[key] = name = f"k{len(self.constants)}"
@@ -486,10 +496,10 @@ def _kernel_calls(statement: str, calls: list[str], operands: _Operands) -> int:
     """Append the ufunc calls computing ``o_i = <expression>`` into row
     ``o_i``, in Python's order, a right operand going into the next scratch
     row ``w<k>`` when the left one holds the current row; return the scratch
-    rows used.  A state row ``x<j>`` is an operand as it is, a subexpression
-    without a name is a literal folded once into a 0-d constant (Python's
-    float arithmetic, which the statement ran on each call), and ``c<k>`` and
-    ``-c<k>`` are coefficient slots."""
+    rows used.  A state row ``x<j>`` or power row ``x<j>_<k>`` is an operand
+    as it is, a subexpression without a name is a literal folded once into a
+    0-d constant (Python's float arithmetic, which the statement ran on each
+    call), and ``c<k>`` and ``-c<k>`` are coefficient slots."""
     target, source = statement.split(" = ", 1)
     used = 0
 
@@ -504,9 +514,6 @@ def _kernel_calls(statement: str, calls: list[str], operands: _Operands) -> int:
         dest, used = (target if level < 0 else f"w{level}"), max(used, level + 1)
         if isinstance(node, ast.UnaryOp):
             calls.append(f"_neg({emit(node.operand, level)}, {dest})")
-        elif isinstance(node.op, ast.Pow):  # as numpy takes x ** e: np.square for e = 2
-            x, e = node.left.id, node.right.value
-            calls.append(f"_square({x}, {dest})" if e == 2 else f"_power({x}, {operands.constant(e)}, {dest})")
         else:
             left = emit(node.left, level)
             calls.append(f"{_UFUNCS[type(node.op)]}({left}, {emit(node.right, level + (left == dest))}, {dest})")
@@ -518,8 +525,8 @@ def _kernel_calls(statement: str, calls: list[str], operands: _Operands) -> int:
     return used
 
 
-def _monomial_source(exps: tuple[int, ...], c: Fraction) -> str:
-    factors = " * ".join(f"x{j}" if e == 1 else f"x{j} ** {e}" for j, e in enumerate(exps) if e > 0)
+def _monomial_source(exps: tuple[int, ...], c: Fraction, powers: dict[str, str]) -> str:
+    factors = " * ".join(_factor_source(j, e, powers) for j, e in enumerate(exps) if e > 0)
     value = float(c)
     if not factors:
         source = float_literal(value)
@@ -529,8 +536,22 @@ def _monomial_source(exps: tuple[int, ...], c: Fraction) -> str:
         source = f"-{factors}"
     else:
         source = f"{float_literal(value)} * {factors}"
-    divisor = " * ".join(f"x{j}" for j, e in enumerate(exps) for _ in range(-e))
+    divisor = " * ".join(_factor_source(j, -e, powers) for j, e in enumerate(exps) if e < 0)
     return f"{source} / ({divisor})" if divisor else source
+
+
+def _factor_source(j: int, e: int, powers: dict[str, str]) -> str:
+    """x_j^e for e >= 1: the name of the last product of ``power_plan(e)``,
+    each product's statement entered once in ``powers``."""
+    try:
+        float(e)
+    except OverflowError:
+        return f"(x{j} * {e})"
+    names = {1: f"x{j}"}
+    for a, b in power_plan(e):
+        names[a + b] = name = f"x{j}_{a + b}"
+        powers.setdefault(name, f"{name} = {names[a]} * {names[b]}")
+    return names[e]
 
 
 def direct_product(systems: Sequence[TDVectorField]) -> TDVectorField:

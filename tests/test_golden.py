@@ -82,3 +82,9 @@ def test_lockstep_verify_report_golden(suite, capsys):
     data = pathlib.Path(__file__).parent / "data" / f"{suite}.json"
     assert main(["verify", str(data)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"verify_{suite}.json").read_text()
+
+
+def test_default_verify_report_golden(capsys):
+    """The default suite's report, byte for byte, not only its shape."""
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_default_suite.json").read_text()

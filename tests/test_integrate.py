@@ -23,6 +23,7 @@ from liesuper.integrate import (
 )
 from liesuper.parsing import parse_timefn
 from liesuper.systems import oscillator_system, pinney_system
+from liesuper.verify import build_rule_setup
 from liesuper.vectorfield import PolyVectorField, TDVectorField, direct_product
 from reference_systems import FunctionRHS
 
@@ -154,15 +155,15 @@ def pinney_start_is_finite(x: float) -> bool:
 
 
 def assert_rows_match(rhs, x0s, tspan, cfg):
-    """Each row of the batch ends as ``integrate`` ends it alone, on the
-    same nodes, with states equal to 1e-12 relative."""
+    """Each row of the batch ends as ``integrate`` ends it alone: the same
+    status, event and step counts, and the bytes of its times and states."""
     batch = integrate_batch(rhs, x0s, tspan, cfg)
     assert len(batch) == len(x0s)
     for got, x0 in zip(batch, x0s):
         want = integrate(rhs, x0, tspan, cfg)
         assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
-        assert np.array_equal(got.times, want.times)
-        np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=0.0)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
     return batch
 
 
@@ -226,29 +227,18 @@ class TestIntegrateBatch:
         # Row 4's first stage lands on x = 0.005 - 0.005 * 1.0 = 0 exactly,
         # where c/x^3 raises in the scalar step and signals in the block;
         # row 11 oscillates with an amplitude just past the bound and leaves
-        # some steps later.  The kernels are bound again after each, the
-        # other rows' nodes go into the history by rows from then on, and
-        # the Pinney field (no powers) makes the block the scalar step's
-        # bits.
+        # some steps later.  The kernels are bound again after each, and
+        # the other rows' nodes go into the history by rows from then on.
         x0s = np.random.default_rng(3).uniform(0.5, 1.5, size=(20, 2)).tolist()
         x0s[4], x0s[11] = [0.005, -1.0], [9e7, 5e7]
-        batch = integrate_batch(PINNEY, x0s, (0.0, 1.0), RK4)
-        for got, x0 in zip(batch, x0s):
-            want = integrate(PINNEY, x0, (0.0, 1.0), RK4)
-            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
-            assert got.times.tobytes() == want.times.tobytes()
-            assert got.states.tobytes() == want.states.tobytes()
+        batch = assert_rows_match(PINNEY, x0s, (0.0, 1.0), RK4)
         assert batch[4].event == SingularityEvent(0.0, "rhs-error")
         assert batch[11].event.trigger == "state-overflow" and len(batch[11].times) > 5
         assert [traj.event for traj in batch].count(None) == 18
 
     def test_batch_of_one_is_bit_identical(self):
         for rhs, x0 in ((PINNEY, [1.1, 0.2]), (FunctionRHS(1, riccati_blowup), [-3.0])):
-            (got,) = integrate_batch(rhs, [x0], (0.0, 1.0), RK4)
-            want = integrate(rhs, x0, (0.0, 1.0), RK4)
-            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
-            assert got.times.tobytes() == want.times.tobytes()
-            assert got.states.tobytes() == want.states.tobytes()
+            assert_rows_match(rhs, [x0], (0.0, 1.0), RK4)
 
     def test_empty_batch(self):
         assert integrate_batch(PINNEY, [], (0.0, 1.0), RK4) == []
@@ -285,45 +275,20 @@ class TestLockstepBlocks:
 RICCATI_TD = member_td_system(2, [parse_timefn("sin(t)"), parse_timefn("t*exp(t)")])
 
 
-def _power_free_field() -> TDVectorField:
+def _time_dependent_powers() -> TDVectorField:
     x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
     return TDVectorField(
         [
-            (parse_timefn("t"), PolyVectorField([x1, -x0 * x1])),
-            (parse_timefn("sin(t)"), PolyVectorField([x0, Poly.constant(2, 1)])),
-            (parse_timefn("exp(t)"), PolyVectorField([Poly.zero(2), x0 - x1])),
+            (parse_timefn("t"), PolyVectorField([x1, -(x0**3) * x1])),
+            (parse_timefn("sin(t)"), PolyVectorField([x0**2, Poly.constant(2, 1)])),
+            (parse_timefn("exp(t)"), PolyVectorField([Poly.zero(2), x0 - x1**5])),
         ]
     )
 
 
-# no x**e in its right-hand side, where numpy's powers and Python's differ
-POWER_FREE = _power_free_field()
-
-# A one-ulp change in a stage moves the error estimate, a difference of
-# nearly equal stage sums of relative size rtol = 1e-10, by about
-# 1e-16 / 1e-10 = 1e-6 of itself, and so the next step size by a fifth of
-# that: lockstep rows and ``integrate`` agree on their grids and states to
-# this relative size, not to rounding (seen: at most 2e-8).
-LOCKSTEP_RTOL = 1e-6
-
-
-def assert_rkf45_rows_match(rhs, x0s, tspan, cfg):
-    """Each row of the batch ends as ``integrate`` ends it alone, after as
-    many accepted and rejected steps, with times and states equal to
-    LOCKSTEP_RTOL relative (states relative to the row's largest entry)."""
-    batch = integrate_batch(rhs, x0s, tspan, cfg)
-    assert len(batch) == len(x0s)
-    for got, x0 in zip(batch, x0s):
-        want = integrate(rhs, x0, tspan, cfg)
-        assert (got.status, got.meta) == (want.status, want.meta)
-        assert (got.event is None) == (want.event is None)
-        if want.event is not None:
-            assert got.event.trigger == want.event.trigger
-            assert got.event.time == pytest.approx(want.event.time, rel=LOCKSTEP_RTOL, abs=0.0)
-        np.testing.assert_allclose(got.times, want.times, rtol=LOCKSTEP_RTOL, atol=0.0)
-        scale = float(np.max(np.abs(want.states)))
-        np.testing.assert_allclose(got.states, want.states, rtol=0.0, atol=LOCKSTEP_RTOL * scale)
-    return batch
+# coefficients that read t, so that each lockstep attempt evaluates them
+# at per-row times, and powers up to x^5
+TIME_DEPENDENT_POWERS = _time_dependent_powers()
 
 
 def triggers(batch):
@@ -345,15 +310,9 @@ class TestRkf45Lockstep:
         x0s=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=6),
         rtol=st.sampled_from([1e-6, 1e-10]),
     )
-    def test_rows_without_powers_are_bit_identical(self, x0s, rtol):
+    def test_rows_with_powers_are_bit_identical(self, x0s, rtol):
         # the block runs the scalar attempt's float operations in its order
-        x0s = [list(x0) for x0 in x0s]
-        cfg = IntegratorConfig(rtol=rtol)
-        for got, x0 in zip(integrate_batch(POWER_FREE, x0s, (0.0, 1.0), cfg), x0s):
-            want = integrate(POWER_FREE, x0, (0.0, 1.0), cfg)
-            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
-            assert got.times.tobytes() == want.times.tobytes()
-            assert got.states.tobytes() == want.states.tobytes()
+        assert_rows_match(TIME_DEPENDENT_POWERS, [list(x0) for x0 in x0s], (0.0, 1.0), IntegratorConfig(rtol=rtol))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -366,7 +325,7 @@ class TestRkf45Lockstep:
         cfg, trigger = ending
         x0s = [[y0] for y0 in healthy]
         x0s.insert(at % (len(x0s) + 1), [steep])
-        batch = assert_rkf45_rows_match(RICCATI_TD, x0s, (0.0, 1.0), cfg)
+        batch = assert_rows_match(RICCATI_TD, x0s, (0.0, 1.0), cfg)
         assert triggers(batch).count(trigger) == 1 and triggers(batch).count(None) == len(healthy)
 
     @settings(max_examples=20, deadline=None)
@@ -383,7 +342,7 @@ class TestRkf45Lockstep:
         # is below the minimum
         x0s = [list(row) for row in healthy]
         x0s.insert(at % (len(x0s) + 1), [tiny, 0.0])
-        batch = assert_rkf45_rows_match(PINNEY, x0s, (0.0, 1.0), IntegratorConfig())
+        batch = assert_rows_match(PINNEY, x0s, (0.0, 1.0), IntegratorConfig())
         tiny_row = batch[at % len(x0s)]
         assert tiny_row.event.trigger in ("rhs-error", "step-underflow")
         assert (tiny_row.event.time, tiny_row.meta["steps"]) == (0.0, 0)
@@ -394,27 +353,52 @@ class TestRkf45Lockstep:
         # non-finite step is replayed alone
         nan_omega = pinney_system(parse_timefn("exp(355)*exp(355) - exp(355)*exp(355)"), 1.0)
         x0s = [[1.0, 0.0], [0.8, 0.3], [1.2, -0.5]]
-        batch = assert_rkf45_rows_match(nan_omega, x0s, (0.0, 1.0), IntegratorConfig())
+        batch = assert_rows_match(nan_omega, x0s, (0.0, 1.0), IntegratorConfig())
         assert {(traj.event.trigger, traj.event.time) for traj in batch} == {("rhs-error", 0.0)}
 
     def test_rows_running_into_a_coefficient_pole_end_alike(self):
-        # over a thousand steps into the pole at t = 0.5, the rounding-level
-        # differences can flip a few accept decisions; the outcome is kept
+        # over a thousand steps into the pole at t = 0.5
         pole = pinney_system(parse_timefn("1/(t - 0.5)"), 1.0)
         x0s = [[1.0, 0.0], [0.8, 0.3], [1.2, -0.5]]
-        for got, x0 in zip(integrate_batch(pole, x0s, (0.0, 1.0), IntegratorConfig()), x0s):
-            want = integrate(pole, x0, (0.0, 1.0), IntegratorConfig())
-            assert (got.status, got.event.trigger) == (want.status, want.event.trigger)
-            assert got.event.trigger == "step-underflow"
-            assert got.event.time == pytest.approx(want.event.time, rel=1e-9)
+        batch = assert_rows_match(pole, x0s, (0.0, 1.0), IntegratorConfig())
+        assert triggers(batch) == ["step-underflow"] * 3
 
     def test_batch_of_one_is_bit_identical(self):
-        for rhs, x0 in ((PINNEY, [1.1, 0.2]), (RICCATI_TD, [-8.0]), (POWER_FREE, [0.3, -0.4])):
-            (got,) = integrate_batch(rhs, [x0], (0.0, 1.0), IntegratorConfig())
-            want = integrate(rhs, x0, (0.0, 1.0), IntegratorConfig())
-            assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
-            assert got.times.tobytes() == want.times.tobytes()
-            assert got.states.tobytes() == want.states.tobytes()
+        for rhs, x0 in ((PINNEY, [1.1, 0.2]), (RICCATI_TD, [-8.0]), (TIME_DEPENDENT_POWERS, [0.3, -0.4])):
+            assert_rows_match(rhs, [x0], (0.0, 1.0), IntegratorConfig())
+
+
+# joint systems of rules whose target has powers: x^3 for Bernoulli n = 3,
+# up to x^5 for the hierarchy members of orders 3 to 5
+POWER_JOINTS = [
+    ("hierarchy", {"order": 3, "b": ["1", "0.5*t", "0"]}),
+    ("hierarchy", {"order": 4, "b": ["1", "0", "sin(t)", "0"]}),
+    ("hierarchy", {"order": 5, "b": ["1", "0", "0", "sin(t)", "0"]}),
+    ("bernoulli", {"a": "cos(t)", "b": "0.5", "n": 3}),
+]
+
+
+class TestPowerBearingJoints:
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("rule_id, params", POWER_JOINTS)
+    def test_rows_are_the_bytes_of_integrate(self, monkeypatch, rule_id, params, method):
+        # row 2's target starts at 1e200, so its powers overflow at the
+        # first stage: that block step (RK4) or that row's attempt (RKF45)
+        # replays with the scalar step, and every other row keeps its bits
+        joint = build_rule_setup(rule_id, params).joint
+        x0s = np.random.default_rng(17).uniform(-1.2, 1.2, size=(20, joint.dimension))
+        x0s[2, 0] = 1e200
+        module = sys.modules["liesuper.integrate"]
+        cfg = IntegratorConfig(method=method, step=1e-2 if method == "rk4" else None)
+        replays = []  # the first coordinate of each state a scalar step starts from
+        with monkeypatch.context() as patch:
+            for name in ("_rk4_step", "_rkf45_attempt"):
+                scalar = getattr(module, name)
+                patch.setattr(module, name, lambda *args, scalar=scalar: replays.append(args[3][0]) or scalar(*args))
+            integrate_batch(joint, x0s.tolist(), (0.0, 0.5), cfg)
+        assert 1e200 in replays and (method == "rkf45" or len(replays) >= 6)
+        batch = assert_rows_match(joint, x0s.tolist(), (0.0, 0.5), cfg)
+        assert batch[2].event is not None and [traj.status for traj in batch].count("completed") >= 12
 
 
 class TestRkf45Accuracy:

@@ -292,9 +292,21 @@ def bits(values) -> list[bytes]:
     return [struct.pack("<d", v) for v in np.ravel(values)]
 
 
-def per_monomial_sum(field: TDVectorField, t: float, state, absolute: bool = False) -> list[float]:
+def square_and_multiply(x: float, e: int) -> float:
+    """x^e for e >= 1 from the bits of e after the leading one, left to
+    right: square, then times x for a one bit."""
+    p = x
+    for bit in bin(e)[3:]:
+        p = p * p
+        if bit == "1":
+            p = p * x
+    return p
+
+
+def per_monomial_sum(field: TDVectorField, t: float, state) -> list[float]:
     """The plain loop over terms, components and monomials that the
-    compiled evaluator replaces; ``absolute`` sums magnitudes instead."""
+    compiled evaluator replaces: each monomial is its coefficient times its
+    positive powers, left to right, over the product of its negative ones."""
     out = [0.0] * field.dimension
     for tf, vf in field.terms:
         s = tf.eval(t)
@@ -304,22 +316,35 @@ def per_monomial_sum(field: TDVectorField, t: float, state, absolute: bool = Fal
             acc = 0.0
             for exps, c in p.terms.items():
                 v = float(c)
+                divisor = None
                 for j, e in enumerate(exps):
-                    if e:
-                        v *= state[j] if e == 1 else state[j] ** e
-                acc += abs(v) if absolute else v
-            out[i] += abs(s * acc) if absolute else s * acc
+                    if e > 0:
+                        v *= square_and_multiply(state[j], e)
+                    elif e:
+                        power = square_and_multiply(state[j], -e)
+                        divisor = power if divisor is None else divisor * power
+                acc += v if divisor is None else v / divisor
+            out[i] += s * acc
     return out
 
 
 TIME_COEFFS = st.sampled_from(["1", "0", "0.5", "0 - 1", "sin(t)", "t^2", "2 - t", "exp(0 - t)/3"])
 STATE_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-2.0, 2.0))
+# a field with a negative power divides by its coordinates
+NONZERO_STATE_VALUES = st.one_of(st.sampled_from((1.0, -1.0)), st.floats(0.25, 2.0), st.floats(-2.0, -0.25))
+
+
+def states(field: TDVectorField):
+    laurent = any(e < 0 for _, vf in field.terms for p in vf.components for exps in p.terms for e in exps)
+    n = field.dimension
+    return st.lists(NONZERO_STATE_VALUES if laurent else STATE_VALUES, min_size=n, max_size=n)
 
 
 @st.composite
 def td_fields(draw):
     n = draw(st.integers(1, 3))
-    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    # half the fields polynomial, whose states may be zeros of either sign
+    monomials = st.tuples(*[st.integers(draw(st.sampled_from((0, -3))), 5)] * n)
     coeffs = st.one_of(st.sampled_from((1, -1)), COEFFS)
     terms = [
         (
@@ -332,30 +357,14 @@ def td_fields(draw):
 
 
 class TestCompiledField:
-    @settings(max_examples=120, deadline=None)
+    # TestBoundKernel's first test checks the same bits on every column
+    @settings(max_examples=60, deadline=None)
     @given(field=td_fields(), t=st.floats(0.0, 2.0), data=st.data())
     def test_floats_match_the_per_monomial_sum_bit_for_bit(self, field, t, data):
-        state = data.draw(st.lists(STATE_VALUES, min_size=field.dimension, max_size=field.dimension))
+        state = data.draw(states(field))
         got = field.evaluate(t, state)
         want = per_monomial_sum(field, t, state)
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
-
-    @settings(max_examples=60, deadline=None)
-    @given(field=td_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
-    def test_coordinate_major_arrays_match_each_column(self, field, t, rows, data):
-        n = field.dimension
-        columns = [data.draw(st.lists(STATE_VALUES, min_size=n, max_size=n)) for _ in range(rows)]
-        block = np.array(columns).T
-        got = field.evaluate(t, block)
-        # one (dim, rows) float block, components constant in the state
-        # broadcast to the rows, and the same bits with per-row times
-        assert got.shape == (n, rows) and got.dtype == np.float64
-        assert field.evaluate(np.full(rows, t), block).tobytes() == got.tobytes()
-        want = np.array([per_monomial_sum(field, t, column) for column in columns]).T
-        # numpy's x**e may round differently from Python's by an ulp per
-        # monomial, so the bound scales with the summed magnitudes
-        scale = np.array([per_monomial_sum(field, t, column, absolute=True) for column in columns]).T
-        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
     def test_compiled_field_never_walks_the_time_trees(self, monkeypatch):
         from liesuper.parsing import TimeCall
@@ -378,9 +387,8 @@ FOLDING_COEFFS = st.sampled_from(["0", "0 - 0", "2 - 2", "0*(0 - 1)", "2 - 1", "
 
 @st.composite
 def folding_fields(draw):
-    # no powers, where numpy's x**e and Python's may round apart
     n = draw(st.integers(1, 3))
-    monomials = st.tuples(*[st.integers(0, 1)] * n)
+    monomials = st.tuples(*[st.integers(draw(st.sampled_from((0, -3))), 4)] * n)
     terms = [
         (
             parse_timefn(draw(FOLDING_COEFFS)),
@@ -396,21 +404,27 @@ class TestBoundKernel:
     @given(field=td_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
     def test_a_kernel_bound_once_gives_the_bytes_of_evaluate(self, field, t, rows, data):
         n = field.dimension
-        columns = [data.draw(st.lists(STATE_VALUES, min_size=n, max_size=n)) for _ in range(rows)]
+        columns = [data.draw(states(field)) for _ in range(rows)]
         per_row = data.draw(st.lists(st.floats(0.0, 2.0), min_size=rows, max_size=rows))
         state, out = np.array(columns).T.copy(), np.empty((n, rows))
+        # one (dim, rows) float block, components constant in the state
+        # broadcast to the rows, and the same bits with per-row times
+        block = field.evaluate(t, state)
+        assert block.shape == (n, rows) and block.dtype == np.float64
+        assert field.evaluate(np.full(rows, t), state).tobytes() == block.tobytes()
         kernel = field.bind(state, out)
         for times in (t, np.array(per_row), t):
             kernel(times)
             assert out.tobytes() == field.evaluate(times, state).tobytes()
-            for column, row_t, got in zip(columns, per_row if isinstance(times, np.ndarray) else [t] * rows, out.T):
-                want = per_monomial_sum(field, row_t, column)
-                scale = per_monomial_sum(field, row_t, column, absolute=True)
-                assert np.all(np.abs(got - want) <= 1e-15 * np.array(scale))
+            # each column has the bits of the point form and of the plain
+            # loop, powers and all
+            for column, row_t, got in zip(columns, np.broadcast_to(times, rows).tolist(), out.T):
+                want = bits(per_monomial_sum(field, row_t, column))
+                assert bits(got) == bits(field.evaluate(row_t, column)) == want
 
     def test_a_bound_kernel_reads_its_buffers_at_each_call(self):
-        # the Pinney joint has no powers, so its kernel's columns are the
-        # point form's bits; the last factor's component is zero
+        # the kernel's columns are the point form's bits; the last factor's
+        # component is zero
         omega = parse_timefn("1 + 0.1*sin(t)")
         field = direct_product([pinney_system(omega, 2.0), oscillator_system(omega), td([("sin(t)", VF("0"))])])
         rng = np.random.default_rng(11)
@@ -426,8 +440,7 @@ class TestBoundKernel:
     @settings(max_examples=80, deadline=None)
     @given(field=folding_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 4), data=st.data())
     def test_folded_and_zero_coefficient_terms_keep_the_bits(self, field, t, rows, data):
-        n = field.dimension
-        columns = [data.draw(st.lists(STATE_VALUES, min_size=n, max_size=n)) for _ in range(rows)]
+        columns = [data.draw(states(field)) for _ in range(rows)]
         block = field.evaluate(t, np.array(columns).T.copy())
         for column, got in zip(columns, block.T):
             want = bits(per_monomial_sum(field, t, column))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -327,12 +328,6 @@ def sequential_records(rule_id, params, trials, seed, tspan, cfg):
     return records
 
 
-# the errors are rounding-level differences of states of size about one,
-# so they are compared to 1e-12 of that scale
-def close(a, b):
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
-
-
 RULE_CASES = {
     "pinney": ({"omega": "1 + 0.1*sin(t)", "c": 2.0}, (0.0, 0.5)),
     "linear": ({"a": "cos(t)", "b": "1 + t"}, (0.0, 1.0)),
@@ -342,24 +337,13 @@ RULE_CASES = {
 }
 
 
-# Lockstep RKF45 rows take the steps of ``integrate`` up to rounding (numpy's
-# powers differ from Python's), and the formula error holds the state
-# rounding amplified by the solution jets, up to about 1e4 at order 4: the
-# two loops measure it to 1e-2 of itself (seen over 30 seeds: 3e-3 at order
-# 4, 3e-4 at order 3, 1e-4 at order 2, exact for the linear rule).
-def close_lockstep(a, b):
-    return math.isclose(a, b, rel_tol=1e-2, abs_tol=1e-12)
-
-
-def assert_records_match(records, reference, error_close=close):
+def assert_records_match(records, reference):
+    """The same records, errors and extras bit for bit: a lockstep row has
+    the float operations of ``integrate`` on that row alone."""
     assert len(records) == len(reference)
     for got, want in zip(records, reference):
         assert (got.index, got.constants, got.status) == (want.index, want.constants, want.status)
-        assert (got.max_error is None) == (want.max_error is None)
-        if want.max_error is not None:
-            assert error_close(got.max_error, want.max_error)
-        assert got.extras.keys() == want.extras.keys()
-        assert all(close(got.extras[key], want.extras[key]) for key in want.extras)
+        assert (got.max_error, got.extras) == (want.max_error, want.extras)
 
 
 # rules whose trials run under RKF45 with time-dependent coefficients
@@ -396,7 +380,26 @@ class TestBatchedTrialLoop:
         # eight trials: the first chunk's rows step in lockstep
         report = run_rule_verification(rule_id, params, 8, seed, tspan, CFG)
         reference = sequential_records(rule_id, params, 8, seed, tspan, CFG)
-        assert_records_match(report.records, reference, error_close=close_lockstep)
+        assert_records_match(report.records, reference)
+
+    @pytest.mark.parametrize(
+        "rule_id, params, tspan, method",
+        [
+            ("hierarchy", {"order": 4, "b": ["1", "0", "sin(t)", "0"]}, (0.0, 0.1), "rkf45"),
+            ("bernoulli", {"a": "cos(t)", "b": "0.5", "n": 3}, (0.0, 0.5), "rk4"),
+        ],
+    )
+    def test_a_record_does_not_depend_on_its_batch(self, monkeypatch, rule_id, params, tspan, method):
+        # every RKF45 row in one block to the end, or every row alone; and
+        # each candidate integrated on its own
+        cfg = IntegratorConfig(method=method, step=1e-2 if method == "rk4" else None)
+        runs = []
+        for min_rows in (1, 10**9):
+            monkeypatch.setattr(sys.modules["liesuper.integrate"], "_LOCKSTEP_MIN_ROWS", min_rows)
+            runs.append(run_rule_verification(rule_id, params, 8, 11, tspan, cfg).records)
+        runs.append(sequential_records(rule_id, params, 8, 11, tspan, cfg))
+        for records in runs[1:]:
+            assert_records_match(records, runs[0])
 
     def test_chunks_keep_their_state_history_bounded(self, monkeypatch):
         sizes = []

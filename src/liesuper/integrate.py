@@ -307,9 +307,12 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             try:
                 # the scalar step's operations, into the bound blocks
                 f1(t)
-                for f, k, h, t_stage in ((f2, k1, half, mid), (f3, k2, half, mid), (f4, k3, full, t + dt)):
-                    _add(y, _mul(h, k, stage), stage)
-                    f(t_stage)
+                _add(y, _mul(half, k1, stage), stage)
+                f2(mid)
+                _add(y, _mul(half, k2, stage), stage)
+                f3(mid)
+                _add(y, _mul(full, k3, stage), stage)
+                f4(t + dt)
                 # y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), summed into k1
                 _add(_add(_add(k1, _mul(_TWO, k2, k2), k1), _mul(_TWO, k3, k3), k1), k4, k1)
                 _add(y, _mul(sixth, k1, k1), y_next)

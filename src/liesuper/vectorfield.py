@@ -355,7 +355,8 @@ class TDVectorField:
 
     def bind(self, state: np.ndarray, out: np.ndarray) -> Callable[[float | np.ndarray], None]:
         """The kernel, bound once to two (dim, rows) float64 buffers, whose call
-        ``kernel(t)`` writes the values of the states in ``state`` into ``out``."""
+        ``kernel(t)`` writes the values of the states in ``state`` into ``out``,
+        ``t`` being a float or a 1-D array of one time per row."""
         return (self._compiled or self._compile())[1](state, out)
 
     def _compile(self) -> tuple[Callable, Callable]:
@@ -390,15 +391,31 @@ class TDVectorField:
         (``0.0``, a folded coefficient) is a read-only 0-d array made once
         here; each coefficient ``c<k>`` and each ``-c<k>`` the statements
         read is a row that ``bind`` allocates for that binding alone and
-        that each call writes once, from one evaluation of the coefficients
-        at a float t (the value fills the row) or one per row at per-row
-        times.  The ufuncs see the float64 values they saw as Python floats,
-        so the bits do not move.
+        that each call writes once: at a float t, one evaluation of the
+        coefficients whose values ``fill`` the rows; at per-row times, one
+        evaluation per row, the values of all rows written in order from
+        one flat list into the slots' block (per-row times of another
+        length than the rows raise ValueError).  The ufuncs see the float64
+        values they saw as Python floats, so the bits do not move.
+
+        One step differs from the point form, with the same bits: the
+        kernel writes a component's first part straight into ``o_i``,
+        unless it is a bare name (kept as ``0.0 + x_j``, one call either
+        way) or a literal (folded), and then ends the call with one
+        ``out = 0.0 + out`` over the whole block.  Under round to nearest,
+        ``(0.0 + a) + b`` and ``(a + b) + 0.0`` have the same bits: for
+        a != +-0, a + b is never -0.0, so both are a + b; for a = +-0, both
+        are b with -0.0 made +0.0; a NaN or an inf passes through both
+        alike, and adding 0.0 raises no floating-point flag.  By induction
+        the ``0.0 +`` moves past every later part.  So the Pinney joint
+        kernel makes 11 ufunc calls, where one normalising add per
+        component would make 13.
         """
         n = self.dimension
         namespace: dict = dict(_KERNEL_NAMES)
         times: list[str] = []  # the statements of the coefficients c<k>
         sums: list[str] = []
+        kernel_sums: list[str] = []  # the sums of the kernel, which writes a first part straight into o_i
         coefficients: dict[TimeFunction, str | None] = {}
         powers: dict[str, str] = {}  # the statements of the powers x<j>_<k>
         assigned = [False] * n
@@ -426,26 +443,38 @@ class TDVectorField:
                 else:
                     part = f"{s} * ({total})"
                 sums.append(f"o{i} = {f'o{i}' if assigned[i] else '0.0'} + {part}")
+                kernel_sums.append(sums[-1] if assigned[i] or not _reads_a_row(part) else f"o{i} = {part}")
                 assigned[i] = True
         sums += [f"o{i} = 0.0" for i in range(n) if not assigned[i]]
+        kernel_sums += sums[len(kernel_sums):]
         xs, os = (" ".join(f"{v}{j}," for j in range(n)) for v in "xo")
-        statements = [*powers.values(), *sums]
-        point = define_function("t, s", [f"{xs} = s", *times, *statements], f"[{os}]", namespace)
+        point = define_function("t, s", [f"{xs} = s", *times, *powers.values(), *sums], f"[{os}]", namespace)
         calls: list[str] = []
         operands = _Operands(namespace)
-        scratch = max(_kernel_calls(line, calls, operands) for line in statements) or 1
+        scratch = max(_kernel_calls(line, calls, operands) for line in [*powers.values(), *kernel_sums]) or 1
+        if kernel_sums != sums:
+            # (0.0 + a) + b + ... == (a + b + ...) + 0.0, bit for bit
+            calls.append(f"_add({operands.constant(0.0)}, out, out)")
         # the scratch rows w<k>, then one row per power
         rows = " ".join([f"w{k}," for k in range(scratch)] + [f"{p}," for p in powers])
         kernel = [f"{xs} = s", f"{os} = out", f"{rows} = _empty(({rows.count(',')}, s.shape[1]))"]
         body = [f"    {call}" for call in calls]
         if slots := operands.slots:
-            # the slots are the rows of one block; its transpose takes a
-            # tuple of values, broadcast to every row, or one tuple per row
-            # (none for an empty block, whose broadcast 0.0 writes nothing)
+            # the slots are the rows of one block: each row filled with its
+            # value at a float t, or, at per-row times (one per row), the
+            # block's transpose written in order from one flat list of values
             namespace["_cs"] = define_function("t", times, f"({', '.join(slots.values())},)", namespace)
             kernel += [f"{' '.join(f'{c},' for c in slots)} = cs = _empty(({len(slots)}, s.shape[1]))", "by_row = cs.T"]
-            per_row = "[_cs(ti) for ti in t.tolist()] or 0.0"
-            body.insert(0, f"    by_row[...] = ({per_row}) if t.__class__ is _ndarray else _cs(t)")
+            body[:0] = [
+                "    if t.__class__ is _ndarray:",
+                # a flat list of another length would repeat or stop short
+                "        if t.shape != cs.shape[1:]:",
+                "            raise ValueError(f'{t.shape} times for a block of {cs.shape[1]} rows')",
+                "        by_row.flat = [v for ti in t.tolist() for v in _cs(ti)]",
+                "    else:",
+                "        cv = _cs(t)",
+                *(f"        {c}.fill(cv[{k}])" for k, c in enumerate(slots)),
+            ]
         kernel += ["def kernel(t):", *body]
         object.__setattr__(self, "_compiled", (point, define_function("s, out", kernel, "kernel", namespace)))
         return self._compiled
@@ -460,6 +489,13 @@ _UFUNCS = {ast.Add: "_add", ast.Mult: "_mul", ast.Div: "_div"}
 def _reads_t(tf: TimeFunction) -> bool:
     nodes = map(tf.__getattribute__, tf.__slots__)
     return isinstance(tf, TimeVariable) or any(isinstance(v, TimeFunction) and _reads_t(v) for v in nodes)
+
+
+def _reads_a_row(source: str) -> bool:
+    """Whether a kernel computes ``source`` with ufunc calls: it is not a
+    bare name, which ``0.0 + x`` copies, and not a literal, which folds."""
+    node = ast.parse(source, mode="eval").body
+    return not isinstance(node, ast.Name) and any(isinstance(v, ast.Name) for v in ast.walk(node))
 
 
 class _Operands:

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liesuper import vectorfield
 from liesuper.algebra import Poly
 from liesuper.integrate import IntegratorConfig, SingularityEvent, integrate_batch
 from liesuper.parsing import TimeConstant, parse_poly, parse_timefn
@@ -478,6 +479,53 @@ class TestBoundKernel:
             for column, row_t, got in zip(columns, np.broadcast_to(t, 2).tolist(), out.T):
                 assert bits(got) == bits(field.evaluate(row_t, column))
             assert not np.signbit(out[[0, 2, 3, 4, 5]]).any()
+
+    def test_a_sum_of_negated_zeros_comes_out_positive(self):
+        # component 0 is -x0 - t*x1 in two parts, component 1 adds a third,
+        # -x2: at +0.0 states every part is -0.0 and so is their sum, which
+        # only the kernel's closing 0.0 + out makes +0.0, as the point
+        # form's leading 0.0 + does
+        field = td([("1", VF("-x0", "-x0", "x1 * x2")), ("t", VF("-x1", "-x1", "0")), ("0 - 1", VF("0", "x2", "0"))])
+        state, out = np.zeros((3, 4)), np.empty((3, 4))
+        kernel = field.bind(state, out)
+        for t in (0.5, np.array([0.5, 1.0, 1.5, 2.0])):
+            kernel(t)
+            for r, row_t in enumerate(np.broadcast_to(t, 4).tolist()):
+                assert bits(out[:, r]) == bits(field.evaluate(row_t, [0.0, 0.0, 0.0]))
+            assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("omega", ["1", "1 + 0.1*sin(t)"])
+    def test_the_pinney_joint_kernel_makes_eleven_ufunc_calls(self, omega, monkeypatch):
+        # two powers, a division, three negations or -omega^2 products, a
+        # sum for the second part of p', three copies of a bare name, and
+        # one closing 0.0 + out
+        calls = []
+
+        def counting(name, ufunc):
+            return lambda *args: calls.append(name) or ufunc(*args)
+
+        for name in ("_add", "_mul", "_div", "_neg"):
+            monkeypatch.setitem(vectorfield._KERNEL_NAMES, name, counting(name, vectorfield._KERNEL_NAMES[name]))
+        omega = parse_timefn(omega)
+        field = direct_product([pinney_system(omega, 2.0), oscillator_system(omega), oscillator_system(omega)])
+        state, out = np.random.default_rng(3).uniform(0.5, 1.5, size=(6, 20)), np.empty((6, 20))
+        kernel = field.bind(state, out)
+        for t in (0.3, np.linspace(0.0, 1.0, 20)):
+            calls.clear()
+            kernel(t)
+            assert len(calls) == 11 and calls[-1] == "_add"
+            for row_t, column, got in zip(np.broadcast_to(t, 20).tolist(), state.T.tolist(), out.T):
+                assert bits(got) == bits(field.evaluate(row_t, column))
+
+    def test_per_row_times_need_one_time_per_row(self):
+        # the slot block is written from one flat list, which numpy would
+        # repeat or cut short to fit
+        field = td([("sin(t)", VF("x0"))])
+        kernel = field.bind(np.ones((1, 3)), np.empty((1, 3)))
+        for t in (np.array([]), np.array([0.5]), np.zeros(4)):
+            for call in (lambda: kernel(t), lambda: field.evaluate(t, np.ones((1, 3)))):
+                with pytest.raises(ValueError, match="times for a block of 3 rows"):
+                    call()
 
     def test_an_exponent_too_large_for_a_float_raises_on_each_call(self):
         # numpy converts the exponent to a float on each call, as Python

@@ -31,7 +31,7 @@ its order.  RK4 rows share the uniform grid and write each step into the
 RKF45 rows keep their own time, step size, attempt count and grid: an
 attempt runs the Fehlberg stages on the block at the 1-D array of per-row
 times, and each row's own step control then accepts or rejects its step;
-fewer than three rows finish one by one (``_LOCKSTEP_MIN_ROWS``).
+the last row left finishes alone with the scalar step.
 
 A row leaves the block with the event that ``integrate`` gives it alone:
 an RK4 step that raised no floating-point signal and stays within the
@@ -469,13 +469,6 @@ def _block_sum(weights: Sequence[np.ndarray], k: np.ndarray, total: np.ndarray, 
     return total
 
 
-# fewer rows than this finish one by one, a pure speed choice (a row's bits
-# are the same either way): set when a block attempt cost about three
-# scalar ones; bound kernels brought that to 1.1-1.5 (measured on the joint
-# systems of the order-5 and order-3 hierarchy rules)
-_LOCKSTEP_MIN_ROWS = 3
-
-
 def _integrate_rkf45_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     """RKF45 rows in lockstep, each under its own step control.  Every
     ufunc operand of an attempt is a float64 array (see ``_constants``): the
@@ -494,7 +487,7 @@ def _integrate_rkf45_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
 
     # a floating-point error anywhere in an attempt is recorded, never warned
     with np.errstate(divide="call", over="call", invalid="call", under="ignore", call=signal):
-        while len(live) >= _LOCKSTEP_MIN_ROWS:
+        while len(live) >= 2:
             going = [row.start() for row in live]
             if not all(going):
                 live = [row for row, go in zip(live, going) if go]

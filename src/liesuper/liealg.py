@@ -205,7 +205,10 @@ def closure(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CA
         if brackets.add(g):
             grow(g)
     brackets.bracket_pairs(fields, lambda j, i, bracket: grow(bracket))
-    basis = LieBasis(fields, dimension=n)
+    # the echelon proved the fields independent: no second rank pass
+    basis = object.__new__(LieBasis)
+    object.__setattr__(basis, "dimension", n)
+    object.__setattr__(basis, "fields", tuple(fields))
     object.__setattr__(basis, "_brackets", brackets)
     return basis
 

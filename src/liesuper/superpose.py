@@ -25,9 +25,10 @@ the jets c_j = sum_a k_a u^j_(a), normalizes z_j = c_j / c_0 = P_j(y-jet),
 and recovers the y-jet by triangular inversion of the P sequence: each
 P_l is y_{l-1} plus terms in strictly lower derivatives, so
 y^(l-1) = z_l - P_l evaluated on the already-recovered jet with
-y_{l-1} = 0.  The rule and ``solve_hierarchy_constants`` sum each P_l
-from its float terms, with the float operations of ``DiffPoly.evaluate``
-at a point.
+y_{l-1} = 0.  The rule and ``solve_hierarchy_constants`` evaluate each
+P_l through the point form of a ``TDVectorField`` on y0 .. y_{l-1}, the
+one statement list the field compiler builds for every system, with the
+float operations of ``DiffPoly.evaluate`` at a point.
 Scaling every constant (including k_s) by a nonzero factor leaves the
 output unchanged, which is why the normalization k_s = 1 loses nothing.
 
@@ -46,8 +47,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import power
+from .algebra import Poly
 from .hierarchy import p_sequence
+from .parsing import TimeFunction
+from .vectorfield import PolyVectorField, TDVectorField
 
 JetPoint = Sequence[float]
 
@@ -190,27 +193,16 @@ def eval_pinney_rule(xi1, xi2, k1: float, k2: float, c: float) -> tuple:
 
 
 @cache
-def _float_p_terms(order: int) -> tuple:
-    """P_1 .. P_order of the P sequence, each as its terms ``(float(c),
-    ((i, e), ...))`` for c * y_i^e * ..., in ``DiffPoly.evaluate``'s order."""
-    ps = p_sequence(order)
-    return tuple(
-        tuple((float(c), tuple((i, e) for i, e in enumerate(jets) if e)) for (jets, _), c in ps[l].terms.items())
-        for l in range(1, order + 1)
-    )
-
-
-def _p_sum(terms: tuple, point: Sequence) -> float:
-    """One P_l of ``_float_p_terms`` at a jet point, summed from 0.0 term by
-    term, each term float(c) * y_i^e ... left to right, each power by
-    ``algebra.power``: the float operations of ``DiffPoly.evaluate``."""
-    total = 0.0
-    for coefficient, factors in terms:
-        v = coefficient
-        for i, e in factors:
-            v = v * power(point[i], e)
-        total = total + v
-    return total
+def _p_fields(order: int) -> tuple[TDVectorField, ...]:
+    """P_1 .. P_order of the P sequence, compiled: P_l is the first
+    component of a field on y0 .. y_{l-1} whose other components are zero,
+    its terms in ``DiffPoly.evaluate``'s order."""
+    fields = []
+    for l, p in enumerate(p_sequence(order).polys[1:], 1):
+        terms = {jets + (0,) * (l - len(jets)): c for (jets, _), c in p.terms.items()}
+        components = [Poly(l, terms)] + [Poly.zero(l)] * (l - 1)
+        fields.append(TDVectorField([(TimeFunction.constant(1), PolyVectorField(components))]))
+    return tuple(fields)
 
 
 def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) -> list:
@@ -231,9 +223,9 @@ def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) ->
         raise SingularDenominator("combined solution vanishes at this point (c0 = 0)")
     z = [cj / c[0] for cj in c]
     yjet: list = []
-    for l, terms in enumerate(_float_p_terms(s - 1), 1):
+    for l, p in enumerate(_p_fields(s - 1), 1):
         # P_l - y_{l-1} only involves y0..y_{l-2}: P_l with y_{l-1} = 0
-        yjet.append(z[l] - _p_sum(terms, yjet + [0.0]))
+        yjet.append(z[l] - p.evaluate(0.0, yjet + [0.0])[0])
     return yjet
 
 
@@ -250,7 +242,7 @@ def solve_hierarchy_constants(s: int, jets_at_t0: Sequence[JetPoint], v0: Sequen
         raise ValueError(f"need {s} component jets, got {len(jets_at_t0)}")
     if len(v0) != s - 1:
         raise ValueError(f"target jet must have length {s - 1}")
-    chi = [1.0] + [_p_sum(terms, v0) for terms in _float_p_terms(s - 1)]
+    chi = [1.0] + [p.evaluate(0.0, v0[:l])[0] for l, p in enumerate(_p_fields(s - 1), 1)]
     m = np.array(jets_at_t0, dtype=float).T  # columns are the jets
     try:
         kappa = np.linalg.solve(m, np.array(chi, dtype=float))

@@ -365,15 +365,28 @@ class TDVectorField:
         Each distinct time coefficient is computed once per call into
         ``c<k>``.  One that does not read t is folded into a float literal
         (unless its evaluation raises or is not finite), and a term whose
-        coefficient folds to zero is dropped.  Component i is summed as
-        ``o_i = 0.0 + s * (m_1 + m_2 + ...)``, then ``o_i = o_i + ...``, each
-        monomial ``m`` being ``coefficient * x_j * x_k^e ...`` left to right:
-        the operations of the plain per-monomial loop, so float results are
-        bit-identical to it.  Omitted are only the exact no-ops ``1.0 * v``,
-        ``-1.0 * v`` written ``-v``, and the zero that each monomial sum
-        started from (it changes at most the sign of a zero sum, which
-        ``0.0 + ...`` erases, and so a dropped term's +-0.0 is exact on
-        finite states); ``-s * (m)`` is ``s * (-m)`` negating one float.
+        coefficient folds to zero is dropped.  Component i is one list of
+        statements, ``o_i = s * (m_1 + m_2 + ...)`` for its first term and
+        ``o_i = o_i + ...`` for each later one (``o_i = 0.0`` when no term
+        reaches it), each monomial ``m`` being ``coefficient * x_j * x_k^e
+        ...`` left to right.  Both forms run these statements and close with
+        one ``0.0 +``: the point form on floats, returning ``[0.0 + o_0,
+        ...]``, and the kernel as ufunc calls into bound rows
+        (``_kernel_calls``, a bare name or a literal being a row copy
+        ``o_i[...] = x_j``), ending each call with one ``out = 0.0 + out``
+        over the whole block.  These are the operations of the plain
+        per-monomial loop, which sums from 0.0, with its bits: under round
+        to nearest, ``(0.0 + a) + b`` and ``(a + b) + 0.0`` have the same
+        bits (for a != +-0, a + b is never -0.0, so both are a + b; for
+        a = +-0, both are b with -0.0 made +0.0; a NaN or an inf passes
+        through both alike, and adding 0.0 raises no floating-point flag),
+        and by induction the ``0.0 +`` moves past every later part.
+        Omitted are only the exact no-ops ``1.0 * v``, ``-1.0 * v`` written
+        ``-v``, and the zero that each monomial sum started from (it changes
+        at most the sign of a zero sum, which the closing ``0.0 +`` erases,
+        and so a dropped term's +-0.0 is exact on finite states);
+        ``-s * (m)`` is ``s * (-m)`` negating one float.  So the Pinney
+        joint kernel makes 8 ufunc calls and 3 row copies.
 
         A power has one rule: x_j^e, e >= 1, is the square-and-multiply
         products of ``algebra.power_plan``, each made once per call into a
@@ -383,39 +396,24 @@ class TDVectorField:
         written ``x_j * e``, which raises OverflowError on each call in
         Python and numpy alike, as ``x_j ** e`` does.
 
-        The kernel runs the same statements as ufunc calls into bound rows
-        (``_kernel_calls``), and every operand of those calls is a float64
-        array: a ufunc call on 20-row operands costs 0.35-0.37 us, and
-        0.54-0.59 us when one operand is a Python float, which numpy
-        converts on each call (numpy 2.4, a 2-core Xeon VM).  A literal
-        (``0.0``, a folded coefficient) is a read-only 0-d array made once
-        here; each coefficient ``c<k>`` and each ``-c<k>`` the statements
-        read is a row that ``bind`` allocates for that binding alone and
-        that each call writes once: at a float t, one evaluation of the
-        coefficients whose values ``fill`` the rows; at per-row times, one
-        evaluation per row, the values of all rows written in order from
-        one flat list into the slots' block (per-row times of another
-        length than the rows raise ValueError).  The ufuncs see the float64
-        values they saw as Python floats, so the bits do not move.
-
-        One step differs from the point form, with the same bits: the
-        kernel writes a component's first part straight into ``o_i``,
-        unless it is a bare name (kept as ``0.0 + x_j``, one call either
-        way) or a literal (folded), and then ends the call with one
-        ``out = 0.0 + out`` over the whole block.  Under round to nearest,
-        ``(0.0 + a) + b`` and ``(a + b) + 0.0`` have the same bits: for
-        a != +-0, a + b is never -0.0, so both are a + b; for a = +-0, both
-        are b with -0.0 made +0.0; a NaN or an inf passes through both
-        alike, and adding 0.0 raises no floating-point flag.  By induction
-        the ``0.0 +`` moves past every later part.  So the Pinney joint
-        kernel makes 11 ufunc calls, where one normalising add per
-        component would make 13.
+        Every operand of the kernel's ufunc calls is a float64 array: a
+        ufunc call on 20-row operands costs 0.35-0.37 us, and 0.54-0.59 us
+        when one operand is a Python float, which numpy converts on each
+        call (numpy 2.4, a 2-core Xeon VM).  A literal (``0.0``, a folded
+        coefficient) is a read-only 0-d array made once here; each
+        coefficient ``c<k>`` and each ``-c<k>`` the statements read is a
+        row that ``bind`` allocates for that binding alone and that each
+        call writes once: at a float t, one evaluation of the coefficients
+        whose values ``fill`` the rows; at per-row times, one evaluation per
+        row, the values of all rows written in order from one flat list
+        into the slots' block (per-row times of another length than the
+        rows raise ValueError).  The ufuncs see the float64 values they saw
+        as Python floats, so the bits do not move.
         """
         n = self.dimension
         namespace: dict = dict(_KERNEL_NAMES)
         times: list[str] = []  # the statements of the coefficients c<k>
         sums: list[str] = []
-        kernel_sums: list[str] = []  # the sums of the kernel, which writes a first part straight into o_i
         coefficients: dict[TimeFunction, str | None] = {}
         powers: dict[str, str] = {}  # the statements of the powers x<j>_<k>
         assigned = [False] * n
@@ -442,19 +440,16 @@ class TDVectorField:
                     part = f"-{s} * ({total[1:]})"
                 else:
                     part = f"{s} * ({total})"
-                sums.append(f"o{i} = {f'o{i}' if assigned[i] else '0.0'} + {part}")
-                kernel_sums.append(sums[-1] if assigned[i] or not _reads_a_row(part) else f"o{i} = {part}")
+                sums.append(f"o{i} = o{i} + {part}" if assigned[i] else f"o{i} = {part}")
                 assigned[i] = True
         sums += [f"o{i} = 0.0" for i in range(n) if not assigned[i]]
-        kernel_sums += sums[len(kernel_sums):]
         xs, os = (" ".join(f"{v}{j}," for j in range(n)) for v in "xo")
-        point = define_function("t, s", [f"{xs} = s", *times, *powers.values(), *sums], f"[{os}]", namespace)
+        results = f"[{', '.join(f'0.0 + o{i}' for i in range(n))}]"
+        point = define_function("t, s", [f"{xs} = s", *times, *powers.values(), *sums], results, namespace)
         calls: list[str] = []
         operands = _Operands(namespace)
-        scratch = max(_kernel_calls(line, calls, operands) for line in [*powers.values(), *kernel_sums]) or 1
-        if kernel_sums != sums:
-            # (0.0 + a) + b + ... == (a + b + ...) + 0.0, bit for bit
-            calls.append(f"_add({operands.constant(0.0)}, out, out)")
+        scratch = max(_kernel_calls(line, calls, operands) for line in [*powers.values(), *sums]) or 1
+        calls.append(f"_add({operands.constant(0.0)}, out, out)")
         # the scratch rows w<k>, then one row per power
         rows = " ".join([f"w{k}," for k in range(scratch)] + [f"{p}," for p in powers])
         kernel = [f"{xs} = s", f"{os} = out", f"{rows} = _empty(({rows.count(',')}, s.shape[1]))"]
@@ -489,13 +484,6 @@ _UFUNCS = {ast.Add: "_add", ast.Mult: "_mul", ast.Div: "_div"}
 def _reads_t(tf: TimeFunction) -> bool:
     nodes = map(tf.__getattribute__, tf.__slots__)
     return isinstance(tf, TimeVariable) or any(isinstance(v, TimeFunction) and _reads_t(v) for v in nodes)
-
-
-def _reads_a_row(source: str) -> bool:
-    """Whether a kernel computes ``source`` with ufunc calls: it is not a
-    bare name, which ``0.0 + x`` copies, and not a literal, which folds."""
-    node = ast.parse(source, mode="eval").body
-    return not isinstance(node, ast.Name) and any(isinstance(v, ast.Name) for v in ast.walk(node))
 
 
 class _Operands:
@@ -535,7 +523,9 @@ def _kernel_calls(statement: str, calls: list[str], operands: _Operands) -> int:
     rows used.  A state row ``x<j>`` or power row ``x<j>_<k>`` is an operand
     as it is, a subexpression without a name is a literal folded once into a
     0-d constant (Python's float arithmetic, which the statement ran on each
-    call), and ``c<k>`` and ``-c<k>`` are coefficient slots."""
+    call), and ``c<k>`` and ``-c<k>`` are coefficient slots.  A statement
+    that is one operand, a bare name or a literal, is a row copy
+    ``o_i[...] = x_j``."""
     target, source = statement.split(" = ", 1)
     used = 0
 

@@ -73,8 +73,10 @@ def test_pinney_integrate_golden(method, tmp_path, capsys):
 
 
 # the reports of the suites whose rule trials run in lockstep on bound
-# kernels: RK4 trials on their shared grid, and RKF45 trials at per-row times
-LOCKSTEP_SUITES = ["rk4_lockstep_suite", "rkf45_time_dependent_suite"]
+# kernels: RK4 trials on their shared grid, and RKF45 trials at per-row
+# times; the hierarchy suite also pins the compiled P sums and the order-4
+# and order-5 joint kernels
+LOCKSTEP_SUITES = ["rk4_lockstep_suite", "rkf45_time_dependent_suite", "hierarchy_rkf45_suite"]
 
 
 @pytest.mark.parametrize("suite", LOCKSTEP_SUITES)

@@ -85,6 +85,28 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure([])
 
+    def test_the_basis_of_a_closure_is_not_ranked_again(self, monkeypatch):
+        # closure's own echelon proves its fields independent; a LieBasis
+        # built directly still checks them
+        from liesuper import liealg
+        from liesuper.hierarchy import member_lie_generators
+
+        gens = member_lie_generators(3)
+        want = closure(gens)
+
+        def refuse(fields):
+            raise AssertionError("independence_rank called")
+
+        monkeypatch.setattr(liealg, "independence_rank", refuse)
+        got = closure(gens)
+        assert got.fields == want.fields and got.dimension == want.dimension
+        assert structure_constants(got).planes == structure_constants(want).planes
+        with pytest.raises(AssertionError, match="independence_rank called"):
+            LieBasis(want.fields)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="linearly dependent"):
+            LieBasis([VF("1"), VF("2")])
+
 
 class TestIndependenceRank:
     def test_scalar_multiple(self):

@@ -15,7 +15,7 @@ from liesuper import vectorfield
 from liesuper.algebra import Poly
 from liesuper.integrate import IntegratorConfig, SingularityEvent, integrate_batch
 from liesuper.parsing import TimeConstant, parse_poly, parse_timefn
-from liesuper.systems import oscillator_system, pinney_system
+from liesuper.systems import SystemSpec, build_rhs, oscillator_system, pinney_system
 from liesuper.vectorfield import (
     EXPONENT_LIMIT,
     ExponentLimitError,
@@ -400,6 +400,28 @@ def folding_fields(draw):
     return TDVectorField(terms)
 
 
+def assert_ufunc_calls(field, monkeypatch, want):
+    """Call a kernel of ``field`` on 20 rows at a float and at per-row
+    times: ``want`` ufunc calls each, the last the closing 0.0 + out,
+    and the point form's bits."""
+    calls = []
+
+    def counting(name, ufunc):
+        return lambda *args: calls.append(name) or ufunc(*args)
+
+    for name in ("_add", "_mul", "_div", "_neg"):
+        monkeypatch.setitem(vectorfield._KERNEL_NAMES, name, counting(name, vectorfield._KERNEL_NAMES[name]))
+    n = field.dimension
+    state, out = np.random.default_rng(3).uniform(0.5, 1.5, size=(n, 20)), np.empty((n, 20))
+    kernel = field.bind(state, out)
+    for t in (0.3, np.linspace(0.0, 1.0, 20)):
+        calls.clear()
+        kernel(t)
+        assert len(calls) == want and calls[-1] == "_add"
+        for row_t, column, got in zip(np.broadcast_to(t, 20).tolist(), state.T.tolist(), out.T):
+            assert bits(got) == bits(field.evaluate(row_t, column))
+
+
 class TestBoundKernel:
     @settings(max_examples=60, deadline=None)
     @given(field=td_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
@@ -495,27 +517,22 @@ class TestBoundKernel:
             assert not np.signbit(out).any()
 
     @pytest.mark.parametrize("omega", ["1", "1 + 0.1*sin(t)"])
-    def test_the_pinney_joint_kernel_makes_eleven_ufunc_calls(self, omega, monkeypatch):
+    def test_the_pinney_joint_kernel_makes_eight_ufunc_calls(self, omega, monkeypatch):
         # two powers, a division, three negations or -omega^2 products, a
-        # sum for the second part of p', three copies of a bare name, and
-        # one closing 0.0 + out
-        calls = []
-
-        def counting(name, ufunc):
-            return lambda *args: calls.append(name) or ufunc(*args)
-
-        for name in ("_add", "_mul", "_div", "_neg"):
-            monkeypatch.setitem(vectorfield._KERNEL_NAMES, name, counting(name, vectorfield._KERNEL_NAMES[name]))
+        # sum for the second part of p', and one closing 0.0 + out; the
+        # three bare-name components are row copies
         omega = parse_timefn(omega)
         field = direct_product([pinney_system(omega, 2.0), oscillator_system(omega), oscillator_system(omega)])
-        state, out = np.random.default_rng(3).uniform(0.5, 1.5, size=(6, 20)), np.empty((6, 20))
-        kernel = field.bind(state, out)
-        for t in (0.3, np.linspace(0.0, 1.0, 20)):
-            calls.clear()
-            kernel(t)
-            assert len(calls) == 11 and calls[-1] == "_add"
-            for row_t, column, got in zip(np.broadcast_to(t, 20).tolist(), state.T.tolist(), out.T):
-                assert bits(got) == bits(field.evaluate(row_t, column))
+        assert_ufunc_calls(field, monkeypatch, 8)
+
+    @pytest.mark.parametrize("order, want", [(3, 11), (5, 28)])
+    def test_the_hierarchy_joint_kernel_ufunc_calls(self, order, want, monkeypatch):
+        # the rule's joint system, the member and its order companion
+        # copies, at b = 1, 0, ..., 0
+        params = {"order": order, "b": ["1"] + ["0"] * (order - 1)}
+        member = build_rhs(SystemSpec("hierarchy_member", params))
+        companion = build_rhs(SystemSpec("linear_homogeneous", params))
+        assert_ufunc_calls(direct_product([member] + [companion] * order), monkeypatch, want)
 
     def test_per_row_times_need_one_time_per_row(self):
         # the slot block is written from one flat list, which numpy would

@@ -9,7 +9,7 @@ catalog of (mixed) superposition rule evaluators, and a verification
 harness that checks every cataloged formula against direct integration.
 """
 
-from .algebra import DiffPoly, Poly, Rational, diff_eval, diff_total_derivative, poly_partial
+from .algebra import DiffPoly, Poly, Rational
 from .hierarchy import (
     HierarchyMember,
     LinearODESpec,
@@ -30,6 +30,7 @@ from .integrate import (
     first_integral_drift,
     integrate,
     integrate_batch,
+    integration_settings,
     write_csv,
     wronskian,
 )
@@ -52,7 +53,6 @@ from .superpose import (
     CoincidentSolutions,
     DegenerateWronskian,
     DomainError,
-    MixedRule,
     NonGenericNormalization,
     RadicandNegative,
     SingularDenominator,

@@ -320,11 +320,6 @@ class Poly:
         return f"Poly({self.arity}, {self.to_text()!r})"
 
 
-def poly_partial(p: Poly, var_index: int) -> Poly:
-    """Exact partial derivative with respect to variable ``var_index``."""
-    return p.partial(var_index)
-
-
 DiffKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -558,13 +553,3 @@ class DiffPoly:
 
     def __repr__(self) -> str:
         return f"DiffPoly({self.to_text()!r})"
-
-
-def diff_total_derivative(q: DiffPoly) -> DiffPoly:
-    """Total derivative of a differential polynomial (jet shift)."""
-    return q.total_derivative()
-
-
-def diff_eval(q: DiffPoly, yjet: Sequence, bvals: Sequence = ()):
-    """Evaluate a differential polynomial at a jet point and b values."""
-    return q.evaluate(yjet, bvals)

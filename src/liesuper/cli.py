@@ -30,8 +30,9 @@ import sys
 import tempfile
 
 from .hierarchy import generate_member, gl_basis, linear_generators, member_text
-from .integrate import IntegratorConfig, integrate, rk4_step_count, write_csv
+from .integrate import METHODS, IntegratorConfig, integrate, integration_settings, write_csv
 from .liealg import (
+    DEFAULT_CLOSURE_CAP,
     CapExceeded,
     center_dimension,
     closure,
@@ -283,24 +284,14 @@ def _cmd_integrate(args) -> int:
         return _fail(f"--x0 entries must be finite numbers, got {args.x0!r}")
     if len(x0) != spec.dimension:
         return _fail(f"--x0 has {len(x0)} entries, the system has dimension {spec.dimension}")
-    if not all(map(math.isfinite, args.tspan)):
-        return _fail(f"--tspan must be finite numbers, got {args.tspan[0]:g} {args.tspan[1]:g}")
-    if not args.tspan[0] < args.tspan[1]:
-        return _fail(f"--tspan must satisfy T0 < T1, got {args.tspan[0]:g} {args.tspan[1]:g}")
     try:
-        cfg = IntegratorConfig(
-            method=args.method,
-            step=args.step,
-            rtol=args.rtol,
-            atol=args.atol,
+        tspan, cfg = integration_settings(
+            args.tspan, method=args.method, step=args.step, rtol=args.rtol, atol=args.atol
         )
-        if cfg.method == "rk4":
-            rk4_step_count(args.tspan[0], args.tspan[1], cfg.step)
     except ValueError as exc:
         # the message starts with the offending setting, named as its flag
         return _fail(f"--{exc}")
-    rhs = build_rhs(spec)
-    trajectory = integrate(rhs, x0, (args.tspan[0], args.tspan[1]), cfg)
+    trajectory = integrate(build_rhs(spec), x0, tspan, cfg)
     buffer = io.StringIO()
     write_csv(trajectory, buffer)
     if args.out:
@@ -330,7 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="Lie closure of polynomial fields from a JSON generators file")
     p.add_argument("file", help="JSON file: {dim, fields: [[component, ...], ...]}")
-    p.add_argument("--cap", type=int, default=64, help="abort when the dimension exceeds this (default 64)")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="abort above this dimension (default %(default)s)"
+    )
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_closure)
 
@@ -348,9 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="system spec JSON")
     p.add_argument("--x0", help="comma-separated initial state")
     p.add_argument("--tspan", type=float, nargs=2, default=(0.0, 1.0), metavar=("T0", "T1"))
-    p.add_argument("--method", choices=("rkf45", "rk4"), default="rkf45")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--method", choices=METHODS, default=IntegratorConfig.method)
+    p.add_argument("--rtol", type=float, default=IntegratorConfig.rtol)
+    p.add_argument("--atol", type=float, default=IntegratorConfig.atol)
     p.add_argument("--step", type=float, default=None, help="fixed step for rk4")
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.add_argument("--dump-spec", action="store_true", help="print the normalized spec and exit")

@@ -9,12 +9,16 @@ finite time (Riccati-type equations do), so failure is a first-class
 outcome rather than an exception: a trajectory ends either 'completed'
 or 'singular' with an event recording the estimated time and trigger
 
-    state-overflow   |state|_inf crossed the blow-up threshold
+    state-overflow   |state|_inf crossed the blow-up threshold OVERFLOW
     step-underflow   the adaptive step fell below the minimum
     rhs-error        the right-hand side failed to evaluate (e.g. 1/0)
     max-steps        the step budget ran out
 
 The returned grid is the accepted steps; there is no dense interpolation.
+A span must have t0 < t1 and a finite length.  ``integration_settings``
+checks a span and the settings of an ``IntegratorConfig`` together, RK4's
+step count included, with one ValueError that names the setting; suites
+and ``liesuper integrate`` both use it.
 
 The right-hand side has a ``dimension``, ``evaluate(t, point)`` giving a
 sequence of floats for a point (a list of floats), and ``bind(state,
@@ -59,6 +63,9 @@ STEP_UNDERFLOW = "step-underflow"
 RHS_ERROR = "rhs-error"
 MAX_STEPS = "max-steps"
 
+METHODS = ("rkf45", "rk4")  # the default first
+OVERFLOW = 1e8  # the blow-up threshold of |state|_inf
+
 
 class RHS(Protocol):
     """What the integrators read of a right-hand side (see the module
@@ -73,30 +80,26 @@ class RHS(Protocol):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rkf45"  # 'rkf45' or 'rk4'
+    method: str = METHODS[0]
     step: float | None = None  # required for rk4
     rtol: float = 1e-10
     atol: float = 1e-12
     min_step: float = 1e-12
-    max_step: float | None = None
     max_steps: int = 500_000
-    overflow: float = 1e8
 
     def __post_init__(self):
         # every message starts with the name of the offending setting
-        if self.method not in ("rkf45", "rk4"):
-            raise ValueError(f"method must be 'rkf45' or 'rk4', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
         if self.method == "rk4" and self.step is None:
             raise ValueError("step is required by rk4")
         # NaN and inf pass a plain `<= 0` test and would switch step control off
-        for name in ("step", "rtol", "atol", "min_step", "max_step"):
+        for name in ("step", "rtol", "atol", "min_step"):
             value = getattr(self, name)
-            if value is None and name in ("step", "max_step"):
+            if value is None and name == "step":
                 continue
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        if self.max_step is not None and self.max_step < self.min_step:
-            raise ValueError(f"max_step {self.max_step!r} is below min_step {self.min_step!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -191,9 +194,22 @@ def _finish(times, states, status, event, meta) -> Trajectory:
 
 def _checked_span(tspan: tuple[float, float]) -> tuple[float, float]:
     t0, t1 = float(tspan[0]), float(tspan[1])
-    if not t0 < t1:
-        raise ValueError("tspan must satisfy t0 < t1")
+    # an infinite end or length would make every step inf or nan
+    if not (t0 < t1 and math.isfinite(t1 - t0)):
+        raise ValueError(f"tspan must satisfy t0 < t1 with a finite length, got [{t0!r}, {t1!r}]")
     return t0, t1
+
+
+def integration_settings(tspan: tuple[float, float], **settings) -> tuple[tuple[float, float], IntegratorConfig]:
+    """The span as floats and the IntegratorConfig of ``settings``, with
+    the RK4 grid's step count checked too.  The one check of a suite
+    item's and of ``liesuper integrate``'s settings: its ValueError
+    message starts with the name of the offending setting."""
+    span = _checked_span(tspan)
+    cfg = IntegratorConfig(**settings)
+    if cfg.method == "rk4":
+        rk4_step_count(*span, cfg.step)
+    return span, cfg
 
 
 def _initial_state(rhs: RHS, x0: Sequence[float]) -> list[float]:
@@ -263,7 +279,7 @@ def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
             y = _rk4_step(rhs, t, t_next - t, y)
         except _RhsFailure:
             return _finish(grid[: len(states)], states, "singular", SingularityEvent(t, RHS_ERROR), meta)
-        if max(abs(v) for v in y) > cfg.overflow:
+        if max(abs(v) for v in y) > OVERFLOW:
             return _finish(grid[: len(states)], states, "singular", SingularityEvent(t_next, STATE_OVERFLOW), meta)
         meta["steps"] += 1
         states.append(list(y))
@@ -319,7 +335,7 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
                 signals.append("raised")
             # the common step, kept at once: no signal, every row finite and in bounds
-            if signals or not _max(np.abs(y_next, out=stage), axis=None) <= cfg.overflow:
+            if signals or not _max(np.abs(y_next, out=stage), axis=None) <= OVERFLOW:
                 if signals:
                     # replay the step row by row: the scalar step knows which
                     # rows raise and which merely pass through inf or nan
@@ -332,11 +348,11 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
                             ok[r] = False
                             continue
                         y_next[:, r] = row
-                        over[r] = max(abs(v) for v in row) > cfg.overflow
+                        over[r] = max(abs(v) for v in row) > OVERFLOW
                 else:
                     # without a signal, a row is non-finite only if a stage was
                     ok = np.isfinite(y_next).all(axis=0)
-                    over = ok & (np.abs(y_next).max(axis=0) > cfg.overflow)
+                    over = ok & (np.abs(y_next).max(axis=0) > OVERFLOW)
                 for r in np.flatnonzero(~ok):
                     leave(live[r], i + 1, "singular", SingularityEvent(t, RHS_ERROR))
                 for r in np.flatnonzero(over):
@@ -363,15 +379,10 @@ class _Rkf45Row:
     remaining steps with scalar attempts from the state ``y`` (which a
     lockstep batch, holding its rows' states in its block, sets first)."""
 
-    __slots__ = (
-        "t", "h", "y", "t1", "cfg", "max_step", "attempts", "reaches_end", "times", "states", "meta", "event"
-    )
+    __slots__ = ("t", "h", "y", "t1", "cfg", "attempts", "reaches_end", "times", "states", "meta", "event")
 
     def __init__(self, y0: list[float], t0: float, t1: float, cfg: IntegratorConfig):
-        span = t1 - t0
-        self.max_step = cfg.max_step if cfg.max_step is not None else span
-        h = min(self.max_step, span / 100.0)
-        self.h = max(h, cfg.min_step)
+        self.h = max((t1 - t0) / 100.0, cfg.min_step)
         self.t, self.y, self.t1, self.cfg = t0, y0, t1, cfg
         self.attempts = 0
         self.reaches_end = False
@@ -389,7 +400,7 @@ class _Rkf45Row:
             self.event = SingularityEvent(self.t, MAX_STEPS)
             return False
         self.attempts += 1
-        self.h = min(self.h, self.t1 - self.t, self.max_step)
+        self.h = min(self.h, self.t1 - self.t)
         self.reaches_end = self.h == self.t1 - self.t
         return True
 
@@ -410,7 +421,7 @@ class _Rkf45Row:
             self.t = self.t1 if self.reaches_end else self.t + self.h
             self.y = y5
             self.meta["steps"] += 1
-            if peak > cfg.overflow:
+            if peak > OVERFLOW:
                 self.event = SingularityEvent(self.t, STATE_OVERFLOW)
                 return True
             self.times.append(self.t)

@@ -41,7 +41,6 @@ oscillator solutions, which the numerical verification confirms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -85,45 +84,6 @@ class NonGenericNormalization(SuperpositionError):
 
 class CoincidentSolutions(SuperpositionError):
     pass
-
-
-@dataclass(frozen=True)
-class MixedRule:
-    """Descriptor of a rule: which component systems it consumes, how many
-    constants it takes, and the dimension of the target system."""
-
-    rule_id: str
-    component_dims: tuple[int, ...]
-    target_dim: int
-
-    @property
-    def constant_count(self) -> int:
-        """An n-dimensional target's general solution takes n constants."""
-        return self.target_dim
-
-    @staticmethod
-    def linear() -> "MixedRule":
-        return MixedRule("linear", (1, 1), 1)
-
-    @staticmethod
-    def bernoulli(n: int) -> "MixedRule":
-        if n == 1:
-            raise ValueError("the exponent n = 1 is the plain linear case")
-        return MixedRule("bernoulli", (1, 1), 1)
-
-    @staticmethod
-    def pinney() -> "MixedRule":
-        return MixedRule("pinney", (2, 2), 2)
-
-    @staticmethod
-    def hierarchy(s: int) -> "MixedRule":
-        if s < 2:
-            raise ValueError("hierarchy rules start at order 2")
-        return MixedRule("hierarchy", (s,) * s, s - 1)
-
-    @staticmethod
-    def riccati_cross_ratio() -> "MixedRule":
-        return MixedRule("riccati-cross-ratio", (1, 1, 1), 1)
 
 
 def _first_failing_node(failing, *values) -> list[float] | None:

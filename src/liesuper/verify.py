@@ -36,7 +36,12 @@ must not exceed the sum of the component space dimensions.
 
 ``run_suite`` drives a declarative list of such checks -- rules, raw
 closures, first-integral drifts, and the bracket/prolongation identity --
-from a JSON-able document with explicit seeds and tolerances.
+from a JSON-able document with explicit seeds and tolerances.  The span
+and integrator settings of an item that integrates are checked, and its
+``IntegratorConfig`` built, by ``integrate.integration_settings``, which
+``liesuper integrate`` runs on its flags, so both give a bad setting the
+same message.  A rule is its ``RuleSetup``: the component systems, the
+target, and as many constants as the target has coordinates.
 """
 
 from __future__ import annotations
@@ -51,15 +56,17 @@ import numpy as np
 from .algebra import Poly
 from .hierarchy import gl_basis, linear_generators, member_lie_generators, member_td_system
 from .integrate import (
+    METHODS,
     IntegratorConfig,
     Trajectory,
     first_integral_drift,
     integrate,
     integrate_batch,
-    rk4_step_count,
+    integration_settings,
     wronskian,
 )
 from .liealg import (
+    DEFAULT_CLOSURE_CAP,
     CapExceeded,
     center_dimension,
     check_lie_condition,
@@ -69,7 +76,6 @@ from .liealg import (
 )
 from .parsing import TimeFunction, parse_timefn
 from .superpose import (
-    MixedRule,
     SuperpositionError,
     eval_bernoulli_rule,
     eval_hierarchy_rule,
@@ -219,9 +225,9 @@ class RuleSetup:
     and checks also get the formula's output, one row per node.  The
     formula takes one coordinate-major state per component, each coordinate
     a float or an array of nodes, and returns one value or array per
-    target coordinate."""
+    target coordinate.  It takes as many constants as the target has
+    coordinates, as the general solution of the target does."""
 
-    rule: MixedRule
     components: list[TDVectorField]
     target: TDVectorField
     phi: Callable[[list[np.ndarray], Sequence[float]], list[float]]
@@ -235,9 +241,13 @@ class RuleSetup:
     def __post_init__(self):
         self.joint = direct_product([self.target, *self.components])
 
+    @property
+    def component_dims(self) -> list[int]:
+        return [c.dimension for c in self.components]
+
     def component_blocks(self, traj: Trajectory) -> list[np.ndarray]:
-        components = traj.states[:, self.rule.target_dim :]
-        return np.split(components, np.cumsum(self.rule.component_dims)[:-1], axis=1)
+        components = traj.states[:, self.target.dimension :]
+        return np.split(components, np.cumsum(self.component_dims)[:-1], axis=1)
 
     def formula_pass(self, blocks: list[np.ndarray], constants: Sequence[float]) -> np.ndarray:
         """The formula at every node, one row per node."""
@@ -255,7 +265,6 @@ def _build_linear(spec: SystemSpec) -> RuleSetup:
         return [[x1], [x2]], [k]
 
     return RuleSetup(
-        rule=MixedRule.linear(),
         components=[affine, homogeneous],
         target=affine,
         phi=lambda blocks, k: [eval_linear_rule(blocks[0][0], blocks[1][0], k[0])],
@@ -281,7 +290,6 @@ def _build_bernoulli(spec: SystemSpec) -> RuleSetup:
         return None
 
     return RuleSetup(
-        rule=MixedRule.bernoulli(n),
         components=[bern, homogeneous],
         target=bern,
         phi=lambda blocks, k: [eval_bernoulli_rule(blocks[0][0], blocks[1][0], k[0], n)],
@@ -338,7 +346,6 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         return {"wronskian_drift": drift, "deriv_error": deriv_error}
 
     return RuleSetup(
-        rule=MixedRule.pinney(),
         components=[osc, osc],
         target=target,
         phi=lambda blocks, k: list(eval_pinney_rule(blocks[0], blocks[1], k[0], k[1], c)),
@@ -379,7 +386,6 @@ def _build_hierarchy(spec: SystemSpec) -> RuleSetup:
         return {"round_trip_error": float(np.max(np.abs(np.subtract(v_back, v0))))}
 
     return RuleSetup(
-        rule=MixedRule.hierarchy(s),
         components=[companion] * s,
         target=target,
         phi=lambda blocks, k: eval_hierarchy_rule(s, blocks, k),
@@ -420,7 +426,6 @@ def _build_cross_ratio(spec: SystemSpec) -> RuleSetup:
         return None
 
     return RuleSetup(
-        rule=MixedRule.riccati_cross_ratio(),
         components=[riccati] * 3,
         target=riccati,
         phi=lambda blocks, k: [eval_riccati_cross_ratio(blocks[0][0], blocks[1][0], blocks[2][0], k[0])],
@@ -433,7 +438,7 @@ def _build_cross_ratio(spec: SystemSpec) -> RuleSetup:
 class _Rule(NamedTuple):
     target: str  # the kind of the target system, whose parameters the rule takes
     build: Callable[[SystemSpec], RuleSetup]
-    methods: tuple[str, ...] = ("rkf45", "rk4")  # allowed integration methods, the default first
+    methods: tuple[str, ...] = METHODS  # allowed integration methods, the default first
 
 
 _RULES = {
@@ -483,17 +488,17 @@ def run_trials(
     Every candidate's initial state goes through the formula, the states
     it admits are integrated with one ``integrate_batch`` call, and the
     records are then judged one at a time, in order, as they are taken."""
-    rule = setup.rule
+    dims, constant_count = setup.component_dims, setup.target.dimension
     # (constants, initial joint state or None, status when rejected)
     starts: list[tuple[list[float], list[float] | None, str | None]] = []
     for component_ics, constants in candidates:
-        if len(component_ics) != len(rule.component_dims):
+        if len(component_ics) != len(dims):
             raise ValueError("one initial condition per component system is required")
-        for ic, d in zip(component_ics, rule.component_dims):
+        for ic, d in zip(component_ics, dims):
             if len(ic) != d:
                 raise ValueError("component initial condition has the wrong dimension")
-        if len(constants) != rule.constant_count:
-            raise ValueError(f"rule takes {rule.constant_count} constants")
+        if len(constants) != constant_count:
+            raise ValueError(f"rule takes {constant_count} constants")
         constants = [float(v) for v in constants]
         try:
             x0 = setup.phi([np.array(ic, dtype=float) for ic in component_ics], constants)
@@ -527,7 +532,7 @@ def judge_trial(setup: RuleSetup, traj: Trajectory, constants: list[float], inde
         except SuperpositionError as exc:
             return TrialRecord(index, constants, f"rejected:formula-{type(exc).__name__}")
         # np.max keeps a NaN, so a NaN formula value reaches the report
-        max_error = float(np.max(np.abs(predicted - traj.states[:, : setup.rule.target_dim])))
+        max_error = float(np.max(np.abs(predicted - traj.states[:, : setup.target.dimension])))
     return TrialRecord(index, constants, "ok", max_error, extras)
 
 
@@ -580,7 +585,7 @@ def run_rule_verification(
     seed: int,
     tspan: tuple[float, float],
     cfg: IntegratorConfig,
-    closure_cap: int = 64,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> VerificationReport:
     """Seeded trial loop with rejection resampling, plus the dimension check."""
     setup = build_rule_setup(rule_id, params)
@@ -605,8 +610,8 @@ def run_rule_verification(
         dim = closure(setup.condition_generators, closure_cap).size
     except CapExceeded:
         dim = None
-    bound = sum(setup.rule.component_dims)
-    lie_ok = check_lie_condition(dim, setup.rule.component_dims) if dim is not None else False
+    bound = sum(setup.component_dims)
+    lie_ok = check_lie_condition(dim, setup.component_dims) if dim is not None else False
     component_dim = None
     if setup.component_generators is not None:
         component_dim = closure(setup.component_generators, closure_cap).size
@@ -687,24 +692,19 @@ class SuiteValidationError(ValueError):
         self.errors = errors
 
 
-def _is_tspan(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(is_number, value)) and value[0] < value[1]
-
-
-_check_positive = checker(lambda v: is_number(v) and v > 0, "expected a positive number")
-
 _DEFAULT_RK4_STEP = 1e-3
-_DRIFT_METHOD = "rkf45"  # drift items integrate with it unless they name a method
+_SETTINGS = ("method", "step", "rtol", "atol")  # an item's IntegratorConfig settings
 
-# keys shared by the item kinds, checked wherever they appear
+# keys shared by the item kinds, type-checked wherever they appear; the
+# values of an integrating item's tspan and settings are checked by
+# ``integration_settings``, as ``liesuper integrate`` checks its flags
 _ITEM_KEYS = (
     ("trials", check_integer(1)),
     ("tolerance", check_number),
-    ("tspan", checker(_is_tspan, "expected [t0, t1] with t0 < t1")),
-    ("method", checker(lambda v: v in ("rkf45", "rk4"), "expected 'rkf45' or 'rk4'")),
-    ("step", _check_positive),
-    ("rtol", _check_positive),
-    ("atol", _check_positive),
+    ("tspan", checker(lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_number, v)), "expected [t0, t1]")),
+    ("step", check_number),
+    ("rtol", check_number),
+    ("atol", check_number),
     ("seed", check_integer(None)),
     ("cap", check_integer(1)),
     ("wronskian_tolerance", check_number),
@@ -754,34 +754,33 @@ def _check_closure_item(item: dict, path: str, errors: list[str]) -> None:
         check_keys(GENERATOR_KEYS, gens, gens_path, errors)
 
 
-def _check_rk4_grid(item: dict, default_method: str, path: str, errors: list[str]) -> None:
-    """Under RK4, the item's step, given or default, must divide its tspan
-    into a step count a float can hold."""
-    step = item.get("step", _DEFAULT_RK4_STEP)
-    tspan = item.get("tspan")
-    if item.get("method", default_method) != "rk4" or not (_is_tspan(tspan) and is_number(step) and step > 0):
-        return
-    try:
-        rk4_step_count(tspan[0], tspan[1], step)
-    except ValueError as exc:
-        errors.append(f"{path}.step: {exc}")
+def _item_settings(item: dict, methods: tuple[str, ...]) -> tuple[tuple[float, float], IntegratorConfig]:
+    """The span and integrator of an item that integrates, from
+    ``integration_settings``: the method defaults to the first of
+    ``methods``, the ones the item runs with, and the RK4 step to
+    _DEFAULT_RK4_STEP.  A ValueError names the setting first."""
+    settings = {key: item[key] for key in _SETTINGS if key in item}
+    settings.setdefault("method", methods[0])
+    if settings["method"] == "rk4":
+        settings.setdefault("step", _DEFAULT_RK4_STEP)
+    span, cfg = integration_settings(item["tspan"], **settings)
+    if cfg.method not in methods:
+        raise ValueError(f"method must be {' or '.join(methods)} for this rule, got {cfg.method!r}")
+    return span, cfg
 
 
-def _check_rule_item(item: dict, path: str, errors: list[str]) -> None:
+def _check_rule_item(item: dict, path: str, errors: list[str]) -> tuple[str, ...] | None:
     rule = lookup(_RULES, item.get("rule"), f"{path}.rule", errors)
     if rule is None:
-        return
+        return None
     check_keys(SYSTEM_KINDS[rule.target].params, item, path, errors)
-    if item.get("method", rule.methods[0]) not in rule.methods:
-        errors.append(f"{path}.method: rule {item['rule']!r} runs only with {', '.join(rule.methods)}")
-    _check_rk4_grid(item, rule.methods[0], path, errors)
+    return rule.methods
 
 
-def _check_drift_item(item: dict, path: str, errors: list[str]) -> None:
+def _check_drift_item(item: dict, path: str, errors: list[str]) -> tuple[str, ...]:
     drift = lookup(_DRIFTS, item.get("invariant"), f"{path}.invariant", errors)
     if drift is None:
-        return
-    _check_rk4_grid(item, _DRIFT_METHOD, path, errors)
+        return METHODS
     kind = SYSTEM_KINDS[drift.system]
     dim = kind.dimension(check_keys(kind.params, item, path, errors))
     initial = item.get("initial")
@@ -791,6 +790,7 @@ def _check_drift_item(item: dict, path: str, errors: list[str]) -> None:
         isinstance(state, list) and len(state) == dim and all(map(is_number, state)) for state in states
     ):
         errors.append(f"{path}.initial: expected {drift.copies} initial states of dimension {dim}")
+    return METHODS
 
 
 def _run_closure_item(item: dict) -> dict:
@@ -799,7 +799,7 @@ def _run_closure_item(item: dict) -> dict:
         generators = _PRESETS[gens["preset"]].generators(gens.get("order"))
     else:
         generators = generator_fields(gens)
-    cap = item.get("cap", 64)
+    cap = item.get("cap", DEFAULT_CLOSURE_CAP)
     measured: dict = {}
     try:
         basis = closure(generators, cap)
@@ -819,26 +819,12 @@ def _run_closure_item(item: dict) -> dict:
     return {"measured": measured, "pass": ok}
 
 
-def _item_cfg(item: dict, default_method: str) -> IntegratorConfig:
-    method = item.get("method", default_method)
-    return IntegratorConfig(
-        method=method,
-        step=item.get("step", _DEFAULT_RK4_STEP if method == "rk4" else None),
-        rtol=item.get("rtol", 1e-10),
-        atol=item.get("atol", 1e-12),
-    )
-
-
 def _run_rule_item(item: dict) -> dict:
     rule_id = item["rule"]
     rule = _RULES[rule_id]
+    tspan, cfg = _item_settings(item, rule.methods)
     report = run_rule_verification(
-        rule_id,
-        _kind_params(rule.target, item),
-        trials=item["trials"],
-        seed=item.get("seed", 0),
-        tspan=(item["tspan"][0], item["tspan"][1]),
-        cfg=_item_cfg(item, rule.methods[0]),
+        rule_id, _kind_params(rule.target, item), trials=item["trials"], seed=item.get("seed", 0), tspan=tspan, cfg=cfg
     )
     tolerance = float(item["tolerance"])
     ok = report.max_formula_error <= tolerance and bool(report.lie_condition)
@@ -861,10 +847,7 @@ def _run_rule_item(item: dict) -> dict:
 def _run_drift_item(item: dict) -> dict:
     drift = _DRIFTS[item["invariant"]]
     value = drift.measure(
-        *map(parse_timefn, _kind_params(drift.system, item).values()),
-        item["initial"],
-        (item["tspan"][0], item["tspan"][1]),
-        _item_cfg(item, _DRIFT_METHOD),
+        *map(parse_timefn, _kind_params(drift.system, item).values()), item["initial"], *_item_settings(item, METHODS)
     )
     return {"measured": {"drift": value}, "pass": value <= float(item["tolerance"])}
 
@@ -876,7 +859,8 @@ def _run_prolongation_item(item: dict) -> dict:
 
 class _ItemKind(NamedTuple):
     required: tuple[str, ...]  # the shared item keys it needs
-    check: Callable[[dict, str, list[str]], None]  # of its own keys
+    # of its own keys; returns the methods an integrating item runs with, else None
+    check: Callable[[dict, str, list[str]], tuple[str, ...] | None]
     run: Callable[[dict], dict]
 
 
@@ -898,12 +882,21 @@ def _validate_item(item, path: str, errors: list[str]) -> None:
     kind = lookup(_ITEM_KINDS, item.get("kind"), f"{path}.kind", errors)
     if kind is None:
         return
+    failed = set()
     for key, check in _ITEM_KEYS:
-        if key in item:
-            check(item[key], f"{path}.{key}", item, errors)
-        elif key in kind.required:
-            errors.append(f"{path}.{key}: missing required key")
-    kind.check(item, path, errors)
+        if key not in item:
+            if key in kind.required:
+                errors.append(f"{path}.{key}: missing required key")
+                failed.add(key)
+        elif check(item[key], f"{path}.{key}", item, errors) is None:
+            failed.add(key)
+    methods = kind.check(item, path, errors)
+    if methods is not None and failed.isdisjoint(("tspan", *_SETTINGS)):
+        try:
+            _item_settings(item, methods)
+        except ValueError as exc:
+            # the message starts with the name of the offending setting
+            errors.append(f"{path}.{str(exc).split()[0]}: {exc}")
 
 
 def validate_suite(doc) -> list[str]:

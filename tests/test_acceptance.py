@@ -280,8 +280,8 @@ def test_criterion_12_extended_lie_condition(capsys):
     for rule_id, params in cases:
         setup = build_rule_setup(rule_id, params)
         dim = closure(setup.condition_generators).size
-        bound = sum(setup.rule.component_dims)
-        ok = ok and check_lie_condition(dim, setup.rule.component_dims)
+        bound = sum(setup.component_dims)
+        ok = ok and check_lie_condition(dim, setup.component_dims)
         summary.append(f"{rule_id}:{dim}<={bound}")
     # the expected values for the two hierarchy orders
     ok = ok and summary[-2].endswith("3<=4") and summary[-1].endswith("8<=9")

@@ -127,6 +127,26 @@ def test_integrate_rk4_step_too_small_for_the_span():
     assert out == ""
 
 
+# one bad integration setting: (its key, the suite item's changes, the
+# integrate flags); "-1000...0" is -1e308 in a form argparse takes as a value
+SETTING_CASES = {
+    "step-negative": ("step", {"step": -0.5}, ["--step", "-0.5"]),
+    "step-subnormal-rk4": ("step", {"method": "rk4", "step": 1e-320}, ["--method", "rk4", "--step", "1e-320"]),
+    "tspan-reversed": ("tspan", {"tspan": [0.2, 0.0]}, ["--tspan", "0.2", "0"]),
+    "tspan-length-overflows": ("tspan", {"tspan": [-1e308, 1e308]}, ["--tspan", "-1" + "0" * 308, "1e308"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETTING_CASES))
+def test_suites_and_integrate_give_a_bad_setting_one_message(case):
+    key, changes, flags = SETTING_CASES[case]
+    spec = {"kind": "linear_affine", "a": "0", "b": "1"}
+    code, out, err = run_cli("integrate", spec, ["--x0", "1", "--tspan", "0", "0.2", *flags])
+    assert code == 1 and out == "" and err.startswith(f"error: --{key} ")
+    message = err.removeprefix("error: --")
+    assert run_cli("verify", rule_suite(**changes)) == (1, "", f"error: items[0].{key}: {message}")
+
+
 def test_exponent_limit_error_names_the_limit():
     code, out, err = run_cli("closure", BIG_EXPONENTS)
     assert code == 1 and out == ""

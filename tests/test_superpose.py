@@ -14,7 +14,6 @@ from liesuper.superpose import (
     CoincidentSolutions,
     DegenerateWronskian,
     DomainError,
-    MixedRule,
     NonGenericNormalization,
     RadicandNegative,
     SingularDenominator,
@@ -392,21 +391,3 @@ class TestCrossRatioRule:
             a = eval_riccati_cross_ratio(0.1, 0.9, 2.3, k)
             b = eval_riccati_cross_ratio(0.9, 0.1, 2.3, 1.0 / k)
             assert a == pytest.approx(b, rel=1e-12)
-
-
-class TestMixedRuleDescriptors:
-    def test_constant_counts_match_target_dims(self):
-        for rule in (
-            MixedRule.linear(),
-            MixedRule.bernoulli(2),
-            MixedRule.pinney(),
-            MixedRule.hierarchy(3),
-            MixedRule.riccati_cross_ratio(),
-        ):
-            assert rule.constant_count == rule.target_dim
-
-    def test_hierarchy_shape(self):
-        rule = MixedRule.hierarchy(4)
-        assert rule.component_dims == (4, 4, 4, 4)
-        assert rule.constant_count == 3
-        assert rule.target_dim == 3

@@ -92,6 +92,35 @@ class TestVerifyRuleExamples:
             verify_rule(setup, [[1.0], [0.0]], [1.0], (0.0, 1.0), CFG)
 
 
+RULE_PARAMS = {
+    "linear": {"a": "0", "b": "1"},
+    "bernoulli": {"a": "0", "b": "1", "n": 2},
+    "pinney": {"omega": "1", "c": 1.0},
+    "hierarchy": {"order": 3, "b": ["1", "0", "0"]},
+    "riccati-cross-ratio": {"b0": "1", "b1": "0"},
+}
+
+
+class TestRuleShapes:
+    """A rule is its setup: the component systems, the target, and as many
+    constants as the target has coordinates."""
+
+    def test_hierarchy_order_4(self):
+        setup = build_rule_setup("hierarchy", {"order": 4, "b": ["1", "0", "0", "0"]})
+        assert setup.component_dims == [4, 4, 4, 4]
+        assert setup.target.dimension == 3
+        ics, constants = setup.sample(random.Random(0))
+        assert [len(ic) for ic in ics] == [4, 4, 4, 4] and len(constants) == 3
+
+    @pytest.mark.parametrize("rule_id", sorted(RULE_PARAMS))
+    def test_constant_count_is_the_target_dimension(self, rule_id):
+        setup = build_rule_setup(rule_id, RULE_PARAMS[rule_id])
+        ics, constants = setup.sample(random.Random(1))
+        assert [len(ic) for ic in ics] == setup.component_dims
+        assert len(constants) == setup.target.dimension
+        assert setup.joint.dimension == setup.target.dimension + sum(setup.component_dims)
+
+
 class TestProlongationIdentity:
     def test_holds_for_many_seeds(self):
         for seed in (0, 1, 2):

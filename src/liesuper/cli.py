@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -348,6 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.add_argument("--dump-spec", action="store_true", help="print the normalized spec and exit")
     p.set_defaults(func=_cmd_integrate)
+    # a value may start with a minus sign and hold an exponent or a comma
+    # (--x0 -1e-3, --x0 -1.0,0.5, --tspan -1e-3 0), which argparse's own
+    # negative-number pattern, -digits or -digits.digits, takes for an
+    # option; no option of this command starts with a minus and a digit
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
 
     p = sub.add_parser("basis", help="print the gl(s) basis or the s+1 closure generators")
     p.add_argument("--order", type=int, required=True)

@@ -38,14 +38,16 @@ times, and each row's own step control then accepts or rejects its step;
 the last row left finishes alone with the scalar step.
 
 A row leaves the block with the event that ``integrate`` gives it alone:
-an RK4 step that raised no floating-point signal and stays within the
-overflow bound (a NaN fails that test) is kept at once; any other step
-in which the block's arithmetic raises or signals a floating-point
-error is replayed row by row with the scalar step, as is an RKF45 row
-whose attempt comes out non-finite, and a row whose step overflows
-leaves at its end.  The kernel has the point form's float operations,
-powers included, so each row's times, states and step counts are the
-bytes ``integrate`` gives it alone, whatever rows share its block.
+an RK4 step that raised no floating-point signal is kept at once, and
+its nodes are tested against the overflow bound in one scan per batch
+(and before any step that signals), a row leaving at its first node out
+of bounds; any step in which the block's arithmetic raises or signals a
+floating-point error is replayed row by row with the scalar step, as is
+an RKF45 row whose attempt comes out non-finite, and an RKF45 row whose
+step overflows leaves at its end.  The kernel has the point form's float
+operations, powers included, so each row's times, states and step
+counts are the bytes ``integrate`` gives it alone, whatever rows share
+its block.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-_add, _mul, _max = np.add, np.multiply, np.maximum.reduce
+_add, _mul, _max, _min = np.add, np.multiply, np.maximum.reduce, np.minimum.reduce
 
 STATE_OVERFLOW = "state-overflow"
 STEP_UNDERFLOW = "step-underflow"
@@ -291,21 +293,52 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     step is a float64 array (see ``_constants``): the literal 2.0 is bound
     once, and dt / 2, dt and dt / 6 are written once per step into 0-d
     slots, which costs 0.13 us each and saves about 0.2 us on each of the
-    six ufunc calls that took them as Python floats."""
+    six ufunc calls that took them as Python floats.
+
+    A step is kept at once when it raises no floating-point signal; its
+    rows are tested against the overflow bound afterwards, by one scan of
+    the nodes stored since the last scan (``scan``): at the end of the
+    batch, and before any step that signals, so that a row that left the
+    bounds earlier is never replayed into a later rhs-error.  A row leaves
+    at its first node out of bounds: with ``state-overflow`` at that node's
+    time when the node is finite, and else with ``rhs-error`` at the start
+    of the step that made it (without a signal, a step makes a non-finite
+    node only from a non-finite stage).  A signalling step is first tried
+    again on the block when the scan took rows out, and else replayed row
+    by row with the scalar step."""
     grid, end = _rk4_grid(t0, t1, cfg)
     times = np.array(grid, dtype=float)
     rows = len(y0s)
     history = np.empty((len(grid), rhs.dimension, rows))
     history[0] = np.transpose(y0s)
     out: list[Trajectory | None] = [None] * rows
+    final = ("completed", None) if end is None else ("singular", end)
 
     def leave(row: int, nodes: int, status: str, event: SingularityEvent | None) -> None:
         meta = {"method": "rk4", "step": cfg.step, "steps": nodes - 1, "rejected": 0}
         out[row] = Trajectory(times[:nodes], history[:nodes, :, row], status, event, meta)
 
     live = np.arange(rows)
-    y = history[0].copy()
-    (k1, k2, k3, k4), (stage, y_end), (f1, f2, f3, f4) = _bind_stages(rhs, y, 4, 2)
+    scanned = 1  # the first node not yet scanned (the initial state is not tested)
+
+    def scan(nodes: int) -> np.ndarray:
+        """Test the live rows' nodes from ``scanned`` up to ``nodes``, take
+        out each row with one out of bounds, and return which rows stay."""
+        nonlocal scanned
+        block, first = history[scanned:nodes], scanned
+        scanned = nodes
+        top, bottom = _max(block, axis=(0, 1), initial=-math.inf), _min(block, axis=(0, 1), initial=math.inf)
+        stay = (top[live] <= OVERFLOW) & (bottom[live] >= -OVERFLOW)
+        for r in np.flatnonzero(~stay):
+            states = block[:, :, live[r]]
+            j = first + int(np.argmin(((states <= OVERFLOW) & (states >= -OVERFLOW)).all(axis=1)))
+            if np.isfinite(history[j, :, live[r]]).all():
+                leave(live[r], j, "singular", SingularityEvent(grid[j], STATE_OVERFLOW))
+            else:
+                leave(live[r], j, "singular", SingularityEvent(grid[j - 1], RHS_ERROR))
+        return stay
+
+    y, bound_to = history[0].copy(), None
     half, full, sixth = np.empty(()), np.empty(()), np.empty(())
     signals: list[str] = []
 
@@ -318,57 +351,66 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             dt = t_next - t
             half[()], full[()], sixth[()] = dt / 2, dt, dt / 6
             mid = t + dt / 2
-            y_next = history[i + 1] if len(live) == rows else y_end
-            signals.clear()
-            try:
-                # the scalar step's operations, into the bound blocks
-                f1(t)
-                _add(y, _mul(half, k1, stage), stage)
-                f2(mid)
-                _add(y, _mul(half, k2, stage), stage)
-                f3(mid)
-                _add(y, _mul(full, k3, stage), stage)
-                f4(t + dt)
-                # y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), summed into k1
-                _add(_add(_add(k1, _mul(_TWO, k2, k2), k1), _mul(_TWO, k3, k3), k1), k4, k1)
-                _add(y, _mul(sixth, k1, k1), y_next)
-            except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
-                signals.append("raised")
-            # the common step, kept at once: no signal, every row finite and in bounds
-            if signals or not _max(np.abs(y_next, out=stage), axis=None) <= OVERFLOW:
-                if signals:
-                    # replay the step row by row: the scalar step knows which
-                    # rows raise and which merely pass through inf or nan
-                    ok = np.ones(len(live), dtype=bool)
-                    over = np.zeros(len(live), dtype=bool)
+            while True:
+                if bound_to is not y:
+                    k, (stage, y_end), (f1, f2, f3, f4) = _bind_stages(rhs, y, 4, 2)
+                    (k1, k2, k3, k4), doubled, bound_to = k, k[1:3], y
+                y_next = history[i + 1] if len(live) == rows else y_end
+                signals.clear()
+                try:
+                    # the scalar step's operations, into the bound blocks
+                    f1(t)
+                    _add(y, _mul(half, k1, stage), stage)
+                    f2(mid)
+                    _add(y, _mul(half, k2, stage), stage)
+                    f3(mid)
+                    _add(y, _mul(full, k3, stage), stage)
+                    f4(t + dt)
+                    # y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), summed into k1
+                    _mul(_TWO, doubled, doubled)
+                    _add(_add(_add(k1, k2, k1), k3, k1), k4, k1)
+                    _add(y, _mul(sixth, k1, k1), y_next)
+                except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
+                    signals.append("raised")
+                if not signals:
+                    break
+                # the rows out of bounds leave first, and the others step
+                # again on the block; a step that still signals is replayed
+                stay = scan(i + 1)
+                replay = stay.all()
+                if replay:
+                    # row by row: the scalar step knows which rows raise and
+                    # which merely pass through inf or nan
                     for r in range(len(live)):
                         try:
                             row = _rk4_step(rhs, t, dt, y[:, r].tolist())
                         except _RhsFailure:
-                            ok[r] = False
+                            stay[r] = False
+                            leave(live[r], i + 1, "singular", SingularityEvent(t, RHS_ERROR))
                             continue
                         y_next[:, r] = row
-                        over[r] = max(abs(v) for v in row) > OVERFLOW
-                else:
-                    # without a signal, a row is non-finite only if a stage was
-                    ok = np.isfinite(y_next).all(axis=0)
-                    over = ok & (np.abs(y_next).max(axis=0) > OVERFLOW)
-                for r in np.flatnonzero(~ok):
-                    leave(live[r], i + 1, "singular", SingularityEvent(t, RHS_ERROR))
-                for r in np.flatnonzero(over):
-                    leave(live[r], i + 1, "singular", SingularityEvent(t_next, STATE_OVERFLOW))
-                stay = ok & ~over
+                        if max(abs(v) for v in row) > OVERFLOW:
+                            stay[r] = False
+                            leave(live[r], i + 1, "singular", SingularityEvent(t_next, STATE_OVERFLOW))
+                        elif not all(map(math.isfinite, row)):
+                            # a nan node that the scalar bounds test passes
+                            # is kept, and the next step's stages are not finite
+                            stay[r] = False
+                            history[i + 1, :, live[r]] = row
+                            ending = final if i + 2 == len(grid) else ("singular", SingularityEvent(t_next, RHS_ERROR))
+                            leave(live[r], i + 2, *ending)
                 if not stay.all():
-                    live, y = live[stay], y_next[:, stay]
+                    live, y, y_next = live[stay], y[:, stay], y_next[:, stay]
                     if not len(live):
-                        break
-                    (k1, k2, k3, k4), (stage, y_end), (f1, f2, f3, f4) = _bind_stages(rhs, y, 4, 2)
-                    y_next = y
+                        return out
+                if replay:
+                    break
             np.copyto(y, y_next)
             if len(live) < rows:
                 history[i + 1][:, live] = y
-    for row in live:
-        leave(row, len(grid), "completed" if end is None else "singular", end)
+    stay = scan(len(grid))
+    for row in live[stay]:
+        leave(row, len(grid), *final)
     return out
 
 

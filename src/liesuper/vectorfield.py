@@ -29,16 +29,20 @@ of ``bind(state, out)``, which writes the values of the (dim, rows) float
 ndarray of states ``state`` into ``out``, ``t`` being a float or a 1-D
 array of per-row times: how ``integrate_batch`` advances many states.
 
-``diagonal_prolong`` copies a field blockwise onto several copies of its
-state space; ``direct_product`` glues time-dependent systems on different
-spaces into one system on the product space, such as a superposition
-rule's target joined with its components.
+``diagonal_prolong`` copies a field onto several copies of its state
+space, the copies of each coordinate side by side; ``direct_product``
+glues time-dependent systems on different spaces into one system on the
+product space, such as a superposition rule's target joined with its
+components.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isfinite, lcm, nan
 from typing import Callable, Sequence
 
@@ -279,17 +283,17 @@ def lie_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
 
 
 def diagonal_prolong(x: PolyVectorField, copies: int) -> PolyVectorField:
-    """The field on R^{n*copies} applying X to each block's own variables."""
+    """The field on R^{n*copies} applying X to each copy's own variables,
+    coordinate j of copy c being coordinate ``j * copies + c``: the copies
+    of one coordinate are consecutive, so that a compiled kernel computes
+    them with one call on a contiguous block of rows."""
     if copies < 1:
         raise ValueError("copies must be at least 1")
     n = x.dimension
     total = n * copies
-    comps = []
-    for a in range(copies):
-        index_map = [a * n + j for j in range(n)]
-        for i in range(n):
-            comps.append(x.components[i].remap(total, index_map))
-    return PolyVectorField(comps)
+    return PolyVectorField(
+        [x.components[j].remap(total, [k * copies + c for k in range(n)]) for j in range(n) for c in range(copies)]
+    )
 
 
 class TDVectorField:
@@ -385,16 +389,28 @@ class TDVectorField:
         ``-v``, and the zero that each monomial sum started from (it changes
         at most the sign of a zero sum, which the closing ``0.0 +`` erases,
         and so a dropped term's +-0.0 is exact on finite states);
-        ``-s * (m)`` is ``s * (-m)`` negating one float.  So the Pinney
-        joint kernel makes 8 ufunc calls and 3 row copies.
+        ``-s * (m)`` is ``s * (-m)`` negating one float, and a negated
+        monomial after the first of a sum, or a later part that is one
+        negated monomial, is subtracted: ``a - m`` is the IEEE operation
+        ``a + (-m)`` for operands other than NaN, and ``-(x * y)`` and
+        ``(-x) * y`` have the same bits.
+
+        The kernel runs a statement on a block of consecutive rows when the
+        statements of the next rows are its translates (``_merged``): the
+        copies of one coordinate in a ``diagonal_prolong``ed field, or a
+        chain ``o_i = x_{i+1}``.  So the Pinney rule's joint kernel makes 6
+        ufunc calls and 2 row copies at omega = 1, and the hierarchy rule's
+        joint kernel at order 5 (b = 1, 0, ...) one negation and one row
+        copy for its five companion copies.
 
         A power has one rule: x_j^e, e >= 1, is the square-and-multiply
         products of ``algebra.power_plan``, each made once per call into a
         name ``x<j>_<k>`` that every monomial reading x_j^k shares (so the
         statements grow with log e), and a negative power divides by them,
-        ``c / x0_3`` for c x0^-3.  An exponent too large for a float is
-        written ``x_j * e``, which raises OverflowError on each call in
-        Python and numpy alike, as ``x_j ** e`` does.
+        ``c / x0_3`` for c x0^-3.  The powers are computed by exponent, then
+        variable, the kernel's power rows in that order.  An exponent too
+        large for a float is written ``x_j * e``, which raises OverflowError
+        on each call in Python and numpy alike, as ``x_j ** e`` does.
 
         Every operand of the kernel's ufunc calls is a float64 array: a
         ufunc call on 20-row operands costs 0.35-0.37 us, and 0.54-0.59 us
@@ -402,20 +418,22 @@ class TDVectorField:
         call (numpy 2.4, a 2-core Xeon VM).  A literal (``0.0``, a folded
         coefficient) is a read-only 0-d array made once here; each
         coefficient ``c<k>`` and each ``-c<k>`` the statements read is a
-        row that ``bind`` allocates for that binding alone and that each
-        call writes once: at a float t, one evaluation of the coefficients
-        whose values ``fill`` the rows; at per-row times, one evaluation per
-        row, the values of all rows written in order from one flat list
-        into the slots' block (per-row times of another length than the
-        rows raise ValueError).  The ufuncs see the float64 values they saw
-        as Python floats, so the bits do not move.
+        row (a block of rows, for a statement run on a block: numpy
+        broadcasts a row over a block on a slower path) that ``bind``
+        allocates for that binding alone and that each call writes once: at
+        a float t, one evaluation of the coefficients whose values ``fill``
+        the rows; at per-row times, one evaluation per row, the values of
+        all rows written in order from one flat list into the slots' block
+        (per-row times of another length than the rows raise ValueError).
+        The ufuncs see the float64 values they saw as Python floats, so the
+        bits do not move.
         """
         n = self.dimension
         namespace: dict = dict(_KERNEL_NAMES)
         times: list[str] = []  # the statements of the coefficients c<k>
-        sums: list[str] = []
+        sums: list[tuple[int, str]] = []  # (i, a statement of o_i)
         coefficients: dict[TimeFunction, str | None] = {}
-        powers: dict[str, str] = {}  # the statements of the powers x<j>_<k>
+        powers: dict[tuple[int, int], str] = {}  # the statement of each power x<j>_<k>, keyed (k, j)
         assigned = [False] * n
         for tf, field in self.terms:
             if tf not in coefficients:
@@ -432,34 +450,42 @@ class TDVectorField:
             for i, p in enumerate(field.components):
                 if s is None or not p.terms:
                     continue
-                total = " + ".join(_monomial_source(exps, c, powers) for exps, c in p.terms.items())
+                first, *rest = (_monomial_source(exps, c, powers) for exps, c in p.terms.items())
+                total = first + "".join(f" - {m[1:]}" if m[0] == "-" else f" + {m}" for m in rest)
+                negated = not rest and first[0] == "-"
                 if s == "1.0":
                     part = f"({total})"
-                elif len(p.terms) == 1 and total.startswith("-"):
+                elif negated:
                     # s * (-m) as -s * (m): in a kernel, s is one float
                     part = f"-{s} * ({total[1:]})"
                 else:
                     part = f"{s} * ({total})"
-                sums.append(f"o{i} = o{i} + {part}" if assigned[i] else f"o{i} = {part}")
+                if not assigned[i]:
+                    sums.append((i, f"o{i} = {part}"))
+                elif s == "1.0" and negated:
+                    sums.append((i, f"o{i} = o{i} - ({total[1:]})"))
+                else:
+                    sums.append((i, f"o{i} = o{i} + {part}"))
                 assigned[i] = True
-        sums += [f"o{i} = 0.0" for i in range(n) if not assigned[i]]
+        sums += [(i, f"o{i} = 0.0") for i in range(n) if not assigned[i]]
+        powers = dict(sorted(powers.items()))
         xs, os = (" ".join(f"{v}{j}," for j in range(n)) for v in "xo")
         results = f"[{', '.join(f'0.0 + o{i}' for i in range(n))}]"
-        point = define_function("t, s", [f"{xs} = s", *times, *powers.values(), *sums], results, namespace)
+        lines = [f"{xs} = s", *times, *powers.values(), *(line for _, line in sums)]
+        point = define_function("t, s", lines, results, namespace)
         calls: list[str] = []
-        operands = _Operands(namespace)
-        scratch = max(_kernel_calls(line, calls, operands) for line in [*powers.values(), *sums]) or 1
+        operands = _Operands(namespace, [f"x{j}_{k}" for k, j in powers])
+        for line, width in [*_merged(list(powers.items())), *_merged([((0, i), line) for i, line in sums])]:
+            _kernel_calls(line, width, calls, operands)
         calls.append(f"_add({operands.constant(0.0)}, out, out)")
-        # the scratch rows w<k>, then one row per power
-        rows = " ".join([f"w{k}," for k in range(scratch)] + [f"{p}," for p in powers])
-        kernel = [f"{xs} = s", f"{os} = out", f"{rows} = _empty(({rows.count(',')}, s.shape[1]))"]
+        kernel = [f"{xs} = s", f"{os} = out", *operands.bindings()]
         body = [f"    {call}" for call in calls]
-        if slots := operands.slots:
-            # the slots are the rows of one block: each row filled with its
+        if operands.slots:
+            # the slots are the rows of one block: each slot filled with its
             # value at a float t, or, at per-row times (one per row), the
             # block's transpose written in order from one flat list of values
-            namespace["_cs"] = define_function("t", times, f"({', '.join(slots.values())},)", namespace)
-            kernel += [f"{' '.join(f'{c},' for c in slots)} = cs = _empty(({len(slots)}, s.shape[1]))", "by_row = cs.T"]
+            values = [source for source, height in operands.slots.items() for _ in range(height)]
+            namespace["_cs"] = define_function("t", times, f"({', '.join(values)},)", namespace)
             body[:0] = [
                 "    if t.__class__ is _ndarray:",
                 # a flat list of another length would repeat or stop short
@@ -468,7 +494,7 @@ class TDVectorField:
                 "        by_row.flat = [v for ti in t.tolist() for v in _cs(ti)]",
                 "    else:",
                 "        cv = _cs(t)",
-                *(f"        {c}.fill(cv[{k}])" for k, c in enumerate(slots)),
+                *(f"        cs{m}.fill(cv[{row}])" for m, row in enumerate(operands.slot_rows().values())),
             ]
         kernel += ["def kernel(t):", *body]
         object.__setattr__(self, "_compiled", (point, define_function("s, out", kernel, "kernel", namespace)))
@@ -476,9 +502,9 @@ class TDVectorField:
 
 
 # what a kernel calls; each ufunc writes into its ``out`` row
-_KERNEL_NAMES = dict(_add=np.add, _mul=np.multiply, _div=np.divide, _neg=np.negative, _empty=np.empty,
-                     _ndarray=np.ndarray)
-_UFUNCS = {ast.Add: "_add", ast.Mult: "_mul", ast.Div: "_div"}
+_KERNEL_NAMES = dict(_add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative,
+                     _empty=np.empty, _ndarray=np.ndarray)
+_UFUNCS = {ast.Add: "_add", ast.Sub: "_sub", ast.Mult: "_mul", ast.Div: "_div"}
 
 
 def _reads_t(tf: TimeFunction) -> bool:
@@ -486,15 +512,58 @@ def _reads_t(tf: TimeFunction) -> bool:
     return isinstance(tf, TimeVariable) or any(isinstance(v, TimeFunction) and _reads_t(v) for v in nodes)
 
 
-class _Operands:
-    """A kernel's operands other than its buffers' rows: literals, made
-    once into its namespace, and coefficient slots (``slots`` maps each
-    slot's name to its source, ``c<k>`` or ``-c<k>``)."""
+_INDEX = re.compile(r"\b([xo])(\d+)")
 
-    def __init__(self, namespace: dict):
+
+def _shifted(statement: str, d: int) -> str:
+    """``statement`` on the rows d further on: every state, power and output
+    index plus d."""
+    return _INDEX.sub(lambda m: f"{m[1]}{int(m[2]) + d}", statement)
+
+
+def _merged(statements: list[tuple[tuple[int, int], str]]) -> list[tuple[str, int]]:
+    """The kernel's ``(statement, width)`` runs of ``statements``, each keyed
+    by its row ``(group, index)``.  A statement takes with it the next
+    pending statement of rows (group, index + 1), (group, index + 2), ...
+    as long as each is its translate by that distance, and runs on the
+    block of those rows.  Each row's statements keep their order, and a
+    statement reads no other row's output, so every row gets the
+    operations it got alone."""
+    pending: dict[tuple[int, int], deque[int]] = {}
+    for position, (key, _) in enumerate(statements):
+        pending.setdefault(key, deque()).append(position)
+    runs = []
+    for position, ((group, index), statement) in enumerate(statements):
+        own = pending[group, index]
+        if not own or own[0] != position:
+            continue  # in the run of an earlier statement
+        own.popleft()
+        width = 1
+        while (nxt := pending.get((group, index + width))) and statements[nxt[0]][1] == _shifted(statement, width):
+            nxt.popleft()
+            width += 1
+        runs.append((statement, width))
+    return runs
+
+
+class _Operands:
+    """A kernel's operands: rows and blocks of its buffers, literals made
+    once into its namespace, and coefficient slots, one block of rows per
+    source ``c<k>`` or ``-c<k>`` that the statements read.  A
+    statement run on ``width`` rows reads each name as the block of that
+    row and the next ``width - 1``: ``x<j>`` of the state ``s``, ``o<i>``
+    of ``out``, ``x<j>_<k>`` of the power rows (``powers``, in row order,
+    where the powers of consecutive variables are consecutive), and a
+    scratch value or a slot as a block of its own."""
+
+    def __init__(self, namespace: dict, powers: list[str]):
         self.namespace = namespace
         self.constants: dict[str, str] = {}  # keyed by repr, so that 0.0 and -0.0 stay apart
-        self.slots: dict[str, str] = {}
+        self.powers = {name: row for row, name in enumerate(powers)}
+        self.blocks: dict[str, str] = {}  # a block's name -> its slice of a buffer
+        self.slots: dict[str, int] = {}  # source -> rows of its block
+        self.slot_names: dict[str, tuple[str, int]] = {}  # name -> (source, width)
+        self.scratch = 1  # rows of the scratch buffer
 
     def constant(self, value) -> str:
         key = repr(value)
@@ -510,34 +579,73 @@ class _Operands:
             self.namespace[name] = array
         return self.constants[key]
 
-    def slot(self, source: str) -> str:
+    def rows(self, name: str, width: int) -> str:
+        if width == 1:
+            return name
+        if name in self.powers:
+            buffer, row = "pw", self.powers[name]
+        else:
+            buffer, row = ("s" if name[0] == "x" else "out"), int(name[1:])
+        self.blocks[block := f"{name}__{width}"] = f"{buffer}[{row}:{row + width}]"
+        return block
+
+    def scratch_rows(self, level: int, width: int) -> str:
+        self.scratch = max(self.scratch, (level + 1) * width)
+        if width == 1:
+            return f"w{level}"
+        self.blocks[block := f"w{level}__{width}"] = f"ws[{level * width}:{(level + 1) * width}]"
+        return block
+
+    def slot(self, source: str, width: int) -> str:
         name = f"{source[1:]}_neg" if source[0] == "-" else source
-        self.slots[name] = source
+        if width > 1:
+            name = f"{name}__{width}"
+        self.slots[source] = max(width, self.slots.get(source, 1))
+        self.slot_names[name] = (source, width)
         return name
 
+    def slot_rows(self) -> dict[str, int]:
+        """The first row of each source's block in the slots' block."""
+        return dict(zip(self.slots, accumulate(self.slots.values(), initial=0)))
 
-def _kernel_calls(statement: str, calls: list[str], operands: _Operands) -> int:
+    def bindings(self) -> list[str]:
+        """The statements that ``bind`` runs: the buffers and their views."""
+        lines = [f"{' '.join(f'w{k},' for k in range(self.scratch))} = ws = _empty(({self.scratch}, s.shape[1]))"]
+        if self.powers:
+            lines.append(f"{' '.join(f'{p},' for p in self.powers)} = pw = _empty(({len(self.powers)}, s.shape[1]))")
+        if self.slots:
+            # a source's block cs<m> has as many rows as its widest reader
+            # reads, and a narrower reader reads its first rows
+            first = self.slot_rows()
+            lines += [f"cs = _empty(({sum(self.slots.values())}, s.shape[1]))", "by_row = cs.T"]
+            lines += [f"cs{m} = cs[{first[c]}:{first[c] + rows}]" for m, (c, rows) in enumerate(self.slots.items())]
+            for name, (source, width) in self.slot_names.items():
+                a = first[source]
+                lines.append(f"{name} = cs[{a}]" if width == 1 else f"{name} = cs[{a}:{a + width}]")
+        return lines + [f"{block} = {where}" for block, where in self.blocks.items()]
+
+
+def _kernel_calls(statement: str, width: int, calls: list[str], operands: _Operands) -> None:
     """Append the ufunc calls computing ``o_i = <expression>`` into row
-    ``o_i``, in Python's order, a right operand going into the next scratch
-    row ``w<k>`` when the left one holds the current row; return the scratch
-    rows used.  A state row ``x<j>`` or power row ``x<j>_<k>`` is an operand
-    as it is, a subexpression without a name is a literal folded once into a
-    0-d constant (Python's float arithmetic, which the statement ran on each
-    call), and ``c<k>`` and ``-c<k>`` are coefficient slots.  A statement
-    that is one operand, a bare name or a literal, is a row copy
-    ``o_i[...] = x_j``."""
+    ``o_i`` and the ``width - 1`` rows after it, in Python's order, a right
+    operand going into the next scratch block ``w<k>`` when the left one
+    holds the current block.  A state row ``x<j>`` or power row ``x<j>_<k>``
+    is an operand as it is, a subexpression without a name is a literal
+    folded once into a 0-d constant (Python's float arithmetic, which the
+    statement ran on each call), and ``c<k>`` and ``-c<k>`` are coefficient
+    slots.  A statement that is one operand, a bare name or a literal, is a
+    row copy ``o_i[...] = x_j``."""
     target, source = statement.split(" = ", 1)
-    used = 0
+    out = operands.rows(target, width)
 
     def emit(node: ast.expr, level: int) -> str:
-        nonlocal used
         if isinstance(node, ast.Name):
-            return operands.slot(node.id) if node.id[0] == "c" else node.id
+            return operands.slot(node.id, width) if node.id[0] == "c" else operands.rows(node.id, width)
         if not any(isinstance(v, ast.Name) for v in ast.walk(node)):
             return operands.constant(eval(ast.unparse(node), {}))
         if isinstance(node, ast.UnaryOp) and getattr(node.operand, "id", "_")[0] == "c":
-            return operands.slot(ast.unparse(node))
-        dest, used = (target if level < 0 else f"w{level}"), max(used, level + 1)
+            return operands.slot(ast.unparse(node), width)
+        dest = out if level < 0 else operands.scratch_rows(level, width)
         if isinstance(node, ast.UnaryOp):
             calls.append(f"_neg({emit(node.operand, level)}, {dest})")
         else:
@@ -546,12 +654,11 @@ def _kernel_calls(statement: str, calls: list[str], operands: _Operands) -> int:
         return dest
 
     result = emit(ast.parse(source, mode="eval").body, -1)
-    if result != target:
-        calls.append(f"{target}[...] = {result}")
-    return used
+    if result != out:
+        calls.append(f"{out}[...] = {result}")
 
 
-def _monomial_source(exps: tuple[int, ...], c: Fraction, powers: dict[str, str]) -> str:
+def _monomial_source(exps: tuple[int, ...], c: Fraction, powers: dict[tuple[int, int], str]) -> str:
     factors = " * ".join(_factor_source(j, e, powers) for j, e in enumerate(exps) if e > 0)
     value = float(c)
     if not factors:
@@ -566,9 +673,10 @@ def _monomial_source(exps: tuple[int, ...], c: Fraction, powers: dict[str, str])
     return f"{source} / ({divisor})" if divisor else source
 
 
-def _factor_source(j: int, e: int, powers: dict[str, str]) -> str:
+def _factor_source(j: int, e: int, powers: dict[tuple[int, int], str]) -> str:
     """x_j^e for e >= 1: the name of the last product of ``power_plan(e)``,
-    each product's statement entered once in ``powers``."""
+    each product's statement entered once in ``powers``, keyed (k, j) for
+    the product x_j^k."""
     try:
         float(e)
     except OverflowError:
@@ -576,7 +684,7 @@ def _factor_source(j: int, e: int, powers: dict[str, str]) -> str:
     names = {1: f"x{j}"}
     for a, b in power_plan(e):
         names[a + b] = name = f"x{j}_{a + b}"
-        powers.setdefault(name, f"{name} = {names[a]} * {names[b]}")
+        powers.setdefault((a + b, j), f"{name} = {names[a]} * {names[b]}")
     return names[e]
 
 

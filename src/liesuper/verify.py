@@ -4,10 +4,10 @@ The protocol for one trial of one rule:
 
 1. sample initial conditions for the component systems and constants,
 2. compute the target's initial state through the rule's formula,
-3. integrate target and components together as one block-diagonal system
-   (the direct product of the target and the components, one compiled
-   field), so all comparisons happen on a single shared grid with no
-   interpolation,
+3. integrate target and components together as one joint system (the
+   direct product of the target and the components, one compiled field,
+   with copies of one component system as its diagonal prolongation), so
+   all comparisons happen on a single shared grid with no interpolation,
 4. apply the formula once to the component states at all accepted nodes
    together (one call on node arrays), and compare that pass against the
    independently integrated target block,
@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -226,7 +227,16 @@ class RuleSetup:
     formula takes one coordinate-major state per component, each coordinate
     a float or an array of nodes, and returns one value or array per
     target coordinate.  It takes as many constants as the target has
-    coordinates, as the general solution of the target does."""
+    coordinates, as the general solution of the target does.
+
+    The joint system is the target times the components, the target's
+    coordinates first.  When the components are copies of one system (the
+    Pinney, hierarchy and cross-ratio rules), they are its diagonal
+    prolongation: coordinate j of copy c is joint coordinate ``target_dim +
+    j * copies + c``, so that the joint kernel computes each coordinate of
+    all copies with one call on a contiguous block (``diagonal_prolong``).
+    Components that differ follow one another.  ``joint_state`` is the
+    one writer of this layout and ``component_blocks`` its one reader."""
 
     components: list[TDVectorField]
     target: TDVectorField
@@ -237,17 +247,33 @@ class RuleSetup:
     extras: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], dict] = _no_extras
     component_generators: list[PolyVectorField] | None = None
     joint: TDVectorField = field(init=False, repr=False)
+    _columns: list[slice] = field(init=False, repr=False)  # each component's joint coordinates
 
     def __post_init__(self):
-        self.joint = direct_product([self.target, *self.components])
+        first, copies, offset = self.components[0], len(self.components), self.target.dimension
+        if all(c == first for c in self.components[1:]):
+            prolonged = TDVectorField([(tf, diagonal_prolong(f, copies)) for tf, f in first.terms])
+            self.joint = direct_product([self.target, prolonged])
+            self._columns = [slice(offset + c, None, copies) for c in range(copies)]
+        else:
+            self.joint = direct_product([self.target, *self.components])
+            ends = list(accumulate([offset, *self.component_dims]))
+            self._columns = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
     @property
     def component_dims(self) -> list[int]:
         return [c.dimension for c in self.components]
 
+    def joint_state(self, target_state: Sequence[float], component_states: Sequence[Sequence[float]]) -> list[float]:
+        """The joint state of a target state and one state per component."""
+        state = [*target_state, *[0.0] * sum(self.component_dims)]
+        for columns, ic in zip(self._columns, component_states):
+            state[columns] = ic
+        return state
+
     def component_blocks(self, traj: Trajectory) -> list[np.ndarray]:
-        components = traj.states[:, self.target.dimension :]
-        return np.split(components, np.cumsum(self.component_dims)[:-1], axis=1)
+        """Each component's states along ``traj``, one row per node (views)."""
+        return [traj.states[:, columns] for columns in self._columns]
 
     def formula_pass(self, blocks: list[np.ndarray], constants: Sequence[float]) -> np.ndarray:
         """The formula at every node, one row per node."""
@@ -334,7 +360,7 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         return None
 
     def extras(traj, blocks, predicted, constants):
-        w = wronskian(traj.block(2, 4), traj.block(4, 6))
+        w = wronskian(*(replace(traj, states=b) for b in blocks))
         drift = float(np.max(np.abs(w - w[0])))
         # five-point derivative of the formula's x against its p output,
         # on the uniform grid the fixed-step method produces (no interior
@@ -505,7 +531,7 @@ def run_trials(
         except SuperpositionError as exc:
             starts.append((constants, None, f"rejected:initial-{type(exc).__name__}"))
             continue
-        starts.append((constants, list(x0) + [v for ic in component_ics for v in ic], None))
+        starts.append((constants, setup.joint_state(x0, component_ics), None))
 
     trajectories = iter(integrate_batch(setup.joint, [y0 for _, y0, _ in starts if y0 is not None], tspan, cfg))
     for index, (constants, y0, status) in enumerate(starts, first_index):

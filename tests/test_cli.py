@@ -213,6 +213,20 @@ class TestIntegrateCommand:
         assert main(["integrate", second, "--dump-spec"]) == 0
         assert json.loads(capsys.readouterr().out) == dumped
 
+    @pytest.mark.parametrize(
+        "doc, flags, first_row",
+        [
+            ({"kind": "oscillator", "omega": "1"}, ["--x0", "-1.0,0.5"], "0,-1,0.5"),
+            ({"kind": "riccati", "b0": "1", "b1": "0"}, ["--x0", "-1e-3"], "0,-0.001"),
+            ({"kind": "oscillator", "omega": "1"}, ["--x0", "1,0", "--tspan", "-1e-3", "0"], "-0.001,1,0"),
+        ],
+    )
+    def test_values_may_start_with_a_minus_sign(self, tmp_path, capsys, doc, flags, first_row):
+        # argparse alone takes a value such as -1e-3 or -1.0,0.5 for an option
+        spec = write_json(tmp_path / "spec.json", doc)
+        assert main(["integrate", spec, *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == first_row
+
     def test_x0_dimension_mismatch(self, tmp_path, capsys):
         spec = write_json(tmp_path / "osc.json", {"kind": "oscillator", "omega": "1"})
         assert main(["integrate", spec, "--x0", "1", "--tspan", "0", "1"]) == 1

@@ -75,8 +75,9 @@ def test_pinney_integrate_golden(method, tmp_path, capsys):
 # the reports of the suites whose rule trials run in lockstep on bound
 # kernels: RK4 trials on their shared grid, and RKF45 trials at per-row
 # times; the hierarchy suite also pins the compiled P sums and the order-4
-# and order-5 joint kernels
-LOCKSTEP_SUITES = ["rk4_lockstep_suite", "rkf45_time_dependent_suite", "hierarchy_rkf45_suite"]
+# and order-5 joint kernels, and the singular suite RK4 rows that leave the
+# bounds (6 and 30 singular:state-overflow trials)
+LOCKSTEP_SUITES = ["rk4_lockstep_suite", "rkf45_time_dependent_suite", "hierarchy_rkf45_suite", "rk4_singular_suite"]
 
 
 @pytest.mark.parametrize("suite", LOCKSTEP_SUITES)

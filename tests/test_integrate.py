@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -240,6 +241,46 @@ class TestIntegrateBatch:
         assert batch[4].event == SingularityEvent(0.0, "rhs-error")
         assert batch[11].event.trigger == "state-overflow" and len(batch[11].times) > 5
         assert [traj.event for traj in batch].count(None) == 18
+
+    def test_a_row_out_of_bounds_leaves_before_a_later_signal(self, monkeypatch):
+        # u' = u, v' = -1, w' = 1/v on a grid of sixteenths, where v steps
+        # down by 1/16 exactly.  Row 0 passes 1e8 at node 1 with no
+        # floating-point flag and stays in the block; row 1's v reaches 0.0
+        # at the last stage of step 3, where 1/v signals.  The scan before
+        # that step's replay ends row 0 at node 1, so no replay starts from
+        # it; row 2 passes 1e8 at node 15 and leaves at the closing scan.
+        u, v = Poly.variable(3, 0), Poly.variable(3, 1)
+        field = PolyVectorField([u, Poly.constant(3, -1), Poly.monomial(3, (0, -1, 0), 1)])
+        rhs = TDVectorField([(parse_timefn("1"), field)])
+        x0s = [[9.9e7, 100.0, 0.0], [1.0, 0.25, 0.0], [4e7, 100.0, 0.0], [1.0, 100.0, 0.0]]
+        module = sys.modules["liesuper.integrate"]
+        replays = []  # the u of each state a scalar step starts from
+        scalar_step = module._rk4_step
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_rk4_step", lambda *args: replays.append(args[3][0]) or scalar_step(*args))
+            batch = integrate_batch(rhs, x0s, (0.0, 1.0), IntegratorConfig(method="rk4", step=1 / 16))
+        assert [traj.event for traj in batch] == [
+            SingularityEvent(1 / 16, "state-overflow"),
+            SingularityEvent(3 / 16, "rhs-error"),
+            SingularityEvent(15 / 16, "state-overflow"),
+            None,
+        ]
+        assert len(replays) == 3 and max(replays) < 1e8
+        assert_rows_match(rhs, x0s, (0.0, 1.0), IntegratorConfig(method="rk4", step=1 / 16))
+
+    @pytest.mark.parametrize("span, event", [((0.0, 3.0), SingularityEvent(1.0, "rhs-error")), ((0.0, 1.0), None)])
+    def test_a_replayed_nan_node_that_passes_the_scalar_bounds_test(self, span, event):
+        # a' = C + eps*w, b' = a, w' = M*b: from this start the first step's
+        # 2*k2 and 2*k3 of w overflow to +inf and -inf, so that w ends nan
+        # from finite stages, which the scalar step keeps (Python's max
+        # skips a nan after a number); the next step, if any, raises
+        a, b, w = (Poly.variable(3, i) for i in range(3))
+        field = PolyVectorField([Poly.constant(3, -76000) + w * Fraction(1e-320), a, b * Fraction(1e304)])
+        rhs = TDVectorField([(parse_timefn("1"), field)])
+        x0s = [[2.9e4, -5e3, 0.0], [2.9e4, -5e3, 0.0]]
+        batch = assert_rows_match(rhs, x0s, span, IntegratorConfig(method="rk4", step=1.0))
+        assert [(traj.event, len(traj.times)) for traj in batch] == [(event, 2)] * 2
+        assert np.isnan(batch[0].states[1, 2])
 
     def test_batch_of_one_is_bit_identical(self):
         for rhs, x0 in ((PINNEY, [1.1, 0.2]), (FunctionRHS(1, riccati_blowup), [-3.0])):

@@ -15,7 +15,7 @@ from liesuper import vectorfield
 from liesuper.algebra import Poly
 from liesuper.integrate import IntegratorConfig, SingularityEvent, integrate_batch
 from liesuper.parsing import TimeConstant, parse_poly, parse_timefn
-from liesuper.systems import SystemSpec, build_rhs, oscillator_system, pinney_system
+from liesuper.systems import oscillator_system, pinney_system
 from liesuper.vectorfield import (
     EXPONENT_LIMIT,
     ExponentLimitError,
@@ -25,7 +25,7 @@ from liesuper.vectorfield import (
     direct_product,
     lie_bracket,
 )
-from liesuper.verify import random_field
+from liesuper.verify import build_rule_setup, random_field
 
 
 def VF(*components: str) -> PolyVectorField:
@@ -409,7 +409,7 @@ def assert_ufunc_calls(field, monkeypatch, want):
     def counting(name, ufunc):
         return lambda *args: calls.append(name) or ufunc(*args)
 
-    for name in ("_add", "_mul", "_div", "_neg"):
+    for name in ("_add", "_sub", "_mul", "_div", "_neg"):
         monkeypatch.setitem(vectorfield._KERNEL_NAMES, name, counting(name, vectorfield._KERNEL_NAMES[name]))
     n = field.dimension
     state, out = np.random.default_rng(3).uniform(0.5, 1.5, size=(n, 20)), np.empty((n, 20))
@@ -424,8 +424,13 @@ def assert_ufunc_calls(field, monkeypatch, want):
 
 class TestBoundKernel:
     @settings(max_examples=60, deadline=None)
-    @given(field=td_fields(), t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
-    def test_a_kernel_bound_once_gives_the_bytes_of_evaluate(self, field, t, rows, data):
+    @given(field=td_fields(), copies=st.integers(0, 3), t=st.floats(0.0, 2.0), rows=st.integers(1, 6), data=st.data())
+    def test_a_kernel_bound_once_gives_the_bytes_of_evaluate(self, field, copies, t, rows, data):
+        if copies:
+            # a field times its diagonal prolongation, as a rule's joint
+            # system: the kernel runs the copies' statements on blocks
+            prolonged = TDVectorField([(tf, diagonal_prolong(f, copies)) for tf, f in field.terms])
+            field = direct_product([field, prolonged])
         n = field.dimension
         columns = [data.draw(states(field)) for _ in range(rows)]
         per_row = data.draw(st.lists(st.floats(0.0, 2.0), min_size=rows, max_size=rows))
@@ -516,23 +521,22 @@ class TestBoundKernel:
                 assert bits(out[:, r]) == bits(field.evaluate(row_t, [0.0, 0.0, 0.0]))
             assert not np.signbit(out).any()
 
-    @pytest.mark.parametrize("omega", ["1", "1 + 0.1*sin(t)"])
-    def test_the_pinney_joint_kernel_makes_eight_ufunc_calls(self, omega, monkeypatch):
-        # two powers, a division, three negations or -omega^2 products, a
-        # sum for the second part of p', and one closing 0.0 + out; the
-        # three bare-name components are row copies
-        omega = parse_timefn(omega)
-        field = direct_product([pinney_system(omega, 2.0), oscillator_system(omega), oscillator_system(omega)])
-        assert_ufunc_calls(field, monkeypatch, 8)
+    @pytest.mark.parametrize("omega, want", [("1", 6), ("1 + 0.1*sin(t)", 7)])
+    def test_the_pinney_rule_joint_kernel_ufunc_calls(self, omega, want, monkeypatch):
+        # two powers, a division, p' less x0 (a subtraction at omega = 1, a
+        # -omega^2 product and a sum otherwise), one negation or -omega^2
+        # product for both copies' p', and one closing 0.0 + out; x' of the
+        # target and of both copies are two row copies
+        assert_ufunc_calls(build_rule_setup("pinney", {"omega": omega, "c": 2.0}).joint, monkeypatch, want)
 
-    @pytest.mark.parametrize("order, want", [(3, 11), (5, 28)])
-    def test_the_hierarchy_joint_kernel_ufunc_calls(self, order, want, monkeypatch):
-        # the rule's joint system, the member and its order companion
-        # copies, at b = 1, 0, ..., 0
-        params = {"order": order, "b": ["1"] + ["0"] * (order - 1)}
-        member = build_rhs(SystemSpec("hierarchy_member", params))
-        companion = build_rhs(SystemSpec("linear_homogeneous", params))
-        assert_ufunc_calls(direct_product([member] + [companion] * order), monkeypatch, want)
+    @pytest.mark.parametrize("order, want", [(3, 8), (5, 22)])
+    def test_the_hierarchy_rule_joint_kernel_ufunc_calls(self, order, want, monkeypatch):
+        # the member and its order companion copies at b = 1, 0, ..., 0:
+        # one negation for the last coordinate of every copy and one row
+        # copy for all their others; the member subtracts its negated
+        # monomial
+        setup = build_rule_setup("hierarchy", {"order": order, "b": ["1"] + ["0"] * (order - 1)})
+        assert_ufunc_calls(setup.joint, monkeypatch, want)
 
     def test_per_row_times_need_one_time_per_row(self):
         # the slot block is written from one flat list, which numpy would

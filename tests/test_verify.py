@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesuper import verify
-from liesuper.integrate import IntegratorConfig, integrate
+from liesuper.integrate import IntegratorConfig, integrate, integrate_batch
 from liesuper.superpose import (
     eval_bernoulli_rule,
     eval_hierarchy_rule,
@@ -36,6 +36,7 @@ from liesuper.verify import (
     verify_rule,
 )
 from liesuper.parsing import parse_timefn
+from liesuper.vectorfield import direct_product
 
 CFG = IntegratorConfig(rtol=1e-10)
 
@@ -92,6 +93,14 @@ class TestVerifyRuleExamples:
             verify_rule(setup, [[1.0], [0.0]], [1.0], (0.0, 1.0), CFG)
 
 
+TIME_DEPENDENT_RULE_PARAMS = {
+    "linear": {"a": "sin(t)", "b": "1"},
+    "bernoulli": {"a": "cos(t)", "b": "0.5", "n": 3},
+    "pinney": {"omega": "1 + 0.1*sin(t)", "c": 2.0},
+    "hierarchy": {"order": 4, "b": ["1", "0", "sin(t)", "0"]},
+    "riccati-cross-ratio": {"b0": "1", "b1": "sin(t)"},
+}
+
 RULE_PARAMS = {
     "linear": {"a": "0", "b": "1"},
     "bernoulli": {"a": "0", "b": "1", "n": 2},
@@ -119,6 +128,36 @@ class TestRuleShapes:
         assert [len(ic) for ic in ics] == setup.component_dims
         assert len(constants) == setup.target.dimension
         assert setup.joint.dimension == setup.target.dimension + sum(setup.component_dims)
+
+    def test_copies_of_one_system_interleave(self):
+        # coordinate j of copy c at target_dim + j * copies + c; components
+        # that differ follow one another
+        pinney = build_rule_setup("pinney", RULE_PARAMS["pinney"])
+        assert pinney.joint_state([1.0, 2.0], [[3.0, 4.0], [5.0, 6.0]]) == [1.0, 2.0, 3.0, 5.0, 4.0, 6.0]
+        linear = build_rule_setup("linear", RULE_PARAMS["linear"])
+        assert linear.joint_state([1.0], [[2.0], [3.0]]) == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("rule_id", sorted(TIME_DEPENDENT_RULE_PARAMS))
+    def test_component_blocks_are_the_split_of_the_joint_in_component_order(self, rule_id, method):
+        # every coordinate of a batch keeps the bits it has in the joint
+        # whose components follow one another, copies or not
+        setup = build_rule_setup(rule_id, TIME_DEPENDENT_RULE_PARAMS[rule_id])
+        rng = random.Random(2)
+        starts = []
+        for _ in range(3):
+            ics, k = setup.sample(rng)
+            starts.append((list(setup.phi([np.array(ic, dtype=float) for ic in ics], k)), ics))
+        cfg = IntegratorConfig(method=method, step=1e-2 if method == "rk4" else None)
+        batch = integrate_batch(setup.joint, [setup.joint_state(x0, ics) for x0, ics in starts], (0.0, 0.3), cfg)
+        in_order = direct_product([setup.target, *setup.components])
+        x0s = [x0 + [v for ic in ics for v in ic] for x0, ics in starts]
+        target = setup.target.dimension
+        for traj, want in zip(batch, integrate_batch(in_order, x0s, (0.0, 0.3), cfg)):
+            split = np.split(want.states[:, target:], np.cumsum(setup.component_dims)[:-1], axis=1)
+            assert (traj.status, traj.times.tobytes()) == (want.status, want.times.tobytes())
+            assert traj.states[:, :target].tobytes() == want.states[:, :target].tobytes()
+            assert [b.tobytes() for b in setup.component_blocks(traj)] == [b.tobytes() for b in split]
 
 
 class TestProlongationIdentity:
@@ -299,9 +338,9 @@ class TestOneFormulaPass:
         record = verify_rule(setup, ics, k, (0.0, 0.3), cfg)
         assert record.ok
         # reference: the formula and the five-point stencil node by node
-        y0 = list(setup.phi([np.array(ic) for ic in ics], k)) + ics[0] + ics[1]
+        y0 = setup.joint_state(setup.phi([np.array(ic) for ic in ics], k), ics)
         traj = integrate(setup.joint, y0, (0.0, 0.3), cfg)
-        values = [eval_pinney_rule(row[2:4], row[4:6], k[0], k[1], 2.0) for row in traj.states]
+        values = [eval_pinney_rule(a, b, k[0], k[1], 2.0) for a, b in zip(*setup.component_blocks(traj))]
         h = traj.times[1] - traj.times[0]
         deriv_error = 0.0
         for i in range(2, len(values) - 2):

@@ -27,12 +27,10 @@ from .integrate import (
     IntegratorConfig,
     SingularityEvent,
     Trajectory,
-    first_integral_drift,
     integrate,
     integrate_batch,
     integration_settings,
     write_csv,
-    wronskian,
 )
 from .liealg import (
     CapExceeded,

@@ -11,7 +11,8 @@ or 'singular' with an event recording the estimated time and trigger
 
     state-overflow   |state|_inf crossed the blow-up threshold OVERFLOW
     step-underflow   the adaptive step fell below the minimum
-    rhs-error        the right-hand side failed to evaluate (e.g. 1/0)
+    rhs-error        the right-hand side failed to evaluate (e.g. 1/0),
+                     or an RK4 step made a nan state
     max-steps        the step budget ran out
 
 The returned grid is the accepted steps; there is no dense interpolation.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -129,10 +130,6 @@ class Trajectory:
     @property
     def dimension(self) -> int:
         return self.states.shape[1]
-
-    def block(self, lo: int, hi: int) -> "Trajectory":
-        """Column slice sharing the grid (for factors of a joint system)."""
-        return Trajectory(self.times, self.states[:, lo:hi], self.status, self.event, self.meta)
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -271,6 +268,18 @@ def _rk4_step(rhs, t: float, dt: float, y: list[float]) -> list[float]:
     return [yi + dt / 6 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
+def _node_event(t: float, t_next: float, y: list[float]) -> SingularityEvent | None:
+    """The event that ends a row at the node ``y`` that the step from t
+    makes, the node dropped, or None (after one pass) for a node in bounds:
+    state-overflow at t_next for a node beyond OVERFLOW, inf included, and
+    rhs-error at t for a nan node, as the lockstep ``scan`` has it."""
+    if all(abs(v) <= OVERFLOW for v in y):
+        return None
+    if any(map(math.isnan, y)):
+        return SingularityEvent(t, RHS_ERROR)
+    return SingularityEvent(t_next, STATE_OVERFLOW)
+
+
 def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
     grid, end = _rk4_grid(t0, t1, cfg)
     states = [list(y0)]
@@ -279,10 +288,11 @@ def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
     for t, t_next in zip(grid, grid[1:]):
         try:
             y = _rk4_step(rhs, t, t_next - t, y)
+            event = _node_event(t, t_next, y)
         except _RhsFailure:
-            return _finish(grid[: len(states)], states, "singular", SingularityEvent(t, RHS_ERROR), meta)
-        if max(abs(v) for v in y) > OVERFLOW:
-            return _finish(grid[: len(states)], states, "singular", SingularityEvent(t_next, STATE_OVERFLOW), meta)
+            event = SingularityEvent(t, RHS_ERROR)
+        if event is not None:
+            return _finish(grid[: len(states)], states, "singular", event, meta)
         meta["steps"] += 1
         states.append(list(y))
     return _finish(grid, states, "completed" if end is None else "singular", end, meta)
@@ -384,21 +394,14 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
                     for r in range(len(live)):
                         try:
                             row = _rk4_step(rhs, t, dt, y[:, r].tolist())
+                            event = _node_event(t, t_next, row)
                         except _RhsFailure:
+                            event = SingularityEvent(t, RHS_ERROR)
+                        if event is None:
+                            y_next[:, r] = row
+                        else:
                             stay[r] = False
-                            leave(live[r], i + 1, "singular", SingularityEvent(t, RHS_ERROR))
-                            continue
-                        y_next[:, r] = row
-                        if max(abs(v) for v in row) > OVERFLOW:
-                            stay[r] = False
-                            leave(live[r], i + 1, "singular", SingularityEvent(t_next, STATE_OVERFLOW))
-                        elif not all(map(math.isfinite, row)):
-                            # a nan node that the scalar bounds test passes
-                            # is kept, and the next step's stages are not finite
-                            stay[r] = False
-                            history[i + 1, :, live[r]] = row
-                            ending = final if i + 2 == len(grid) else ("singular", SingularityEvent(t_next, RHS_ERROR))
-                            leave(live[r], i + 2, *ending)
+                            leave(live[r], i + 1, "singular", event)
                 if not stay.all():
                     live, y, y_next = live[stay], y[:, stay], y_next[:, stay]
                     if not len(live):
@@ -586,28 +589,6 @@ def _integrate_rkf45_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     for r, row in enumerate(live):
         row.y = y[:, r].tolist()
     return [row.run(rhs) for row in rows]
-
-
-def first_integral_drift(trajectories: Sequence[Trajectory], psi: Callable[[np.ndarray], float]) -> float:
-    """max_t |Psi(joint state at t) - Psi(joint state at t0)| over a shared grid."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    t_ref = trajectories[0].times
-    for traj in trajectories[1:]:
-        if len(traj.times) != len(t_ref) or not np.array_equal(traj.times, t_ref):
-            raise ValueError("trajectories do not share a time grid")
-    joint = np.hstack([traj.states for traj in trajectories])
-    values = np.array([psi(row) for row in joint])
-    return float(np.max(np.abs(values - values[0])))
-
-
-def wronskian(traj1: Trajectory, traj2: Trajectory) -> np.ndarray:
-    """W(t) = x1*p2 - p1*x2 per node for two (x, p) trajectories."""
-    if traj1.dimension != 2 or traj2.dimension != 2:
-        raise ValueError("wronskian needs two 2-dimensional trajectories")
-    if len(traj1.times) != len(traj2.times) or not np.array_equal(traj1.times, traj2.times):
-        raise ValueError("trajectories do not share a time grid")
-    return traj1.states[:, 0] * traj2.states[:, 1] - traj1.states[:, 1] * traj2.states[:, 0]
 
 
 def write_csv(trajectory: Trajectory, stream) -> None:

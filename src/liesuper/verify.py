@@ -36,36 +36,31 @@ must not exceed the sum of the component space dimensions.
 
 ``run_suite`` drives a declarative list of such checks -- rules, raw
 closures, first-integral drifts, and the bracket/prolongation identity --
-from a JSON-able document with explicit seeds and tolerances.  The span
-and integrator settings of an item that integrates are checked, and its
-``IntegratorConfig`` built, by ``integrate.integration_settings``, which
-``liesuper integrate`` runs on its flags, so both give a bad setting the
-same message.  A rule is its ``RuleSetup``: the component systems, the
-target, and as many constants as the target has coordinates.
+from a JSON-able document with explicit seeds and tolerances.  A drift
+item integrates copies of one system in the layout that ``joint_layout``
+gives a rule's components, and evaluates its first integral (the Riccati
+cross ratio, or the oscillator Wronskian that the Pinney extras also use)
+once over the copies' node blocks.  The span and integrator settings of an
+item that integrates are checked, and its ``IntegratorConfig`` built, by
+``integrate.integration_settings``, which ``liesuper integrate`` runs on
+its flags, so both give a bad setting the same message.  A rule is its
+``RuleSetup``: the component systems, the target, and as many constants
+as the target has coordinates.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import Poly
-from .hierarchy import gl_basis, linear_generators, member_lie_generators, member_td_system
-from .integrate import (
-    METHODS,
-    IntegratorConfig,
-    Trajectory,
-    first_integral_drift,
-    integrate,
-    integrate_batch,
-    integration_settings,
-    wronskian,
-)
+from .hierarchy import gl_basis, linear_generators, member_lie_generators
+from .integrate import METHODS, IntegratorConfig, Trajectory, integrate, integrate_batch, integration_settings
 from .liealg import (
     DEFAULT_CLOSURE_CAP,
     CapExceeded,
@@ -75,7 +70,7 @@ from .liealg import (
     killing_determinant,
     structure_constants,
 )
-from .parsing import TimeFunction, parse_timefn
+from .parsing import TimeFunction
 from .superpose import (
     SuperpositionError,
     eval_bernoulli_rule,
@@ -207,8 +202,61 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
+# first integrals of diagonal prolongations
+# ---------------------------------------------------------------------------
+
+def _cross_ratio(blocks: list[np.ndarray]) -> np.ndarray:
+    """The cross ratio of four Riccati solutions, one value per node."""
+    y0, y1, y2, y3 = (b[:, 0] for b in blocks)
+    return ((y0 - y1) * (y3 - y2)) / ((y3 - y1) * (y0 - y2))
+
+
+def _wronskian(blocks: list[np.ndarray]) -> np.ndarray:
+    """x1*p2 - p1*x2 of two (x, p) oscillator solutions, one value per node."""
+    (x1, p1), (x2, p2) = (b.T for b in blocks)
+    return x1 * p2 - p1 * x2
+
+
+# ---------------------------------------------------------------------------
 # rule setups
 # ---------------------------------------------------------------------------
+
+class JointLayout(NamedTuple):
+    """A lead system (a rule's target, or none) times component systems,
+    the lead's coordinates first.  Copies of one component system are its
+    diagonal prolongation: coordinate j of copy c is joint coordinate
+    ``offset + j * copies + c``, so that the joint kernel computes each
+    coordinate of all copies with one call on a contiguous block
+    (``diagonal_prolong``).  Components that differ follow one another.
+    ``state`` is the one writer of this layout and ``blocks`` its one
+    reader."""
+
+    system: TDVectorField
+    columns: list[slice]  # each component's joint coordinates
+
+    def state(self, lead_state: Sequence[float], component_states: Sequence[Sequence[float]]) -> list[float]:
+        """The joint state of a lead state and one state per component."""
+        state = [*lead_state, *[0.0] * (self.system.dimension - len(lead_state))]
+        for columns, ic in zip(self.columns, component_states):
+            state[columns] = ic
+        return state
+
+    def blocks(self, traj: Trajectory) -> list[np.ndarray]:
+        """Each component's states along ``traj``, one row per node (views)."""
+        return [traj.states[:, columns] for columns in self.columns]
+
+
+def joint_layout(components: Sequence[TDVectorField], lead: TDVectorField | None = None) -> JointLayout:
+    """The layout of ``lead`` (when given) times ``components``."""
+    first, copies = components[0], len(components)
+    head = [] if lead is None else [lead]
+    offset = 0 if lead is None else lead.dimension
+    if all(c == first for c in components[1:]):
+        prolonged = TDVectorField([(tf, diagonal_prolong(f, copies)) for tf, f in first.terms])
+        return JointLayout(direct_product([*head, prolonged]), [slice(offset + c, None, copies) for c in range(copies)])
+    ends = list(accumulate([offset, *(c.dimension for c in components)]))
+    return JointLayout(direct_product([*head, *components]), [slice(lo, hi) for lo, hi in zip(ends, ends[1:])])
+
 
 def _no_guard(traj, blocks, predicted, constants):
     return None
@@ -221,22 +269,14 @@ def _no_extras(traj, blocks, predicted, constants):
 @dataclass
 class RuleSetup:
     """Everything one rule needs for trials: its component systems, its
-    target system and their joint system (built once), the formula, a
-    seeded sampler, singularity guards, and extra per-trial checks; guards
-    and checks also get the formula's output, one row per node.  The
-    formula takes one coordinate-major state per component, each coordinate
-    a float or an array of nodes, and returns one value or array per
-    target coordinate.  It takes as many constants as the target has
-    coordinates, as the general solution of the target does.
-
-    The joint system is the target times the components, the target's
-    coordinates first.  When the components are copies of one system (the
-    Pinney, hierarchy and cross-ratio rules), they are its diagonal
-    prolongation: coordinate j of copy c is joint coordinate ``target_dim +
-    j * copies + c``, so that the joint kernel computes each coordinate of
-    all copies with one call on a contiguous block (``diagonal_prolong``).
-    Components that differ follow one another.  ``joint_state`` is the
-    one writer of this layout and ``component_blocks`` its one reader."""
+    target system and the layout of their joint system (built once, the
+    target as its lead), the formula, a seeded sampler, singularity guards,
+    and extra per-trial checks; guards and checks also get the formula's
+    output, one row per node.  The formula takes one coordinate-major state
+    per component, each coordinate a float or an array of nodes, and
+    returns one value or array per target coordinate.  It takes as many
+    constants as the target has coordinates, as the general solution of
+    the target does."""
 
     components: list[TDVectorField]
     target: TDVectorField
@@ -246,34 +286,14 @@ class RuleSetup:
     guard: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], str | None] = _no_guard
     extras: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], dict] = _no_extras
     component_generators: list[PolyVectorField] | None = None
-    joint: TDVectorField = field(init=False, repr=False)
-    _columns: list[slice] = field(init=False, repr=False)  # each component's joint coordinates
+    layout: JointLayout = field(init=False, repr=False)
 
     def __post_init__(self):
-        first, copies, offset = self.components[0], len(self.components), self.target.dimension
-        if all(c == first for c in self.components[1:]):
-            prolonged = TDVectorField([(tf, diagonal_prolong(f, copies)) for tf, f in first.terms])
-            self.joint = direct_product([self.target, prolonged])
-            self._columns = [slice(offset + c, None, copies) for c in range(copies)]
-        else:
-            self.joint = direct_product([self.target, *self.components])
-            ends = list(accumulate([offset, *self.component_dims]))
-            self._columns = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+        self.layout = joint_layout(self.components, self.target)
 
     @property
     def component_dims(self) -> list[int]:
         return [c.dimension for c in self.components]
-
-    def joint_state(self, target_state: Sequence[float], component_states: Sequence[Sequence[float]]) -> list[float]:
-        """The joint state of a target state and one state per component."""
-        state = [*target_state, *[0.0] * sum(self.component_dims)]
-        for columns, ic in zip(self._columns, component_states):
-            state[columns] = ic
-        return state
-
-    def component_blocks(self, traj: Trajectory) -> list[np.ndarray]:
-        """Each component's states along ``traj``, one row per node (views)."""
-        return [traj.states[:, columns] for columns in self._columns]
 
     def formula_pass(self, blocks: list[np.ndarray], constants: Sequence[float]) -> np.ndarray:
         """The formula at every node, one row per node."""
@@ -360,7 +380,7 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         return None
 
     def extras(traj, blocks, predicted, constants):
-        w = wronskian(*(replace(traj, states=b) for b in blocks))
+        w = _wronskian(blocks)
         drift = float(np.max(np.abs(w - w[0])))
         # five-point derivative of the formula's x against its p output,
         # on the uniform grid the fixed-step method produces (no interior
@@ -478,8 +498,9 @@ _RULES = {
 
 
 def build_rule_setup(rule_id: str, params: dict) -> RuleSetup:
-    """Trial setup of a rule; ``params`` are its target kind's parameters,
-    validated here (SpecError names the offending key)."""
+    """Trial setup of a rule; ``params`` holds its target kind's
+    parameters, validated here (SpecError names the offending key), and
+    may hold other keys, which are ignored."""
     if rule_id not in _RULES:
         raise ValueError(f"unknown rule id {rule_id!r}")
     rule = _RULES[rule_id]
@@ -531,9 +552,9 @@ def run_trials(
         except SuperpositionError as exc:
             starts.append((constants, None, f"rejected:initial-{type(exc).__name__}"))
             continue
-        starts.append((constants, setup.joint_state(x0, component_ics), None))
+        starts.append((constants, setup.layout.state(x0, component_ics), None))
 
-    trajectories = iter(integrate_batch(setup.joint, [y0 for _, y0, _ in starts if y0 is not None], tspan, cfg))
+    trajectories = iter(integrate_batch(setup.layout.system, [y0 for _, y0, _ in starts if y0 is not None], tspan, cfg))
     for index, (constants, y0, status) in enumerate(starts, first_index):
         if y0 is None:
             yield TrialRecord(index, constants, status)
@@ -546,7 +567,7 @@ def judge_trial(setup: RuleSetup, traj: Trajectory, constants: list[float], inde
     trial the largest formula error and the rule's extras."""
     if not traj.completed:
         return TrialRecord(index, constants, f"singular:{traj.event.trigger}")
-    blocks = setup.component_blocks(traj)
+    blocks = setup.layout.blocks(traj)
     # values gone to inf or nan reach the record, never a warning
     with np.errstate(all="ignore"):
         try:
@@ -585,7 +606,7 @@ def _candidate_records(
             size = math.ceil(2 * missing * drawn / clean) if clean else 2 * missing
             # span/step + 2 bounds the number of grid nodes, as does max_steps + 1
             nodes = min((tspan[1] - tspan[0]) / cfg.step + 2, cfg.max_steps + 1)
-            row_bytes = 8 * setup.joint.dimension * nodes
+            row_bytes = 8 * setup.layout.system.dimension * nodes
             size = min(size, max(1, int(_CHUNK_HISTORY_BYTES // row_bytes)))
         candidates = []
         failure = None
@@ -661,52 +682,6 @@ def run_rule_verification(
 
 
 # ---------------------------------------------------------------------------
-# first-integral drift checks
-# ---------------------------------------------------------------------------
-
-def riccati_cross_ratio_drift(
-    b0: TimeFunction,
-    b1: TimeFunction,
-    initial: Sequence[float],
-    tspan: tuple[float, float],
-    cfg: IntegratorConfig,
-) -> float:
-    """Drift of the cross ratio along four solutions of one Riccati equation."""
-    if len(initial) != 4:
-        raise ValueError("the cross ratio needs four initial values")
-    riccati = member_td_system(2, [b0, b1])
-    joint = direct_product([riccati] * 4)
-    traj = integrate(joint, list(initial), tspan, cfg)
-    if not traj.completed:
-        raise RuntimeError(f"integration became singular at t = {traj.event.time}")
-    trajectories = [traj.block(i, i + 1) for i in range(4)]
-
-    def psi(row: np.ndarray) -> float:
-        y0, y1, y2, y3 = row
-        return ((y0 - y1) * (y3 - y2)) / ((y3 - y1) * (y0 - y2))
-
-    return first_integral_drift(trajectories, psi)
-
-
-def oscillator_wronskian_drift(
-    omega: TimeFunction,
-    initial: Sequence[Sequence[float]],
-    tspan: tuple[float, float],
-    cfg: IntegratorConfig,
-) -> float:
-    """Drift of the Wronskian along two oscillator solutions."""
-    if len(initial) != 2 or any(len(ic) != 2 for ic in initial):
-        raise ValueError("need two (x, p) initial conditions")
-    osc = oscillator_system(omega)
-    joint = direct_product([osc, osc])
-    traj = integrate(joint, [v for ic in initial for v in ic], tspan, cfg)
-    if not traj.completed:
-        raise RuntimeError(f"integration became singular at t = {traj.event.time}")
-    w = wronskian(traj.block(0, 2), traj.block(2, 4))
-    return float(np.max(np.abs(w - w[0])))
-
-
-# ---------------------------------------------------------------------------
 # suite documents
 # ---------------------------------------------------------------------------
 
@@ -742,12 +717,12 @@ _ITEM_KEYS = (
 class _Drift(NamedTuple):
     system: str  # the kind of each of the ``copies`` solutions
     copies: int
-    measure: Callable[..., float]  # (the kind's time functions in parameter order, initial, tspan, cfg)
+    integral: Callable[[list[np.ndarray]], np.ndarray]  # of the copies' node blocks
 
 
 _DRIFTS = {
-    "riccati-cross-ratio": _Drift("riccati", 4, riccati_cross_ratio_drift),
-    "oscillator-wronskian": _Drift("oscillator", 2, oscillator_wronskian_drift),
+    "riccati-cross-ratio": _Drift("riccati", 4, _cross_ratio),
+    "oscillator-wronskian": _Drift("oscillator", 2, _wronskian),
 }
 
 
@@ -764,10 +739,6 @@ _PRESETS = {
     "linear-generators": _Preset(2, linear_generators),
     "member": _Preset(2, member_lie_generators),
 }
-
-
-def _kind_params(kind: str, item: dict) -> dict:
-    return {key: item[key] for key, _ in SYSTEM_KINDS[kind].params}
 
 
 def _check_closure_item(item: dict, path: str, errors: list[str]) -> None:
@@ -849,9 +820,7 @@ def _run_rule_item(item: dict) -> dict:
     rule_id = item["rule"]
     rule = _RULES[rule_id]
     tspan, cfg = _item_settings(item, rule.methods)
-    report = run_rule_verification(
-        rule_id, _kind_params(rule.target, item), trials=item["trials"], seed=item.get("seed", 0), tspan=tspan, cfg=cfg
-    )
+    report = run_rule_verification(rule_id, item, item["trials"], item.get("seed", 0), tspan, cfg)
     tolerance = float(item["tolerance"])
     ok = report.max_formula_error <= tolerance and bool(report.lie_condition)
     clean = [r for r in report.records if r.ok]
@@ -871,10 +840,19 @@ def _run_rule_item(item: dict) -> dict:
 
 
 def _run_drift_item(item: dict) -> dict:
+    """The drift max |I - I(t0)| of the item's first integral I along its
+    copies, integrated as one diagonal prolongation."""
     drift = _DRIFTS[item["invariant"]]
-    value = drift.measure(
-        *map(parse_timefn, _kind_params(drift.system, item).values()), item["initial"], *_item_settings(item, METHODS)
-    )
+    system = build_rhs(parse_system_spec({**item, "kind": drift.system}, "item"))
+    layout = joint_layout([system] * drift.copies)
+    initial = [[v] if system.dimension == 1 else v for v in item["initial"]]
+    traj = integrate(layout.system, layout.state([], initial), *_item_settings(item, METHODS))
+    if not traj.completed:
+        raise RuntimeError(f"integration became singular at t = {traj.event.time}")
+    # coincident solutions make the drift nan, which fails, never warns
+    with np.errstate(all="ignore"):
+        values = drift.integral(layout.blocks(traj))
+        value = float(np.max(np.abs(values - values[0])))
     return {"measured": {"drift": value}, "pass": value <= float(item["tolerance"])}
 
 

@@ -24,7 +24,7 @@ from liesuper.liealg import (
     structure_constants,
     center_dimension,
 )
-from liesuper.parsing import parse_poly, parse_timefn
+from liesuper.parsing import parse_poly
 from liesuper.superpose import (
     NonGenericNormalization,
     eval_hierarchy_rule,
@@ -34,9 +34,8 @@ from liesuper.vectorfield import PolyVectorField, lie_bracket
 from liesuper.verify import (
     build_rule_setup,
     check_prolongation_identity,
-    oscillator_wronskian_drift,
-    riccati_cross_ratio_drift,
     run_rule_verification,
+    run_suite,
 )
 
 
@@ -253,14 +252,19 @@ def test_criterion_10_linear_rule(capsys):
 
 
 def test_criterion_11_first_integral_drift(capsys):
-    cross = riccati_cross_ratio_drift(
-        parse_timefn("1"), parse_timefn("0"), [0.0, 1.0, -0.5, 2.0], (0.0, 1.0), RKF
-    )
-    wron = max(
-        oscillator_wronskian_drift(parse_timefn(omega), [[1.0, 0.0], [0.0, 1.0]], (0.0, 1.0), RKF)
-        for omega in ("1", "1 + 0.1*t")
-    )
-    ok = cross <= 1e-7 and wron <= 1e-7
+    # drift items run under RKF45 at the default rtol 1e-10
+    span = {"tspan": [0.0, 1.0], "tolerance": 1e-7}
+    items = [
+        {"kind": "drift", "invariant": "riccati-cross-ratio", "b0": "1", "b1": "0", "initial": [0.0, 1.0, -0.5, 2.0]},
+        *(
+            {"kind": "drift", "invariant": "oscillator-wronskian", "omega": omega, "initial": [[1.0, 0.0], [0.0, 1.0]]}
+            for omega in ("1", "1 + 0.1*t")
+        ),
+    ]
+    reports = run_suite({"items": [{**item, **span} for item in items]})
+    cross, *wrons = (report["measured"]["drift"] for report in reports)
+    wron = max(wrons)
+    ok = all(report["pass"] for report in reports) and cross <= 1e-7 and wron <= 1e-7
     with capsys.disabled():
         report(11, ok, f"cross-ratio drift {cross:.2e} and Wronskian drift {wron:.2e}, both <= 1e-7")
 

@@ -87,6 +87,15 @@ def test_lockstep_verify_report_golden(suite, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"verify_{suite}.json").read_text()
 
 
+def test_drift_verify_report_golden(capsys):
+    """First-integral drifts along copies integrated as one diagonal
+    prolongation: the cross ratio under RKF45 and RK4, and the Wronskian
+    with a time-dependent and a constant frequency."""
+    data = pathlib.Path(__file__).parent / "data" / "drift_suite.json"
+    assert main(["verify", str(data)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_drift_suite.json").read_text()
+
+
 def test_default_verify_report_golden(capsys):
     """The default suite's report, byte for byte, not only its shape."""
     assert main(["verify"]) == 0

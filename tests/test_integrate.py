@@ -1,4 +1,4 @@
-"""Integrators, singularity handling, and first-integral drift."""
+"""Integrators and singularity handling."""
 
 import io
 import math
@@ -16,11 +16,9 @@ from liesuper.integrate import (
     IntegratorConfig,
     SingularityEvent,
     Trajectory,
-    first_integral_drift,
     integrate,
     integrate_batch,
     write_csv,
-    wronskian,
 )
 from liesuper.parsing import parse_timefn
 from liesuper.systems import oscillator_system, pinney_system
@@ -268,19 +266,26 @@ class TestIntegrateBatch:
         assert len(replays) == 3 and max(replays) < 1e8
         assert_rows_match(rhs, x0s, (0.0, 1.0), IntegratorConfig(method="rk4", step=1 / 16))
 
-    @pytest.mark.parametrize("span, event", [((0.0, 3.0), SingularityEvent(1.0, "rhs-error")), ((0.0, 1.0), None)])
-    def test_a_replayed_nan_node_that_passes_the_scalar_bounds_test(self, span, event):
+    @pytest.mark.parametrize("span", [(0.0, 3.0), (0.0, 1.0)])
+    def test_a_replayed_nan_node_that_passes_the_scalar_bounds_test(self, span):
         # a' = C + eps*w, b' = a, w' = M*b: from this start the first step's
         # 2*k2 and 2*k3 of w overflow to +inf and -inf, so that w ends nan
-        # from finite stages, which the scalar step keeps (Python's max
-        # skips a nan after a number); the next step, if any, raises
+        # from finite stages; the scalar step and the replay drop that node
+        # and end the row with rhs-error at the step's start, on the last
+        # step of the span too
         a, b, w = (Poly.variable(3, i) for i in range(3))
         field = PolyVectorField([Poly.constant(3, -76000) + w * Fraction(1e-320), a, b * Fraction(1e304)])
         rhs = TDVectorField([(parse_timefn("1"), field)])
         x0s = [[2.9e4, -5e3, 0.0], [2.9e4, -5e3, 0.0]]
         batch = assert_rows_match(rhs, x0s, span, IntegratorConfig(method="rk4", step=1.0))
-        assert [(traj.event, len(traj.times)) for traj in batch] == [(event, 2)] * 2
-        assert np.isnan(batch[0].states[1, 2])
+        assert [(traj.event, len(traj.times)) for traj in batch] == [(SingularityEvent(0.0, "rhs-error"), 1)] * 2
+
+    def test_an_infinite_node_from_finite_stages_is_a_state_overflow(self):
+        # k1 + 2*k2 overflows to inf, so the first node is inf but not nan:
+        # the row leaves with state-overflow at that node's time
+        rhs = FunctionRHS(1, lambda t, y: [1e308])
+        batch = assert_rows_match(rhs, [[0.0], [1.0]], (0.0, 2.0), IntegratorConfig(method="rk4", step=1.0))
+        assert [(traj.event, len(traj.times)) for traj in batch] == [(SingularityEvent(1.0, "state-overflow"), 1)] * 2
 
     def test_batch_of_one_is_bit_identical(self):
         for rhs, x0 in ((PINNEY, [1.1, 0.2]), (FunctionRHS(1, riccati_blowup), [-3.0])):
@@ -431,7 +436,7 @@ class TestPowerBearingJoints:
         # row 2's target starts at 1e200, so its powers overflow at the
         # first stage: that block step (RK4) or that row's attempt (RKF45)
         # replays with the scalar step, and every other row keeps its bits
-        joint = build_rule_setup(rule_id, params).joint
+        joint = build_rule_setup(rule_id, params).layout.system
         x0s = np.random.default_rng(17).uniform(-1.2, 1.2, size=(20, joint.dimension))
         x0s[2, 0] = 1e200
         module = sys.modules["liesuper.integrate"]
@@ -453,69 +458,6 @@ class TestRkf45Accuracy:
         cfg = IntegratorConfig(rtol=rtol)
         traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), cfg)
         assert abs(traj.final_state()[0] - math.e) <= 10 * rtol * math.e
-
-
-def oscillator_pair_trajectory(omega_src: str, rtol=1e-10):
-    osc = oscillator_system(parse_timefn(omega_src))
-    joint = direct_product([osc, osc])
-    cfg = IntegratorConfig(rtol=rtol)
-    return integrate(joint, [1.0, 0.0, 0.0, 1.0], (0.0, 1.0), cfg)
-
-
-class TestFirstIntegralDrift:
-    def test_constant_function(self):
-        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
-        assert first_integral_drift([traj], lambda row: 42.0) == 0.0
-
-    def test_wronskian_of_basis_solutions(self):
-        traj = oscillator_pair_trajectory("1")
-        parts = [traj.block(0, 2), traj.block(2, 4)]
-        psi = lambda row: row[0] * row[3] - row[1] * row[2]
-        assert first_integral_drift(parts, psi) <= 1e-9
-
-    def test_cross_ratio_of_riccati_solutions(self):
-        from liesuper.hierarchy import member_td_system
-
-        riccati = member_td_system(2, [parse_timefn("1"), parse_timefn("0")])
-        joint = direct_product([riccati] * 4)
-        traj = integrate(joint, [0.0, 1.0, -0.5, 2.0], (0.0, 1.0), IntegratorConfig(rtol=1e-10))
-        parts = [traj.block(i, i + 1) for i in range(4)]
-
-        def psi(row):
-            y0, y1, y2, y3 = row
-            return ((y0 - y1) * (y3 - y2)) / ((y3 - y1) * (y0 - y2))
-
-        assert first_integral_drift(parts, psi) <= 1e-7
-
-    def test_grid_mismatch_rejected(self):
-        t1 = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.1))
-        t2 = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.05))
-        with pytest.raises(ValueError):
-            first_integral_drift([t1, t2], lambda row: 0.0)
-
-
-class TestWronskian:
-    def test_identical_trajectories_vanish(self):
-        traj = oscillator_pair_trajectory("1")
-        part = traj.block(0, 2)
-        assert np.all(wronskian(part, part) == 0.0)
-
-    def test_basis_solutions_give_one(self):
-        traj = oscillator_pair_trajectory("1")
-        w = wronskian(traj.block(0, 2), traj.block(2, 4))
-        assert np.max(np.abs(w - 1.0)) <= 1e-9
-
-    def test_conserved_for_time_dependent_frequency(self):
-        # the system is trace-free, so the Wronskian is constant even for
-        # omega(t) = 1 + 0.1 t
-        traj = oscillator_pair_trajectory("1 + 0.1*t")
-        w = wronskian(traj.block(0, 2), traj.block(2, 4))
-        assert np.max(np.abs(w - w[0])) <= 1e-8
-
-    def test_dimension_check(self):
-        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
-        with pytest.raises(ValueError):
-            wronskian(traj, traj)
 
 
 class TestCsv:

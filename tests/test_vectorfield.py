@@ -527,7 +527,7 @@ class TestBoundKernel:
         # -omega^2 product and a sum otherwise), one negation or -omega^2
         # product for both copies' p', and one closing 0.0 + out; x' of the
         # target and of both copies are two row copies
-        assert_ufunc_calls(build_rule_setup("pinney", {"omega": omega, "c": 2.0}).joint, monkeypatch, want)
+        assert_ufunc_calls(build_rule_setup("pinney", {"omega": omega, "c": 2.0}).layout.system, monkeypatch, want)
 
     @pytest.mark.parametrize("order, want", [(3, 8), (5, 22)])
     def test_the_hierarchy_rule_joint_kernel_ufunc_calls(self, order, want, monkeypatch):
@@ -536,7 +536,7 @@ class TestBoundKernel:
         # copy for all their others; the member subtracts its negated
         # monomial
         setup = build_rule_setup("hierarchy", {"order": order, "b": ["1"] + ["0"] * (order - 1)})
-        assert_ufunc_calls(setup.joint, monkeypatch, want)
+        assert_ufunc_calls(setup.layout.system, monkeypatch, want)
 
     def test_per_row_times_need_one_time_per_row(self):
         # the slot block is written from one flat list, which numpy would

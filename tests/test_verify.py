@@ -27,15 +27,15 @@ from liesuper.verify import (
     build_rule_setup,
     check_prolongation_identity,
     default_suite,
-    oscillator_wronskian_drift,
-    riccati_cross_ratio_drift,
     run_rule_verification,
     run_suite,
     suite_passed,
     validate_suite,
     verify_rule,
 )
+from liesuper.cli import main
 from liesuper.parsing import parse_timefn
+from liesuper.systems import SystemSpec, build_rhs
 from liesuper.vectorfield import direct_product
 
 CFG = IntegratorConfig(rtol=1e-10)
@@ -127,15 +127,15 @@ class TestRuleShapes:
         ics, constants = setup.sample(random.Random(1))
         assert [len(ic) for ic in ics] == setup.component_dims
         assert len(constants) == setup.target.dimension
-        assert setup.joint.dimension == setup.target.dimension + sum(setup.component_dims)
+        assert setup.layout.system.dimension == setup.target.dimension + sum(setup.component_dims)
 
     def test_copies_of_one_system_interleave(self):
         # coordinate j of copy c at target_dim + j * copies + c; components
         # that differ follow one another
         pinney = build_rule_setup("pinney", RULE_PARAMS["pinney"])
-        assert pinney.joint_state([1.0, 2.0], [[3.0, 4.0], [5.0, 6.0]]) == [1.0, 2.0, 3.0, 5.0, 4.0, 6.0]
+        assert pinney.layout.state([1.0, 2.0], [[3.0, 4.0], [5.0, 6.0]]) == [1.0, 2.0, 3.0, 5.0, 4.0, 6.0]
         linear = build_rule_setup("linear", RULE_PARAMS["linear"])
-        assert linear.joint_state([1.0], [[2.0], [3.0]]) == [1.0, 2.0, 3.0]
+        assert linear.layout.state([1.0], [[2.0], [3.0]]) == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     @pytest.mark.parametrize("rule_id", sorted(TIME_DEPENDENT_RULE_PARAMS))
@@ -149,7 +149,7 @@ class TestRuleShapes:
             ics, k = setup.sample(rng)
             starts.append((list(setup.phi([np.array(ic, dtype=float) for ic in ics], k)), ics))
         cfg = IntegratorConfig(method=method, step=1e-2 if method == "rk4" else None)
-        batch = integrate_batch(setup.joint, [setup.joint_state(x0, ics) for x0, ics in starts], (0.0, 0.3), cfg)
+        batch = integrate_batch(setup.layout.system, [setup.layout.state(x0, ics) for x0, ics in starts], (0.0, 0.3), cfg)
         in_order = direct_product([setup.target, *setup.components])
         x0s = [x0 + [v for ic in ics for v in ic] for x0, ics in starts]
         target = setup.target.dimension
@@ -157,7 +157,7 @@ class TestRuleShapes:
             split = np.split(want.states[:, target:], np.cumsum(setup.component_dims)[:-1], axis=1)
             assert (traj.status, traj.times.tobytes()) == (want.status, want.times.tobytes())
             assert traj.states[:, :target].tobytes() == want.states[:, :target].tobytes()
-            assert [b.tobytes() for b in setup.component_blocks(traj)] == [b.tobytes() for b in split]
+            assert [b.tobytes() for b in setup.layout.blocks(traj)] == [b.tobytes() for b in split]
 
 
 class TestProlongationIdentity:
@@ -338,9 +338,9 @@ class TestOneFormulaPass:
         record = verify_rule(setup, ics, k, (0.0, 0.3), cfg)
         assert record.ok
         # reference: the formula and the five-point stencil node by node
-        y0 = setup.joint_state(setup.phi([np.array(ic) for ic in ics], k), ics)
-        traj = integrate(setup.joint, y0, (0.0, 0.3), cfg)
-        values = [eval_pinney_rule(a, b, k[0], k[1], 2.0) for a, b in zip(*setup.component_blocks(traj))]
+        y0 = setup.layout.state(setup.phi([np.array(ic) for ic in ics], k), ics)
+        traj = integrate(setup.layout.system, y0, (0.0, 0.3), cfg)
+        values = [eval_pinney_rule(a, b, k[0], k[1], 2.0) for a, b in zip(*setup.layout.blocks(traj))]
         h = traj.times[1] - traj.times[0]
         deriv_error = 0.0
         for i in range(2, len(values) - 2):
@@ -594,18 +594,62 @@ class TestRk4LockstepSuite:
         assert all(r["measured"]["trial_count"] == 10 for r in reports)
 
 
-class TestDriftHelpers:
-    def test_cross_ratio_drift_small(self):
-        drift = riccati_cross_ratio_drift(
-            parse_timefn("1"), parse_timefn("0"), [0.0, 1.0, -0.5, 2.0], (0.0, 1.0), CFG
-        )
-        assert drift <= 1e-7
+def drift_item(invariant: str, initial, **keys) -> dict:
+    params = {"riccati-cross-ratio": {"b0": "1", "b1": "0"}, "oscillator-wronskian": {"omega": "1"}}[invariant]
+    return {"kind": "drift", "invariant": invariant, **params, "initial": initial, "tspan": [0.0, 1.0], **keys}
 
-    def test_wronskian_drift_small(self):
-        drift = oscillator_wronskian_drift(
-            parse_timefn("1 + 0.1*t"), [[1.0, 0.0], [0.0, 1.0]], (0.0, 1.0), CFG
-        )
-        assert drift <= 1e-8
+
+class TestDriftItems:
+    def test_wronskian_of_basis_solutions_is_one(self):
+        # (cos t, -sin t) and (sin t, cos t) at three times
+        t = np.array([0.0, 0.4, 1.3])
+        blocks = [np.column_stack([np.cos(t), -np.sin(t)]), np.column_stack([np.sin(t), np.cos(t)])]
+        assert np.max(np.abs(verify._wronskian(blocks) - 1.0)) <= 1e-15
+
+    def test_copies_interleave_in_the_joint(self):
+        # the drift's copies take the layout of a rule's components
+        osc = build_rhs(SystemSpec("oscillator", {"omega": "1"}))
+        layout = verify.joint_layout([osc, osc])
+        assert layout.state([], [[1.0, 2.0], [3.0, 4.0]]) == [1.0, 3.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize(
+        "spec, initial",
+        [
+            (SystemSpec("riccati", {"b0": "cos(t)", "b1": "0.3"}), [[0.0], [1.0], [-0.5], [2.0]]),
+            (SystemSpec("oscillator", {"omega": "1 + 0.1*sin(t)"}), [[1.0, 0.5], [-0.3, 1.0]]),
+        ],
+    )
+    def test_copies_keep_the_bits_they_have_one_after_another(self, spec, initial, method):
+        # RKF45's error norm is a max over coordinates, and each coordinate
+        # keeps its float operations, so the interleaved copies take the
+        # same steps as copies that follow one another
+        system = build_rhs(spec)
+        layout = verify.joint_layout([system] * len(initial))
+        cfg = IntegratorConfig(method=method, step=1e-2 if method == "rk4" else None)
+        traj = integrate(layout.system, layout.state([], initial), (0.0, 1.0), cfg)
+        want = integrate(direct_product([system] * len(initial)), [v for ic in initial for v in ic], (0.0, 1.0), cfg)
+        assert (traj.status, traj.meta, traj.times.tobytes()) == (want.status, want.meta, want.times.tobytes())
+        split = np.split(want.states, len(initial), axis=1)
+        assert [b.tobytes() for b in layout.blocks(traj)] == [b.tobytes() for b in split]
+
+    def test_coincident_solutions_fail_without_a_warning(self, tmp_path, capsys):
+        # y0 = y2 makes the cross ratio's denominator 0 at every node
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"items": [drift_item("riccati-cross-ratio", [0.0, 1.0, 0.0, 2.0], tolerance=1e-7)]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(suite)]) == 3
+        out, err = capsys.readouterr()
+        [report] = json.loads(out)["items"]
+        assert math.isnan(report["measured"]["drift"]) and report["pass"] is False
+        assert err == ""
+
+    def test_a_singular_integration_is_reported(self):
+        # y' = -1 - y^2 from y = -30 leaves the bounds within t = 0.04
+        [report] = run_suite({"items": [drift_item("riccati-cross-ratio", [0.0, 1.0, -0.5, -30.0], tolerance=1e-7)]})
+        assert report["measured"]["error"].startswith("integration became singular at t = 0.03")
+        assert report["pass"] is False
 
 
 class TestSuite:

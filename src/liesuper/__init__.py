@@ -44,6 +44,7 @@ from .liealg import (
     is_modular_basis,
     killing_determinant,
     killing_form,
+    lie_dimension,
     structure_constants,
 )
 from .parsing import ParseError, TimeFunction, parse_poly, parse_timefn

@@ -489,25 +489,29 @@ class _Rkf45Row:
 def _rkf45_attempt(rhs, t: float, h: float, y: list[float], cfg: IntegratorConfig) -> tuple | None:
     """One Fehlberg step from (t, y): ``(y5, err, max |y5|)``, with err the
     error estimate's norm, or None when a stage fails."""
-    dim = len(y)
     try:
         k = [_guarded_eval(rhs, t, y)]
         for stage in range(1, 6):
-            a = _A[stage]
-            ys = [
-                y[i] + h * sum(a[m] * k[m][i] for m in range(stage))
-                for i in range(dim)
-            ]
+            ys = [yi + h * s for yi, s in zip(y, _fold(_A[stage], k))]
             k.append(_guarded_eval(rhs, t + _C[stage] * h, ys))
     except _RhsFailure:
         return None
-    y5 = [y[i] + h * sum(_B5[m] * k[m][i] for m in range(6)) for i in range(dim)]
+    y5 = [yi + h * s for yi, s in zip(y, _fold(_B5, k))]
     err = 0.0
-    for i in range(dim):
-        e = h * sum(_ERR[m] * k[m][i] for m in range(6))
-        scale = cfg.atol + cfg.rtol * max(abs(y[i]), abs(y5[i]))
-        err = max(err, abs(e) / scale)
+    for yi, y5i, s in zip(y, y5, _fold(_ERR, k)):
+        scale = cfg.atol + cfg.rtol * max(abs(yi), abs(y5i))
+        err = max(err, abs(h * s) / scale)
     return y5, err, max(abs(v) for v in y5)
+
+
+def _fold(weights: Sequence[float], k: list) -> list[float]:
+    """0.0 + w0*k0[i] + w1*k1[i] + ... for each component i: the left fold
+    that ``_block_sum`` takes.  Python's ``sum`` of floats is compensated
+    from 3.12 on, so it would not give these bits there."""
+    total = [0.0] * len(k[0])
+    for w, km in zip(weights, k):
+        total = [s + w * v for s, v in zip(total, km)]
+    return total
 
 
 def _bind_stages(rhs, y: np.ndarray, stages: int, scratch: int) -> tuple:

@@ -165,6 +165,17 @@ def _p_fields(order: int) -> tuple[TDVectorField, ...]:
     return tuple(fields)
 
 
+def combined_solution(k: Sequence[float], values: Sequence):
+    """0.0 + k_1 v_1 + ... + k_{s-1} v_{s-1} + v_s, the normalized combination
+    of s component values (floats or arrays), summed as a left fold: Python's
+    ``sum`` of floats is compensated from 3.12 on, and its bits would then
+    depend on the Python version."""
+    total = 0.0
+    for ka, va in zip(k, values):
+        total = total + ka * va
+    return total + values[-1]
+
+
 def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) -> list:
     """Solution jet (y, y', ..., y^(s-2)) of the order-s member from s
     solution jets of the companion linear system and constants k_1..k_{s-1}
@@ -178,7 +189,7 @@ def eval_hierarchy_rule(s: int, jets: Sequence[JetPoint], k: Sequence[float]) ->
     for jet in jets:
         if len(jet) != s:
             raise ValueError("each component jet must have length s")
-    c = [sum(k[a] * jets[a][j] for a in range(s - 1)) + jets[s - 1][j] for j in range(s)]
+    c = [combined_solution(k, [jet[j] for jet in jets]) for j in range(s)]
     if np.any(c[0] == 0.0):
         raise SingularDenominator("combined solution vanishes at this point (c0 = 0)")
     z = [cj / c[0] for cj in c]

@@ -68,11 +68,13 @@ from .liealg import (
     check_lie_condition,
     closure,
     killing_determinant,
+    lie_dimension,
     structure_constants,
 )
 from .parsing import TimeFunction
 from .superpose import (
     SuperpositionError,
+    combined_solution,
     eval_bernoulli_rule,
     eval_hierarchy_rule,
     eval_linear_rule,
@@ -413,13 +415,13 @@ def _build_hierarchy(spec: SystemSpec) -> RuleSetup:
             if abs(np.linalg.det(np.array(jets).T)) < 0.2:
                 continue
             k = [rng.uniform(-1.5, 1.5) for _ in range(s - 1)]
-            c0 = sum(k[a] * jets[a][0] for a in range(s - 1)) + jets[s - 1][0]
+            c0 = combined_solution(k, [jet[0] for jet in jets])
             if abs(c0) < 0.3:
                 continue
             return jets, k
 
     def guard(traj, blocks, predicted, constants):
-        c0 = sum(constants[a] * blocks[a][:, 0] for a in range(s - 1)) + blocks[s - 1][:, 0]
+        c0 = combined_solution(constants, [block[:, 0] for block in blocks])
         if float(np.min(np.abs(c0))) < 0.05 or np.any(np.sign(c0) != np.sign(c0[0])):
             return "normalizing-combination-margin"
         return None
@@ -654,14 +656,14 @@ def run_rule_verification(
             clean += 1
 
     try:
-        dim = closure(setup.condition_generators, closure_cap).size
+        dim = lie_dimension(setup.condition_generators, closure_cap)
     except CapExceeded:
         dim = None
     bound = sum(setup.component_dims)
     lie_ok = check_lie_condition(dim, setup.component_dims) if dim is not None else False
     component_dim = None
     if setup.component_generators is not None:
-        component_dim = closure(setup.component_generators, closure_cap).size
+        component_dim = lie_dimension(setup.component_generators, closure_cap)
 
     clean_records = [r for r in records if r.ok]
     max_error = float(np.max([r.max_error for r in clean_records], initial=0.0))

@@ -15,7 +15,6 @@ from liesuper.hierarchy import member_td_system
 from liesuper.integrate import (
     IntegratorConfig,
     SingularityEvent,
-    Trajectory,
     integrate,
     integrate_batch,
     write_csv,
@@ -450,6 +449,19 @@ class TestPowerBearingJoints:
         assert 1e200 in replays and (method == "rkf45" or len(replays) >= 6)
         batch = assert_rows_match(joint, x0s.tolist(), (0.0, 0.5), cfg)
         assert batch[2].event is not None and [traj.status for traj in batch].count("completed") >= 12
+
+
+class TestStageSums:
+    def test_scalar_stage_sums_are_the_block_sums(self):
+        # component 0 sums 1e16 + 1 - 1e16 + 1: a left fold gives 1.0, a
+        # compensated sum (Python's float sum from 3.12 on) gives 2.0
+        from liesuper.integrate import _block_sum, _constants, _fold
+
+        weights = (1.0, 1.0, 1.0, 1.0)
+        k = [[1e16, 2.0], [1.0, 3.0], [-1e16, 5.0], [1.0, 7.0]]
+        assert math.fsum(row[0] for row in k) == 2.0
+        block = _block_sum(_constants(weights), np.array(k), np.empty(2), np.empty(2))
+        assert _fold(weights, k) == block.tolist() == [1.0, 17.0]
 
 
 class TestRkf45Accuracy:

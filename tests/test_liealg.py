@@ -21,10 +21,13 @@ from liesuper.liealg import (
     is_modular_basis,
     killing_determinant,
     killing_form,
+    lie_dimension,
     structure_constants,
 )
+from liesuper.hierarchy import linear_generators, member_lie_generators
 from liesuper.parsing import parse_poly
 from liesuper.vectorfield import PolyVectorField, lie_bracket
+from liesuper.verify import random_field
 
 
 def VF(*components: str) -> PolyVectorField:
@@ -308,6 +311,94 @@ def antisymmetric_tables(draw):
             c[a][b] = [draw(entries) for _ in range(r)]
             c[b][a] = [-v for v in c[a][b]]
     return StructureConstants([{(b, g): v for b, row in enumerate(plane) for g, v in enumerate(row)} for plane in c])
+
+
+def conjugated_linear(fields, a):
+    """Linear fields x' = M x pushed along y = A x: y' = A M A^-1 y."""
+    s = len(a)
+    a = sympy.Matrix(a)
+    unit = [tuple(int(k == j) for k in range(s)) for j in range(s)]
+    out = []
+    for f in fields:
+        m = sympy.Matrix(s, s, lambda i, j: f.components[i].terms.get(unit[j], 0))
+        n = a * m * a.inv()
+        out.append(
+            PolyVectorField(
+                [Poly(s, {unit[j]: Fraction(int(n[i, j].p), int(n[i, j].q)) for j in range(s)}) for i in range(s)]
+            )
+        )
+    return out
+
+
+def dimension_or_cap(fn, gens, cap):
+    try:
+        return fn(gens, cap)
+    except CapExceeded as exc:
+        return "cap", exc.cap, exc.dimension
+
+
+class TestLieDimension:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 3]),
+        st.integers(1, 10),
+    )
+    def test_equals_the_closure_size_on_random_generators(self, seed, dim, count, degree, cap):
+        rng = random.Random(seed)
+        gens = [random_field(rng, dim, degree) for _ in range(count)]
+        want = dimension_or_cap(lambda g, c: closure(g, c).size, gens, cap)
+        assert dimension_or_cap(lie_dimension, gens, cap) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(finite_families())
+    def test_equals_the_closure_size_on_finite_families(self, gens):
+        assert lie_dimension(gens) == closure(gens).size
+
+    @pytest.mark.parametrize(
+        "gens, cap, want",
+        [
+            (linear_generators(4), 64, 16),
+            (conjugated_linear(linear_generators(4), [[1, 2, 0, -1], [0, 1, 3, 0], [1, 2, 1, 0], [0, 0, 2, 1]]), 64, 16),
+            (member_lie_generators(4), 64, 15),
+            (SL2, 3, 3),
+            ([VF("1", "0"), VF("x1^2", "x0")], 8, ("cap", 8, 9)),
+            ([VF("1", "0"), VF("x1^2", "x0")], 12, ("cap", 12, 13)),
+            ([VF("1"), VF("x0^3")], 10, ("cap", 10, 11)),
+        ],
+    )
+    def test_fixed_families(self, gens, cap, want):
+        assert dimension_or_cap(lambda g, c: closure(g, c).size, gens, cap) == want
+        assert dimension_or_cap(lie_dimension, gens, cap) == want
+
+    def test_brackets_each_basis_field_with_the_generators_only(self, monkeypatch):
+        # gl(4) from its 5 generators: 16 basis fields, 5 * 16 brackets less
+        # the 5 * 6 / 2 generator pairs (j <= i) not formed, where closure
+        # forms 16 * 15 / 2
+        from liesuper import liealg
+
+        calls = []
+        monkeypatch.setattr(liealg, "lie_bracket", lambda x, y: calls.append(1) or lie_bracket(x, y))
+        assert lie_dimension(linear_generators(4)) == 16
+        assert len(calls) == 5 * 16 - 15
+        calls.clear()
+        closure(linear_generators(4))
+        assert len(calls) == 16 * 15 // 2
+
+    @pytest.mark.parametrize(
+        "gens, cap, message",
+        [
+            ([], 4, "at least one generator"),
+            (SL2, 0, "cap must be at least 1"),
+            ([VF("1"), VF("1", "0")], 4, "share one dimension"),
+        ],
+    )
+    def test_argument_checks_are_those_of_closure(self, gens, cap, message):
+        for fn in (closure, lie_dimension):
+            with pytest.raises(ValueError, match=message):
+                fn(gens, cap)
 
 
 class TestKillingForm:

@@ -19,6 +19,7 @@ from liesuper.superpose import (
     SingularDenominator,
     SingularJetMatrix,
     SuperpositionError,
+    combined_solution,
     eval_bernoulli_rule,
     eval_hierarchy_rule,
     eval_linear_rule,
@@ -223,6 +224,16 @@ class TestHierarchyRule:
         with pytest.raises(SingularDenominator):
             eval_hierarchy_rule(2, [(1.0, 0.0), (-1.0, 1.0)], [1.0])
 
+    def test_constants_combine_as_a_left_fold(self):
+        # c0 = 1e16 + 1 - 1e16 + 1: a left fold loses the first 1 and gives
+        # 1.0, a compensated sum (Python's float sum from 3.12 on) gives 2.0
+        values, k = [1e16, 1.0, -1e16, 1.0], [1.0, 1.0, 1.0]
+        assert math.fsum(values) == 2.0
+        assert combined_solution(k, values) == 1.0
+        jets = [[v, 0.0, 0.0, 0.0] for v in values]
+        jets[3][1] = 3.0
+        assert eval_hierarchy_rule(4, jets, k)[0] == 3.0
+
     def test_projective_invariance(self):
         # evaluating through unnormalized coefficients kappa gives the same
         # output for kappa and lambda*kappa; the normalized evaluator is the
@@ -261,7 +272,12 @@ class TestHierarchyRule:
 def diffpoly_hierarchy_rule(s, jets, k):
     """The hierarchy rule through ``DiffPoly.evaluate`` and its Fraction
     coefficients, one point at a time: the reference for the float terms."""
-    c = [sum(k[a] * jets[a][j] for a in range(s - 1)) + jets[s - 1][j] for j in range(s)]
+    c = []
+    for j in range(s):
+        total = 0.0
+        for a in range(s - 1):
+            total = total + k[a] * jets[a][j]
+        c.append(total + jets[s - 1][j])
     z = [cj / c[0] for cj in c]
     ps = p_sequence(s - 1)
     yjet = []

@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 
 from liesuper import verify
 from liesuper.integrate import IntegratorConfig, integrate, integrate_batch
-from liesuper.superpose import (
-    eval_bernoulli_rule,
-    eval_hierarchy_rule,
-    eval_linear_rule,
-    eval_pinney_rule,
-)
+from liesuper.liealg import CapExceeded
+from liesuper.superpose import eval_pinney_rule
 from liesuper.verify import (
     SuiteValidationError,
     TrialRecord,
@@ -193,6 +189,31 @@ class TestRunRuleVerification:
         assert report.component_closure_dimension == 4
         assert report.dimension_bound == 4
         assert report.lie_condition
+
+    def test_pinney_closure_cap(self):
+        # the condition fields close to sl(2): a cap of 2 is exceeded
+        cfg = IntegratorConfig(method="rk4", step=1e-3)
+        for cap, dim, ok in ((2, None, False), (3, 3, True)):
+            report = run_rule_verification(
+                "pinney", {"omega": "1", "c": 2}, trials=2, seed=1, tspan=(0.0, 0.2), cfg=cfg, closure_cap=cap
+            )
+            assert (report.closure_dimension, report.lie_condition) == (dim, ok)
+            assert report.component_closure_dimension is None
+
+    def test_hierarchy_closure_cap(self):
+        # order 3: target dimension 8, companion gl(3) plus its drift 9
+        params = {"order": 3, "b": ["1", "0", "0"]}
+        report = run_rule_verification(
+            "hierarchy", params, trials=2, seed=1, tspan=(0.0, 0.05), cfg=IntegratorConfig(), closure_cap=9
+        )
+        assert (report.closure_dimension, report.component_closure_dimension, report.lie_condition) == (8, 9, True)
+        # the component dimension has no fallback: its CapExceeded propagates,
+        # and run_suite reports it as the item's error
+        with pytest.raises(CapExceeded) as err:
+            run_rule_verification(
+                "hierarchy", params, trials=2, seed=1, tspan=(0.0, 0.05), cfg=IntegratorConfig(), closure_cap=8
+            )
+        assert err.value.dimension == 9
 
     def test_constant_dependence(self):
         # distinct constants give visibly distinct formula trajectories

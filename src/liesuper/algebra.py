@@ -10,7 +10,7 @@ Two polynomial flavours back the rest of the library:
   be negative (a Laurent polynomial, such as the c/x^3 of the Pinney
   equation): +, -, * and partial derivatives stay exact, ``evaluate``
   raises ZeroDivisionError at a zero coordinate of such a term, and
-  ``to_text`` writes ``x0^-3`` (which ``parsing.parse_poly`` does not read).
+  ``to_text`` writes ``x0^-3``, which ``parsing.parse_poly`` reads back.
 
 * ``DiffPoly`` -- differential polynomials in one dependent variable and
   its derivatives y0, y1, y2, ... (y0 is the variable itself, y1 its first

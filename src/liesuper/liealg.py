@@ -3,9 +3,10 @@
 The central operation is ``closure``: starting from a set of generator
 fields, keep bracketing until nothing new appears or a cap is exceeded.
 Independence over R is decided in coefficient space (exact row reduction
-of the fields' coefficient vectors), never by sampling, so a finite
-answer is a proof and a ``CapExceeded`` is a certificate that the
-generated algebra has dimension above the cap.
+of the fields' packed integer coefficient vectors, Laurent fields
+included), never by sampling, so a finite answer is a proof and a
+``CapExceeded`` is a certificate that the generated algebra has dimension
+above the cap.
 
 Each pair of basis fields is bracketed once.  ``closure`` adds every
 bracket to one integer echelon as its packed integer sums, so the
@@ -73,7 +74,9 @@ class NotClosed(Exception):
 class LieBasis:
     """A linearly independent list of polynomial fields on a common space.
     A basis made by ``closure`` also carries the expansion of every bracket
-    of its fields (``_brackets``), which ``structure_constants`` reads."""
+    of its fields (``_brackets``), which ``structure_constants`` reads.
+    Independence is decided on packed monomials, so a field with an
+    exponent e, |e| > ``EXPONENT_LIMIT``, raises ExponentLimitError."""
 
     __slots__ = ("dimension", "fields", "_brackets")
 
@@ -111,7 +114,10 @@ class LieBasis:
 
 
 def independence_rank(fields: Sequence[PolyVectorField]) -> int:
-    """Rank of a family of polynomial fields over R (exact, sample-free)."""
+    """Rank of a family of polynomial fields over R (exact, sample-free):
+    the rank of their packed integer vectors, each D times its field.
+    Raises ExponentLimitError for an exponent that does not fit packed
+    monomials."""
     fields = list(fields)
     if not fields:
         return 0
@@ -119,7 +125,7 @@ def independence_rank(fields: Sequence[PolyVectorField]) -> int:
     for f in fields:
         if f.dimension != n:
             raise ValueError("fields must share one dimension")
-    return sparse_rank([f.coefficient_vector() for f in fields])
+    return sparse_rank([f.integer_vector()[1] for f in fields])
 
 
 class _Brackets:

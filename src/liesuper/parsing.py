@@ -15,12 +15,15 @@ and may carry a sign (``t^-2``).
 
 Polynomial expressions reuse the same grammar with the variable set
 x0..x{n-1} instead of ``t``, no function calls, division restricted to
-constant divisors so results stay exact polynomials, and one optional
-leading minus per expression, ``expr := '-'? term (('+' | '-') term)*``.
+constant divisors so results stay exact (Laurent) polynomials, a negative
+exponent only on one variable (``x0^-3``, not ``(x0 + 1)^-1`` or
+``2^-1``), and one optional leading minus per expression,
+``expr := '-'? term (('+' | '-') term)*``.
 
 Time-function trees parsed from text render back to canonical text via
 ``to_text`` and re-parse to structurally equal trees; ``Poly.to_text``
-output parses back with ``parse_poly`` to an equal polynomial.
+output, Laurent terms included, parses back with ``parse_poly`` to an
+equal polynomial.
 
 ``TimeFunction.compile`` turns a tree into one straight-line Python
 function of t, with its constants baked in as floats, for the integrators'
@@ -309,7 +312,9 @@ class TimeCall(TimeFunction):
 _FUNCTIONS = ("sin", "cos", "exp")
 
 
-class _TimeFnParser:
+class _Parser:
+    """Tokens, lookahead and the rules that both grammars share."""
+
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
@@ -327,13 +332,26 @@ class _TimeFnParser:
         if tok.kind != "op" or tok.text != op:
             raise ParseError(f"expected {op!r}", tok.pos)
 
-    def parse(self) -> TimeFunction:
+    def parse(self):
         node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return node
 
+    def integer(self) -> int:
+        sign = 1
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.next()
+            sign = -1
+        tok = self.next()
+        if tok.kind != "num" or "." in tok.text:
+            raise ParseError("expected an integer exponent", tok.pos)
+        return sign * int(tok.text)
+
+
+class _TimeFnParser(_Parser):
     def expr(self) -> TimeFunction:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
@@ -354,17 +372,6 @@ class _TimeFnParser:
             self.next()
             node = TimePower(node, self.integer())
         return node
-
-    def integer(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            sign = -1
-        tok = self.next()
-        if tok.kind != "num" or "." in tok.text:
-            raise ParseError("expected an integer exponent", tok.pos)
-        return sign * int(tok.text)
 
     def base(self) -> TimeFunction:
         tok = self.next()
@@ -395,30 +402,15 @@ def parse_timefn(src: str) -> TimeFunction:
 # polynomial expressions
 # ---------------------------------------------------------------------------
 
-class _PolyParser:
+class _PolyParser(_Parser):
     """Same grammar over variables x0..x{n-1}, plus a leading minus; no
-    calls, exact arithmetic."""
+    calls, exact arithmetic, and a negative exponent only on one variable
+    (``x0^-3``)."""
 
     def __init__(self, src: str, names: Sequence[str]):
-        self.tokens = _tokenize(src)
-        self.i = 0
+        super().__init__(src)
         self.names = {name: i for i, name in enumerate(names)}
         self.arity = len(names)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Poly:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
 
     def expr(self) -> Poly:
         # a leading minus (Poly.to_text writes one) subtracts from zero
@@ -438,7 +430,7 @@ class _PolyParser:
             if tok.text == "*":
                 node = node * rhs
             else:
-                if rhs.total_degree() > 0:
+                if any(map(any, rhs.terms)):
                     raise ParseError("division by a non-constant polynomial", tok.pos)
                 divisor = rhs.evaluate([Fraction(0)] * self.arity)
                 if divisor == 0:
@@ -447,13 +439,17 @@ class _PolyParser:
         return node
 
     def factor(self) -> Poly:
+        start = self.peek()
         node = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
-            tok = self.next()
-            exp_tok = self.next()
-            if exp_tok.kind != "num" or "." in exp_tok.text:
-                raise ParseError("expected a non-negative integer exponent", exp_tok.pos)
-            node = node ** int(exp_tok.text)
+            self.next()
+            e = self.integer()
+            if e >= 0:
+                return node ** e
+            if start.kind != "name":
+                raise ParseError("a negative exponent needs one variable as its base", start.pos)
+            (exps,) = node.terms
+            node = Poly.monomial(self.arity, [e * k for k in exps])
         return node
 
     def base(self) -> Poly:
@@ -467,9 +463,7 @@ class _PolyParser:
             return Poly.variable(self.arity, idx)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
-            closing = self.next()
-            if closing.kind != "op" or closing.text != ")":
-                raise ParseError("expected ')'", closing.pos)
+            self.expect_op(")")
             return node
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 

@@ -159,8 +159,7 @@ def _p_fields(order: int) -> tuple[TDVectorField, ...]:
     its terms in ``DiffPoly.evaluate``'s order."""
     fields = []
     for l, p in enumerate(p_sequence(order).polys[1:], 1):
-        terms = {jets + (0,) * (l - len(jets)): c for (jets, _), c in p.terms.items()}
-        components = [Poly(l, terms)] + [Poly.zero(l)] * (l - 1)
+        components = [p.to_poly(l)] + [Poly.zero(l)] * (l - 1)
         fields.append(TDVectorField([(TimeFunction.constant(1), PolyVectorField(components))]))
     return tuple(fields)
 

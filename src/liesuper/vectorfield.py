@@ -5,19 +5,20 @@ computes [X, Y] in one pass over integer forms: each field keeps (built
 once, on first use) its components and their partial derivatives as
 integer numerators over one denominator per field, the lcm of its
 coefficient denominators, with each monomial packed into one int
-(Kronecker substitution): the exponent of x_j sits in a 32-bit field at
-bit 32*j, so a product of monomials is one integer addition and a partial
-derivative in x_j subtracts ``1 << 32*j``.  An exponent above
-``EXPONENT_LIMIT`` = 2^32 - 1 does not fit: packing such a field, or
-bracketing two fields whose largest exponents add up past it, raises
-``ExponentLimitError``; so does packing a field with a negative exponent
-(a Laurent field such as the Pinney target, which can be evaluated and
-integrated but not bracketed).  Each bracket component is summed as
-integers in one dict keyed by packed monomials, and the result keeps these
-sums over the denominator D_X * D_Y: its Fraction ``components`` are built
-on their first read (``closure`` decides independence on the sums alone and
-never reads the components of a bracket it rejects), with the same terms in
-the same insertion order as an eager build.
+(Kronecker substitution): the exponent of x_j is a balanced (signed)
+digit in a 34-bit field at bit 34*j, so a product of monomials is one
+integer addition, a partial derivative in x_j subtracts ``1 << 34*j``, and
+a Laurent field such as the Pinney target brackets like any other.  The
+keys order monomials as their exponent vectors order lexicographically,
+as unsigned digits would.  An exponent e with |e| above ``EXPONENT_LIMIT``
+= 2^32 - 1 does not fit: packing such a field, or bracketing two fields
+whose largest |e| add up past it, raises ``ExponentLimitError``.  Each
+bracket component is summed as integers in one dict keyed by packed
+monomials, and the result keeps these sums over the denominator D_X * D_Y:
+its Fraction ``components`` are built on their first read (``closure``
+decides independence on the sums alone and never reads the components of
+a bracket it rejects), with the same terms in the same insertion order as
+an eager build.
 
 A time-dependent system is a ``TDVectorField``: a sum of (time function) *
 (autonomous field) terms.  This decomposed storage is what makes
@@ -42,6 +43,7 @@ import ast
 import re
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import gcd, isfinite, lcm, nan
 from typing import Callable, Sequence
@@ -56,29 +58,40 @@ State = Sequence[float]
 
 EXPONENT_BITS = 32
 EXPONENT_LIMIT = (1 << EXPONENT_BITS) - 1
-"""The largest exponent of one variable that a packed monomial key holds."""
+"""The largest |exponent| of one variable that a packed monomial key holds."""
+
+# a packed field holds a balanced digit in [-2^33, 2^33 - 1]: room for a
+# bracket's exponents, which lie in [-2^32, 2^32 - 2], and their partials
+_FIELD_BITS = EXPONENT_BITS + 2
+_HALF = 1 << (_FIELD_BITS - 1)
+_MASK = (1 << _FIELD_BITS) - 1
 
 
 class ExponentLimitError(ValueError):
     """A monomial exponent does not fit the packed keys of ``lie_bracket``:
-    it is above ``EXPONENT_LIMIT``, or negative."""
+    its absolute value is above ``EXPONENT_LIMIT``."""
 
     def __init__(self, exponent: int):
-        if exponent < 0:
-            message = f"exponent {exponent} is negative: packed monomials hold exponents 0 to {EXPONENT_LIMIT}"
-        else:
-            message = f"exponent {exponent} is above the packed monomial limit {EXPONENT_LIMIT} (2^{EXPONENT_BITS} - 1)"
-        super().__init__(message)
+        side = "above" if exponent > 0 else f"below -{EXPONENT_LIMIT}, minus"
+        super().__init__(f"exponent {exponent} is {side} the packed monomial limit {EXPONENT_LIMIT} (2^{EXPONENT_BITS} - 1)")
         self.exponent = exponent
 
 
 def _shifts(n: int) -> range:
     """The bit offset of each variable's exponent in a packed monomial."""
-    return range(0, EXPONENT_BITS * n, EXPONENT_BITS)
+    return range(0, _FIELD_BITS * n, _FIELD_BITS)
+
+
+@cache
+def _bias(n: int) -> int:
+    """_HALF in every field: added to a key, it turns each balanced digit e
+    into the unsigned digit e + _HALF, read with one shift and mask."""
+    return sum(_HALF << shift for shift in _shifts(n))
 
 
 def _unpack(key: int, n: int) -> tuple[int, ...]:
-    return tuple((key >> shift) & EXPONENT_LIMIT for shift in _shifts(n))
+    key += _bias(n)
+    return tuple(((key >> shift) & _MASK) - _HALF for shift in _shifts(n))
 
 
 class PolyVectorField:
@@ -167,19 +180,6 @@ class PolyVectorField:
         """Component values at a point; exact when the point is exact."""
         return [p.evaluate(point) for p in self.components]
 
-    def coefficient_vector(self) -> dict:
-        """Sparse coefficient vector keyed by (component, monomial).
-
-        Linear independence of polynomial fields over R is exactly linear
-        independence of these vectors, which is how rank computations stay
-        sample-free.
-        """
-        out = {}
-        for i, p in enumerate(self.components):
-            for exps, c in p.terms.items():
-                out[(i, exps)] = c
-        return out
-
     def integer_vector(self) -> tuple[int, dict[int, int]]:
         """``(D, vec)`` with ``vec`` D times the coefficient vector, keyed by
         ``packed monomial * n + component``: what ``closure`` eliminates.
@@ -196,7 +196,7 @@ class PolyVectorField:
         """``(D, terms, partials, top)``: D is the lcm of every coefficient
         denominator, ``terms[i]`` lists the ``(packed monomial, numerator)``
         pairs of D times component i, ``partials[i][j]`` those of D times
-        its derivative in x_j, and ``top`` is the largest exponent of any
+        its derivative in x_j, and ``top`` is the largest |exponent| of any
         variable.  Built on first use and kept; a bracket's is read off its
         sums, so its components are never built for it."""
         form = self._integer
@@ -213,24 +213,24 @@ class PolyVectorField:
                 for p in self.components:
                     comp = []
                     for e, c in p.terms.items():
-                        if max(e, default=0) > EXPONENT_LIMIT:
-                            raise ExponentLimitError(max(e))
-                        if min(e, default=0) < 0:
-                            raise ExponentLimitError(min(e))
+                        if max(map(abs, e), default=0) > EXPONENT_LIMIT:
+                            raise ExponentLimitError(max(e, key=abs))
                         key = sum(k << shift for shift, k in zip(_shifts(n), e))
                         comp.append((key, c.numerator * (den // c.denominator)))
                     terms.append(comp)
             top = 0
             partials = []
+            bias = _bias(n)
             for comp in terms:
                 rows: list[list] = [[] for _ in range(n)]
                 for key, v in comp:
+                    biased = key + bias
                     for j, shift in enumerate(_shifts(n)):
-                        k = (key >> shift) & EXPONENT_LIMIT
+                        k = ((biased >> shift) & _MASK) - _HALF
                         if k:
                             rows[j].append((key - (1 << shift), v * k))
-                            if k > top:
-                                top = k
+                            if abs(k) > top:
+                                top = abs(k)
                 partials.append(rows)
             form = (den, terms, partials, top)
             object.__setattr__(self, "_integer", form)
@@ -251,7 +251,7 @@ def lie_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     monomials, from the two fields' integer forms; the result holds these
     sums over D_X * D_Y and builds its Fraction components on first read.
     Raises ExponentLimitError, before any work, when the two fields'
-    largest exponents add up past ``EXPONENT_LIMIT``.
+    largest |exponents| add up past ``EXPONENT_LIMIT``.
     """
     if x.dimension != y.dimension:
         raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")

@@ -30,9 +30,11 @@ status) is the one a loop running one trial at a time would produce; a
 candidate drawn past that point is never judged.
 
 Each verified rule also gets its dimension check: the Lie closure of the
-target system's constituent fields (for the Pinney rule, whose Laurent
-target cannot be bracketed, the component oscillator's fields stand in)
-must not exceed the sum of the component space dimensions.
+target system's constituent fields (for the Pinney rule, the Laurent
+fields of the Milne-Pinney system, which close to sl(2)) must not exceed
+the sum of the component space dimensions.  A closure above the cap
+gives no dimension: the target's fails the condition, and a component
+closure's is left out of the report.
 
 ``run_suite`` drives a declarative list of such checks -- rules, raw
 closures, first-integral drifts, and the bracket/prolongation identity --
@@ -278,13 +280,14 @@ class RuleSetup:
     per component, each coordinate a float or an array of nodes, and
     returns one value or array per target coordinate.  It takes as many
     constants as the target has coordinates, as the general solution of
-    the target does."""
+    the target does.  The Lie condition closes the target's own fields;
+    ``component_generators``, when set, are fields whose closure dimension
+    the report adds (the hierarchy rule's companion system)."""
 
     components: list[TDVectorField]
     target: TDVectorField
     phi: Callable[[list[np.ndarray], Sequence[float]], list[float]]
     sample: Callable[[random.Random], tuple[list[list[float]], list[float]]]
-    condition_generators: list[PolyVectorField]
     guard: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], str | None] = _no_guard
     extras: Callable[[Trajectory, list[np.ndarray], np.ndarray, Sequence[float]], dict] = _no_extras
     component_generators: list[PolyVectorField] | None = None
@@ -317,7 +320,6 @@ def _build_linear(spec: SystemSpec) -> RuleSetup:
         target=affine,
         phi=lambda blocks, k: [eval_linear_rule(blocks[0][0], blocks[1][0], k[0])],
         sample=sample,
-        condition_generators=affine.constituent_fields(),
     )
 
 
@@ -343,7 +345,6 @@ def _build_bernoulli(spec: SystemSpec) -> RuleSetup:
         phi=lambda blocks, k: [eval_bernoulli_rule(blocks[0][0], blocks[1][0], k[0], n)],
         sample=sample,
         guard=guard,
-        condition_generators=bern.constituent_fields(),
     )
 
 
@@ -400,7 +401,6 @@ def _build_pinney(spec: SystemSpec) -> RuleSetup:
         sample=sample,
         guard=guard,
         extras=extras,
-        condition_generators=osc.constituent_fields(),
     )
 
 
@@ -440,7 +440,6 @@ def _build_hierarchy(spec: SystemSpec) -> RuleSetup:
         sample=sample,
         guard=guard,
         extras=extras,
-        condition_generators=target.constituent_fields(),
         component_generators=companion.constituent_fields(),
     )
 
@@ -479,7 +478,6 @@ def _build_cross_ratio(spec: SystemSpec) -> RuleSetup:
         phi=lambda blocks, k: [eval_riccati_cross_ratio(blocks[0][0], blocks[1][0], blocks[2][0], k[0])],
         sample=sample,
         guard=guard,
-        condition_generators=riccati.constituent_fields(),
     )
 
 
@@ -655,15 +653,16 @@ def run_rule_verification(
         else:
             clean += 1
 
-    try:
-        dim = lie_dimension(setup.condition_generators, closure_cap)
-    except CapExceeded:
-        dim = None
+    def dimension(generators: list[PolyVectorField]) -> int | None:
+        try:
+            return lie_dimension(generators, closure_cap)
+        except CapExceeded:
+            return None
+
+    dim = dimension(setup.target.constituent_fields())
     bound = sum(setup.component_dims)
     lie_ok = check_lie_condition(dim, setup.component_dims) if dim is not None else False
-    component_dim = None
-    if setup.component_generators is not None:
-        component_dim = lie_dimension(setup.component_generators, closure_cap)
+    component_dim = None if setup.component_generators is None else dimension(setup.component_generators)
 
     clean_records = [r for r in records if r.ok]
     max_error = float(np.max([r.max_error for r in clean_records], initial=0.0))

@@ -283,7 +283,7 @@ def test_criterion_12_extended_lie_condition(capsys):
     ok = True
     for rule_id, params in cases:
         setup = build_rule_setup(rule_id, params)
-        dim = closure(setup.condition_generators).size
+        dim = closure(setup.target.constituent_fields()).size
         bound = sum(setup.component_dims)
         ok = ok and check_lie_condition(dim, setup.component_dims)
         summary.append(f"{rule_id}:{dim}<={bound}")

@@ -57,6 +57,19 @@ def test_closure_golden_of_scaled_member5(capsys):
     assert capsys.readouterr().out == (GOLDEN / "closure_member5_scaled.json").read_text()
 
 
+def test_closure_golden_of_pinney_generators(capsys):
+    """The Milne-Pinney fields at c = 2, (x1, 2 x0^-3) and (0, -x0), close to
+    sl(2): [X0, X1] = X2, [X0, X2] = 2 X0, [X1, X2] = -2 X1."""
+    data = pathlib.Path(__file__).parent / "data" / "closure_pinney_generators.json"
+    assert main(["closure", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "closure_pinney_generators.json").read_text()
+    doc = json.loads(out)
+    constants = {(c["alpha"], c["beta"], c["gamma"]): c["value"] for c in doc["structure_constants"]}
+    assert doc["dimension"] == 3 and constants == {(0, 1, 2): "1", (0, 2, 0): "2", (1, 2, 1): "-2"}
+    assert (doc["killing_determinant"], doc["center_dimension"]) == ("-128", 0)
+
+
 # the Pinney trajectory the CLI printed when the system was a hand-written
 # function; the decomposed Laurent field must print it byte for byte
 PINNEY_SPEC = {"kind": "pinney", "omega": "1 + 0.1*sin(t)", "c": 2}

@@ -179,8 +179,13 @@ class TestParsePoly:
     def test_no_fractional_powers(self):
         with pytest.raises(ParseError):
             parse_poly("x0^0.5", 1)
-        with pytest.raises(ParseError):
-            parse_poly("x0^-1", 1)
+        # a negative exponent only on one variable
+        for src, position in (("(x0 + 1)^-1", 0), ("2^-1", 0), ("2*(2*x0)^-1", 2)):
+            with pytest.raises(ParseError, match="one variable") as err:
+                parse_poly(src, 1)
+            assert err.value.position == position
+        with pytest.raises(ParseError, match="division by a non-constant"):
+            parse_poly("1/x0", 1)
 
     def test_custom_names(self):
         p = parse_poly("u0*u1", 2, names=("u0", "u1"))
@@ -190,7 +195,7 @@ class TestParsePoly:
 @st.composite
 def polys(draw):
     arity = draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    exps = st.tuples(*[st.integers(-3, 3)] * arity)
     coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
     return Poly(arity, draw(st.dictionaries(exps, coeffs, max_size=5)))
 

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesuper.algebra import Poly
+from liesuper.liealg import closure, lie_dimension
 from liesuper.parsing import parse_timefn
 from liesuper.systems import SpecError, build_rhs, oscillator_system, parse_system_spec, pinney_system, spec_to_doc
-from liesuper.vectorfield import ExponentLimitError, PolyVectorField, direct_product, lie_bracket
+from liesuper.vectorfield import PolyVectorField, direct_product, lie_bracket
 
 
 class TestParseSystemSpec:
@@ -149,12 +150,18 @@ class TestPinneyField:
         assert drift.components == (Poly.variable(2, 1), Poly.monomial(2, (-3, 0), Fraction(0.1)))
         assert pull == oscillator_system(omega).terms[1]
 
-    def test_laurent_field_cannot_be_bracketed(self):
-        drift = pinney_system(parse_timefn("1"), 2.0).terms[0][1]
-        linear = PolyVectorField([Poly.variable(2, 1), Poly.zero(2)])
-        for pair in ((drift, linear), (linear, drift)):
-            with pytest.raises(ExponentLimitError, match="exponent -3 is negative"):
-                lie_bracket(*pair)
+    def test_laurent_fields_close_to_sl2(self):
+        # X0 = p d/dx + 2 x^-3 d/dp, X1 = -x d/dp and X2 = [X0, X1] = x d/dx - p d/dp
+        x0, x1 = pinney_system(parse_timefn("1"), 2.0).constituent_fields()
+        x2 = PolyVectorField([Poly.variable(2, 0), -Poly.variable(2, 1)])
+        assert lie_bracket(x0, x1) == x2
+        assert lie_bracket(x0, x2) == x0 * 2
+        assert lie_bracket(x1, x2) == x1 * -2
+        assert closure([x0, x1]).fields == (x0, x1, x2)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_target_lie_dimension(self, c):
+        assert lie_dimension(pinney_system(parse_timefn("1 + 0.1*sin(t)"), c).constituent_fields()) == 3
 
     def test_joint_collect_keeps_the_oscillator_fields(self):
         omega = parse_timefn("1 + 0.1*sin(t)")

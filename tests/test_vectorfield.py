@@ -186,7 +186,7 @@ def tuple_keyed_bracket(x, y):
 
 @st.composite
 def high_degree_fields(draw, n):
-    monomials = st.tuples(*[st.integers(0, 40)] * n)
+    monomials = st.tuples(*[st.integers(-40, 40)] * n)
     return PolyVectorField([Poly(n, draw(st.dictionaries(monomials, COEFFS, max_size=4))) for _ in range(n)])
 
 
@@ -209,12 +209,20 @@ class TestPackedBracket:
     def test_exponents_at_the_limit_fit(self):
         top = VF(f"x0^{EXPONENT_LIMIT}")
         assert lie_bracket(VF("1"), top) == VF(f"{EXPONENT_LIMIT}*x0^{EXPONENT_LIMIT - 1}")
+        bottom = VF(f"x0^-{EXPONENT_LIMIT}")
+        assert lie_bracket(VF("1"), bottom) == VF(f"-{EXPONENT_LIMIT}*x0^-{EXPONENT_LIMIT + 1}")
 
     def test_exponents_past_the_limit_raise(self):
         with pytest.raises(ExponentLimitError, match="4294967295"):
             lie_bracket(VF("x0^3000000000"), VF("x0^2000000000"))
         with pytest.raises(ExponentLimitError):
             lie_bracket(VF("1", "0"), VF("0", f"x1^{EXPONENT_LIMIT + 1}"))
+        # the limit bounds |e|, for a field and for the two fields of a bracket
+        below = f"exponent -{EXPONENT_LIMIT + 1} is below -{EXPONENT_LIMIT}, minus the packed monomial limit"
+        with pytest.raises(ExponentLimitError, match=below):
+            lie_bracket(VF("1"), VF(f"x0^-{EXPONENT_LIMIT + 1}"))
+        with pytest.raises(ExponentLimitError, match="4294967297 is above"):
+            lie_bracket(VF("x0^-2"), VF(f"x0^-{EXPONENT_LIMIT}"))
         assert issubclass(ExponentLimitError, ValueError)
 
 

@@ -115,17 +115,21 @@ class SingularityEvent:
 
 @dataclass
 class Trajectory:
-    """Times (strictly increasing), one state row per time, and the outcome."""
+    """Times (strictly increasing), one state row per time, and the event
+    that ended the trajectory short, or None when it completed."""
 
     times: np.ndarray
     states: np.ndarray
-    status: str  # 'completed' or 'singular'
     event: SingularityEvent | None = None
     meta: dict = field(default_factory=dict)
 
     @property
     def completed(self) -> bool:
-        return self.status == "completed"
+        return self.event is None
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.event is None else "singular"
 
     @property
     def dimension(self) -> int:
@@ -181,14 +185,8 @@ def _guarded_eval(rhs: RHS, t: float, y: list[float]) -> list[float]:
     return out
 
 
-def _finish(times, states, status, event, meta) -> Trajectory:
-    return Trajectory(
-        np.array(times, dtype=float),
-        np.array(states, dtype=float),
-        status,
-        event,
-        meta,
-    )
+def _finish(times, states, event, meta) -> Trajectory:
+    return Trajectory(np.array(times, dtype=float), np.array(states, dtype=float), event, meta)
 
 
 def _checked_span(tspan: tuple[float, float]) -> tuple[float, float]:
@@ -280,22 +278,28 @@ def _node_event(t: float, t_next: float, y: list[float]) -> SingularityEvent | N
     return SingularityEvent(t_next, STATE_OVERFLOW)
 
 
+def _rk4_row(rhs, t: float, t_next: float, y: list[float]) -> tuple[list[float] | None, SingularityEvent | None]:
+    """One row's step from t to t_next: the node it makes, and the event
+    that ends the row there (rhs-error at t when a stage fails, the node
+    then None), or None."""
+    try:
+        y_next = _rk4_step(rhs, t, t_next - t, y)
+    except _RhsFailure:
+        return None, SingularityEvent(t, RHS_ERROR)
+    return y_next, _node_event(t, t_next, y_next)
+
+
 def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
     grid, end = _rk4_grid(t0, t1, cfg)
-    states = [list(y0)]
+    states = [y0]
     meta = {"method": "rk4", "step": cfg.step, "steps": 0, "rejected": 0}
-    y = list(y0)
     for t, t_next in zip(grid, grid[1:]):
-        try:
-            y = _rk4_step(rhs, t, t_next - t, y)
-            event = _node_event(t, t_next, y)
-        except _RhsFailure:
-            event = SingularityEvent(t, RHS_ERROR)
+        y, event = _rk4_row(rhs, t, t_next, states[-1])
         if event is not None:
-            return _finish(grid[: len(states)], states, "singular", event, meta)
+            return _finish(grid[: len(states)], states, event, meta)
         meta["steps"] += 1
-        states.append(list(y))
-    return _finish(grid, states, "completed" if end is None else "singular", end, meta)
+        states.append(y)
+    return _finish(grid, states, end, meta)
 
 
 def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
@@ -313,20 +317,20 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     at its first node out of bounds: with ``state-overflow`` at that node's
     time when the node is finite, and else with ``rhs-error`` at the start
     of the step that made it (without a signal, a step makes a non-finite
-    node only from a non-finite stage).  A signalling step is first tried
-    again on the block when the scan took rows out, and else replayed row
-    by row with the scalar step."""
+    node only from a non-finite stage).  After that scan, each row that
+    stays replays a signalling step with the scalar step (``_rk4_row``),
+    which gives it the bytes the block gives it and knows which rows raise
+    and which merely pass through inf or nan."""
     grid, end = _rk4_grid(t0, t1, cfg)
     times = np.array(grid, dtype=float)
     rows = len(y0s)
     history = np.empty((len(grid), rhs.dimension, rows))
     history[0] = np.transpose(y0s)
     out: list[Trajectory | None] = [None] * rows
-    final = ("completed", None) if end is None else ("singular", end)
 
-    def leave(row: int, nodes: int, status: str, event: SingularityEvent | None) -> None:
+    def leave(row: int, nodes: int, event: SingularityEvent | None) -> None:
         meta = {"method": "rk4", "step": cfg.step, "steps": nodes - 1, "rejected": 0}
-        out[row] = Trajectory(times[:nodes], history[:nodes, :, row], status, event, meta)
+        out[row] = Trajectory(times[:nodes], history[:nodes, :, row], event, meta)
 
     live = np.arange(rows)
     scanned = 1  # the first node not yet scanned (the initial state is not tested)
@@ -343,9 +347,9 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             states = block[:, :, live[r]]
             j = first + int(np.argmin(((states <= OVERFLOW) & (states >= -OVERFLOW)).all(axis=1)))
             if np.isfinite(history[j, :, live[r]]).all():
-                leave(live[r], j, "singular", SingularityEvent(grid[j], STATE_OVERFLOW))
+                leave(live[r], j, SingularityEvent(grid[j], STATE_OVERFLOW))
             else:
-                leave(live[r], j, "singular", SingularityEvent(grid[j - 1], RHS_ERROR))
+                leave(live[r], j, SingularityEvent(grid[j - 1], RHS_ERROR))
         return stay
 
     y, bound_to = history[0].copy(), None
@@ -361,59 +365,46 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
             dt = t_next - t
             half[()], full[()], sixth[()] = dt / 2, dt, dt / 6
             mid = t + dt / 2
-            while True:
-                if bound_to is not y:
-                    k, (stage, y_end), (f1, f2, f3, f4) = _bind_stages(rhs, y, 4, 2)
-                    (k1, k2, k3, k4), doubled, bound_to = k, k[1:3], y
-                y_next = history[i + 1] if len(live) == rows else y_end
-                signals.clear()
-                try:
-                    # the scalar step's operations, into the bound blocks
-                    f1(t)
-                    _add(y, _mul(half, k1, stage), stage)
-                    f2(mid)
-                    _add(y, _mul(half, k2, stage), stage)
-                    f3(mid)
-                    _add(y, _mul(full, k3, stage), stage)
-                    f4(t + dt)
-                    # y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), summed into k1
-                    _mul(_TWO, doubled, doubled)
-                    _add(_add(_add(k1, k2, k1), k3, k1), k4, k1)
-                    _add(y, _mul(sixth, k1, k1), y_next)
-                except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
-                    signals.append("raised")
-                if not signals:
-                    break
-                # the rows out of bounds leave first, and the others step
-                # again on the block; a step that still signals is replayed
+            if bound_to is not y:
+                k, (stage, y_end), (f1, f2, f3, f4) = _bind_stages(rhs, y, 4, 2)
+                (k1, k2, k3, k4), doubled, bound_to = k, k[1:3], y
+            y_next = history[i + 1] if len(live) == rows else y_end
+            signals.clear()
+            try:
+                # the scalar step's operations, into the bound blocks
+                f1(t)
+                _add(y, _mul(half, k1, stage), stage)
+                f2(mid)
+                _add(y, _mul(half, k2, stage), stage)
+                f3(mid)
+                _add(y, _mul(full, k3, stage), stage)
+                f4(t + dt)
+                # y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), summed into k1
+                _mul(_TWO, doubled, doubled)
+                _add(_add(_add(k1, k2, k1), k3, k1), k4, k1)
+                _add(y, _mul(sixth, k1, k1), y_next)
+            except (ZeroDivisionError, OverflowError, ValueError, FloatingPointError):
+                signals.append("raised")
+            if signals:
+                # the rows out of bounds leave, and the others replay the step
                 stay = scan(i + 1)
-                replay = stay.all()
-                if replay:
-                    # row by row: the scalar step knows which rows raise and
-                    # which merely pass through inf or nan
-                    for r in range(len(live)):
-                        try:
-                            row = _rk4_step(rhs, t, dt, y[:, r].tolist())
-                            event = _node_event(t, t_next, row)
-                        except _RhsFailure:
-                            event = SingularityEvent(t, RHS_ERROR)
-                        if event is None:
-                            y_next[:, r] = row
-                        else:
-                            stay[r] = False
-                            leave(live[r], i + 1, "singular", event)
+                for r in np.flatnonzero(stay):
+                    row, event = _rk4_row(rhs, t, t_next, y[:, r].tolist())
+                    if event is None:
+                        y_next[:, r] = row
+                    else:
+                        stay[r] = False
+                        leave(live[r], i + 1, event)
                 if not stay.all():
                     live, y, y_next = live[stay], y[:, stay], y_next[:, stay]
                     if not len(live):
                         return out
-                if replay:
-                    break
             np.copyto(y, y_next)
             if len(live) < rows:
                 history[i + 1][:, live] = y
     stay = scan(len(grid))
     for row in live[stay]:
-        leave(row, len(grid), *final)
+        leave(row, len(grid), end)
     return out
 
 
@@ -482,8 +473,7 @@ class _Rkf45Row:
     def run(self, rhs) -> Trajectory:
         while self.start():
             self.finish(_rkf45_attempt(rhs, self.t, self.h, self.y, self.cfg))
-        status = "completed" if self.event is None else "singular"
-        return _finish(self.times, self.states, status, self.event, self.meta)
+        return _finish(self.times, self.states, self.event, self.meta)
 
 
 def _rkf45_attempt(rhs, t: float, h: float, y: list[float], cfg: IntegratorConfig) -> tuple | None:

@@ -25,9 +25,11 @@ Time-function trees parsed from text render back to canonical text via
 output, Laurent terms included, parses back with ``parse_poly`` to an
 equal polynomial.
 
-``TimeFunction.compile`` turns a tree into one straight-line Python
-function of t, with its constants baked in as floats, for the integrators'
-inner loops; it returns exactly what ``eval`` returns.
+``TimeFunction.emit`` writes a tree as straight-line Python statements of
+t, with its constants baked in as floats; the field compiler inlines them
+in the point and block forms of a field.  ``TimeFunction.compile`` wraps
+them in a function of t that returns exactly what ``eval`` returns, which
+is how the tests check ``emit``.
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ class VerificationReport:
     rule_id: str
     trial_count: int
     max_formula_error: float
-    max_drift: float
+    extras_max: dict[str, float]  # each extra's largest value over the clean trials
     singular_trials: int
     rejected_trials: int
     closure_dimension: int | None
@@ -192,7 +192,8 @@ class VerificationReport:
             "rule": self.rule_id,
             "trial_count": self.trial_count,
             "max_formula_error": self.max_formula_error,
-            "max_drift": self.max_drift,
+            "max_drift": self.extras_max.get("wronskian_drift", 0.0),
+            "extras_max": self.extras_max,
             "singular_trials": self.singular_trials,
             "rejected_trials": self.rejected_trials,
             "closure_dimension": self.closure_dimension,
@@ -587,20 +588,35 @@ def judge_trial(setup: RuleSetup, traj: Trajectory, constants: list[float], inde
 _CHUNK_HISTORY_BYTES = 64 * 2**20
 
 
-def _candidate_records(
-    setup: RuleSetup, rng: random.Random, trials: int, tspan: tuple[float, float], cfg: IntegratorConfig
-) -> Iterator[TrialRecord]:
-    """Records of the candidates the sampler draws from ``rng``, in stream
-    order, at most ``60 * trials`` of them.  Each chunk asks for twice the
-    clean trials still missing, scaled by the clean share so far, under
-    RK4, whose rows share one grid (an extra row is cheap, up to a chunk
-    history of ``_CHUNK_HISTORY_BYTES``), and exactly the missing number
-    under RKF45, whose lockstep rows each take their own steps, so that a
-    row not needed costs its whole integration."""
+def run_rule_verification(
+    rule_id: str,
+    params: dict,
+    trials: int,
+    seed: int,
+    tspan: tuple[float, float],
+    cfg: IntegratorConfig,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
+) -> VerificationReport:
+    """Seeded trial loop with rejection resampling, plus the dimension check.
+
+    Candidates are drawn from the sampler in stream order, at most
+    ``60 * trials`` of them, a chunk at a time.  Each chunk asks for twice
+    the clean trials still missing, scaled by the clean share so far, under
+    RK4, whose rows share one grid (an extra row is cheap), and exactly the
+    missing number under RKF45, whose lockstep rows each take their own
+    steps, so that a row not needed costs its whole integration.  An RK4
+    chunk's history stays within ``_CHUNK_HISTORY_BYTES``."""
+    setup = build_rule_setup(rule_id, params)
+    rng = random.Random(seed)
     budget = 60 * trials
-    drawn = clean = 0
-    while drawn < budget:
-        missing = trials - clean
+    records: list[TrialRecord] = []
+    clean = singular = rejected = 0
+    while clean < trials:
+        drawn, missing = len(records), trials - clean
+        if drawn >= budget:
+            raise RuntimeError(
+                f"rule {rule_id!r}: too many rejected trials ({rejected} rejected, {singular} singular)"
+            )
         size = missing
         if cfg.method == "rk4":
             size = math.ceil(2 * missing * drawn / clean) if clean else 2 * missing
@@ -615,43 +631,20 @@ def _candidate_records(
                 candidates.append(setup.sample(rng))
         except RuntimeError as exc:
             # a sampler that finds no admissible data fails the loop only
-            # when the loop reaches this draw
+            # when the loop still needs records after this chunk
             failure = exc
         for record in run_trials(setup, candidates, tspan, cfg, drawn):
-            clean += record.ok
-            yield record
-        drawn += len(candidates)
-        if failure is not None:
+            records.append(record)
+            if record.status.startswith("singular"):
+                singular += 1
+            elif record.status.startswith("rejected"):
+                rejected += 1
+            else:
+                clean += 1
+                if clean == trials:
+                    break
+        if failure is not None and clean < trials:
             raise failure
-
-
-def run_rule_verification(
-    rule_id: str,
-    params: dict,
-    trials: int,
-    seed: int,
-    tspan: tuple[float, float],
-    cfg: IntegratorConfig,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> VerificationReport:
-    """Seeded trial loop with rejection resampling, plus the dimension check."""
-    setup = build_rule_setup(rule_id, params)
-    stream = _candidate_records(setup, random.Random(seed), trials, tspan, cfg)
-    records: list[TrialRecord] = []
-    clean = singular = rejected = 0
-    while clean < trials:
-        record = next(stream, None)
-        if record is None:
-            raise RuntimeError(
-                f"rule {rule_id!r}: too many rejected trials ({rejected} rejected, {singular} singular)"
-            )
-        records.append(record)
-        if record.status.startswith("singular"):
-            singular += 1
-        elif record.status.startswith("rejected"):
-            rejected += 1
-        else:
-            clean += 1
 
     def dimension(generators: list[PolyVectorField]) -> int | None:
         try:
@@ -666,12 +659,13 @@ def run_rule_verification(
 
     clean_records = [r for r in records if r.ok]
     max_error = float(np.max([r.max_error for r in clean_records], initial=0.0))
-    max_drift = float(np.max([r.extras.get("wronskian_drift", 0.0) for r in clean_records], initial=0.0))
+    keys = dict.fromkeys(key for record in clean_records for key in record.extras)
+    extras_max = {key: float(np.max([r.extras.get(key, 0.0) for r in clean_records], initial=0.0)) for key in keys}
     return VerificationReport(
         rule_id=rule_id,
         trial_count=clean + singular,
         max_formula_error=max_error,
-        max_drift=max_drift,
+        extras_max=extras_max,
         singular_trials=singular,
         rejected_trials=rejected,
         closure_dimension=dim,
@@ -821,23 +815,20 @@ def _run_rule_item(item: dict) -> dict:
     rule_id = item["rule"]
     rule = _RULES[rule_id]
     tspan, cfg = _item_settings(item, rule.methods)
-    report = run_rule_verification(rule_id, item, item["trials"], item.get("seed", 0), tspan, cfg)
+    report = run_rule_verification(
+        rule_id, item, item["trials"], item.get("seed", 0), tspan, cfg, item.get("cap", DEFAULT_CLOSURE_CAP)
+    )
     tolerance = float(item["tolerance"])
     ok = report.max_formula_error <= tolerance and bool(report.lie_condition)
-    clean = [r for r in report.records if r.ok]
     extra_tols = {
         "wronskian_drift": float(item.get("wronskian_tolerance", 1e-8)),
         "deriv_error": float(item.get("deriv_tolerance", 1e-5)),
         "round_trip_error": float(item.get("round_trip_tolerance", 1e-10)),
     }
-    keys = dict.fromkeys(key for record in clean for key in record.extras)
-    extras_max = {key: float(np.max([r.extras.get(key, 0.0) for r in clean], initial=0.0)) for key in keys}
-    for key, value in extras_max.items():
+    for key, value in report.extras_max.items():
         if key in extra_tols:
             ok = ok and value <= extra_tols[key]
-    doc = report.to_doc()
-    doc["extras_max"] = extras_max
-    return {"measured": doc, "pass": ok}
+    return {"measured": report.to_doc(), "pass": ok}
 
 
 def _run_drift_item(item: dict) -> dict:

@@ -1,15 +1,18 @@
-"""RKF45 and RK4 against scipy's DOP853 on random polynomial systems.
+"""RKF45 and RK4 against scipy's DOP853, on one fixed system of every
+system kind and on random polynomial systems.
 
-Each example is a time-dependent field sum_k b_k(t) Y_k on R^1..R^3 with
-polynomial Y_k of degree <= 2 and coefficients in [-1/2, 1/2], integrated
-from a point of [-1/2, 1/2]^n over a short span.  Examples where either side reports a singularity are
-discarded: the oracle speaks only about completed trajectories.
+Each random example is a time-dependent field sum_k b_k(t) Y_k on R^1..R^3
+with polynomial Y_k of degree <= 2 and coefficients in [-1/2, 1/2],
+integrated from a point of [-1/2, 1/2]^n over a short span.  Examples where
+either side reports a singularity are discarded: the oracle speaks only
+about completed trajectories.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -17,6 +20,7 @@ from scipy.integrate import solve_ivp
 from liesuper.algebra import Poly
 from liesuper.integrate import IntegratorConfig, integrate, integrate_batch
 from liesuper.parsing import parse_timefn
+from liesuper.systems import SYSTEM_KINDS, build_rhs, parse_system_spec
 from liesuper.vectorfield import PolyVectorField, TDVectorField
 
 SPAN = (0.0, 0.5)
@@ -43,6 +47,31 @@ def reference(field, x0, t_eval, tol=1e-12):
     """DOP853 at rtol = atol = ``tol``, sampled at ``t_eval``; None if it failed."""
     sol = solve_ivp(field.evaluate, SPAN, x0, method="DOP853", rtol=tol, atol=tol, t_eval=t_eval)
     return sol.y.T if sol.status == 0 else None
+
+
+# one spec and initial state per system kind, with time-dependent coefficients
+KIND_CASES = {
+    "linear_homogeneous": ({"order": 3, "b": ["1", "0.5*t", "cos(t)"]}, [0.3, -0.2, 0.5]),
+    "linear_affine": ({"a": "cos(t)", "b": "1 + t"}, [0.4]),
+    "bernoulli": ({"a": "cos(t)", "b": "0.5", "n": 3}, [0.6]),
+    "riccati": ({"b0": "1 + 0.5*cos(t)", "b1": "sin(t)"}, [0.2]),
+    "oscillator": ({"omega": "1 + 0.1*sin(t)"}, [1.0, 0.5]),
+    "pinney": ({"omega": "1 + 0.1*sin(t)", "c": 2.0}, [1.0, 0.5]),
+    "hierarchy_member": ({"order": 3, "b": ["1", "sin(t)", "0"]}, [0.3, -0.4]),
+    "custom_td": ({"dim": 2, "terms": [{"coeff": "exp(t)", "field": ["x1", "0 - x0*x1"]}]}, [0.5, -0.5]),
+}
+
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEM_KINDS))
+def test_rkf45_agrees_with_dop853_on_every_system_kind(kind):
+    params, x0 = KIND_CASES[kind]
+    field = build_rhs(parse_system_spec({"kind": kind, **params}))
+    traj = integrate(field, x0, SPAN, IntegratorConfig(rtol=1e-10))
+    assert traj.completed
+    expected = reference(field, x0, [SPAN[1]])
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(traj.final_state() - expected[-1])) <= 1e-8 * scale
 
 
 @settings(max_examples=30, deadline=None)

@@ -213,6 +213,19 @@ class TestRunRuleVerification:
         assert (report.closure_dimension, report.component_closure_dimension, report.lie_condition) == (8, None, True)
         assert "component_closure_dimension" not in report.to_doc()
 
+    @pytest.mark.parametrize("order, cap, dim, lie", [(3, 7, None, False), (9, 100, 80, True)])
+    def test_a_rule_item_takes_its_cap(self, order, cap, dim, lie):
+        # member(9) has dimension 80, above the default cap of 64
+        b = ["1"] + ["0"] * (order - 1)
+        item = {"kind": "rule", "rule": "hierarchy", "order": order, "b": b, "trials": 1}
+        item.update({"tspan": [0.0, 0.001], "method": "rk4", "step": 0.0005, "tolerance": 1e-6, "cap": cap})
+        (report,) = run_suite({"items": [item]})
+        measured = report["measured"]
+        bound = order * order
+        assert (measured["closure_dimension"], measured["dimension_bound"], measured["lie_condition"]) == (dim, bound, lie)
+        if not lie:
+            assert not report["pass"]
+
     def test_constant_dependence(self):
         # distinct constants give visibly distinct formula trajectories
         for rule_id, params, ics in (
@@ -510,14 +523,14 @@ class TestBatchedTrialLoop:
             return honest(rhs, x0s, tspan, cfg)
 
         # a row keeps max_steps + 1 = 51 nodes of the 6-dimensional joint
-        # Pinney system, 2448 bytes, though the span holds a billion steps
+        # Pinney system, 2448 bytes, though the span holds a billion steps;
+        # every trial runs out of steps, so all 60 * 5 draws are chunked
         monkeypatch.setattr(verify, "_CHUNK_HISTORY_BYTES", 3 * 2448)
         monkeypatch.setattr(verify, "integrate_batch", counted)
-        setup = build_rule_setup("pinney", {"omega": "1", "c": 1.0})
         cfg = IntegratorConfig(method="rk4", step=1e-9, max_steps=50)
-        record = next(verify._candidate_records(setup, random.Random(3), 5, (0.0, 1.0), cfg))
-        assert sizes == [3]
-        assert record.status == "singular:max-steps"
+        with pytest.raises(RuntimeError, match=r"\(0 rejected, 300 singular\)"):
+            run_rule_verification("pinney", {"omega": "1", "c": 1.0}, 5, 3, (0.0, 1.0), cfg)
+        assert sizes == [3] * 100
 
     def test_attempt_cap_is_kept(self):
         # every trial runs into the pole of omega at t = 0.05; the loop

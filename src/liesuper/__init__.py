@@ -1,7 +1,7 @@
 """Lie systems, superposition rules, and the Riccati hierarchy.
 
-Exact symbolic layer: rational polynomial and differential-polynomial
-arithmetic, Lie brackets and closures of polynomial vector fields, the
+Exact symbolic layer: rational (Laurent) polynomial arithmetic, Lie
+brackets, closures and derivations of polynomial vector fields, the
 hierarchy of higher-order Riccati equations derived from linear ODEs.
 
 Numeric layer: adaptive integration with singularity accounting, a
@@ -9,13 +9,10 @@ catalog of (mixed) superposition rule evaluators, and a verification
 harness that checks every cataloged formula against direct integration.
 """
 
-from .algebra import DiffPoly, Poly, Rational
+from .algebra import Poly, Rational
 from .hierarchy import (
-    HierarchyMember,
     LinearODESpec,
-    PSequence,
     companion_linear_system,
-    generate_member,
     gl_basis,
     linear_generators,
     member_lie_generators,

@@ -1,24 +1,19 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-Two polynomial flavours back the rest of the library:
-
-* ``Poly`` -- multivariate polynomials in variables x0..x{n-1} with
-  ``fractions.Fraction`` coefficients, stored sparsely as a mapping from
-  exponent tuples (one entry per variable) to coefficients.  The zero
-  polynomial stores no terms.  All arithmetic prunes zero coefficients,
-  so two polynomials are equal iff their term maps are.  An exponent may
-  be negative (a Laurent polynomial, such as the c/x^3 of the Pinney
-  equation): +, -, * and partial derivatives stay exact, ``evaluate``
-  raises ZeroDivisionError at a zero coordinate of such a term, and
-  ``to_text`` writes ``x0^-3``, which ``parsing.parse_poly`` reads back.
-
-* ``DiffPoly`` -- differential polynomials in one dependent variable and
-  its derivatives y0, y1, y2, ... (y0 is the variable itself, y1 its first
-  derivative, and so on), with additional commuting coefficient symbols
-  b0, b1, ....  A term key is a pair of exponent tuples (jet part, b part),
-  both trimmed of trailing zeros so a key never depends on how many
-  variables the surrounding polynomial happens to mention.  The b symbols
-  behave as constants under the total derivative.
+One polynomial class backs the rest of the library: ``Poly``,
+multivariate polynomials in variables x0..x{n-1} with
+``fractions.Fraction`` coefficients, stored sparsely as a mapping from
+exponent tuples (one entry per variable) to coefficients.  The zero
+polynomial stores no terms.  All arithmetic prunes zero coefficients, so
+two polynomials are equal iff their term maps are.  An exponent may be
+negative (a Laurent polynomial, such as the c/x^3 of the Pinney
+equation): +, -, * and partial derivatives stay exact, ``evaluate``
+raises ZeroDivisionError at a zero coordinate of such a term, and
+``to_text`` writes ``x0^-3``, which ``parsing.parse_poly`` reads back.
+The differential polynomials of the Riccati hierarchy are ``Poly``s on
+jet variables y0, y1, ... (and coefficient symbols b0, b1, ... in the
+member's text); the total derivative is the field
+``vectorfield.PolyVectorField.derivative`` of the jet shift.
 
 Rational numbers are ``fractions.Fraction`` throughout: arbitrary
 precision, automatically reduced to lowest terms, denominator always
@@ -34,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -68,14 +63,6 @@ def power(x, e: int):
     return p
 
 
-def _trim(exps: Iterable[int]) -> tuple[int, ...]:
-    """Drop trailing zero exponents so tuples of different lengths agree."""
-    out = list(exps)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _coeff_text(c: Fraction, has_vars: bool) -> str:
     """Coefficient part of a rendered term (without sign), '' for unit."""
     a = abs(c)
@@ -97,6 +84,15 @@ def _join_terms(parts: list[tuple[Fraction, str]]) -> str:
         else:
             chunks.append((" - " if coeff < 0 else " + ") + body)
     return "".join(chunks)
+
+
+def _terms_text(items: Sequence[tuple[tuple[int, ...], Fraction]], names: Sequence[str]) -> str:
+    """The terms ``(exponents, coefficient)`` in the order given, as text."""
+    parts: list[tuple[Fraction, str]] = []
+    for exps, c in items:
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
+        parts.append((c, _coeff_text(c, bool(factors)) + "*".join(factors)))
+    return _join_terms(parts)
 
 
 class Poly:
@@ -297,6 +293,13 @@ class Poly:
             out[tuple(key)] = c
         return Poly._from_clean(new_arity, out)
 
+    def leading(self, k: int) -> Poly:
+        """The same polynomial on the first k variables, which must be all
+        that it reads."""
+        if any(any(e[k:]) for e in self.terms):
+            raise ValueError(f"polynomial reads a variable past the first {k}")
+        return Poly._from_clean(k, {e[:k]: c for e, c in self.terms.items()})
+
     # -- rendering ----------------------------------------------------------
 
     def to_text(self, names: Sequence[str] | None = None) -> str:
@@ -305,251 +308,13 @@ class Poly:
         if names is None:
             names = [f"x{i}" for i in range(self.arity)]
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        parts: list[tuple[Fraction, str]] = []
-        for exps, c in items:
-            factors = [
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            body = _coeff_text(c, bool(factors)) + "*".join(factors)
-            parts.append((c, body))
-        return _join_terms(parts)
+        return _terms_text(items, names)
 
     def __repr__(self) -> str:
         return f"Poly({self.arity}, {self.to_text()!r})"
 
 
-DiffKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-class DiffPoly:
-    """A differential polynomial in y0, y1, ... with coefficient symbols b0, b1, ...
-
-    ``terms`` maps ``((jet exponents), (b exponents))`` to nonzero
-    coefficients, with both tuples trimmed of trailing zeros.  ``y(i)``
-    denotes the i-th derivative of the dependent variable (``y(0)`` the
-    variable itself); the ``b(l)`` are constants as far as the total
-    derivative is concerned.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[DiffKey, Scalar] | None = None):
-        clean: dict[DiffKey, Fraction] = {}
-        if terms:
-            for (jets, bs), coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                jkey = _trim(int(e) for e in jets)
-                bkey = _trim(int(e) for e in bs)
-                if any(e < 0 for e in jkey) or any(e < 0 for e in bkey):
-                    raise ValueError("negative exponent in differential polynomial")
-                clean[(jkey, bkey)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("DiffPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> DiffPoly:
-        return cls()
-
-    @classmethod
-    def constant(cls, value: Scalar) -> DiffPoly:
-        return cls({((), ()): Fraction(value)})
-
-    @classmethod
-    def one(cls) -> DiffPoly:
-        return cls.constant(1)
-
-    @classmethod
-    def y(cls, index: int) -> DiffPoly:
-        if index < 0:
-            raise ValueError("jet index must be non-negative")
-        exps = (0,) * index + (1,)
-        return cls({(exps, ()): _ONE})
-
-    @classmethod
-    def b(cls, index: int) -> DiffPoly:
-        if index < 0:
-            raise ValueError("b index must be non-negative")
-        exps = (0,) * index + (1,)
-        return cls({((), exps): _ONE})
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def order(self) -> int:
-        """Highest derivative index appearing; -1 when none does."""
-        best = -1
-        for jets, _ in self.terms:
-            if jets:
-                best = max(best, len(jets) - 1)
-        return best
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(j) + sum(b) for j, b in self.terms)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: DiffPoly | Scalar) -> DiffPoly:
-        if not isinstance(other, DiffPoly):
-            other = DiffPoly.constant(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, _ZERO) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return DiffPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> DiffPoly:
-        return DiffPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: DiffPoly | Scalar) -> DiffPoly:
-        if not isinstance(other, DiffPoly):
-            other = DiffPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> DiffPoly:
-        return (-self) + other
-
-    def __mul__(self, other: DiffPoly | Scalar) -> DiffPoly:
-        if not isinstance(other, DiffPoly):
-            c = Fraction(other)
-            if c == 0:
-                return DiffPoly.zero()
-            return DiffPoly({k: v * c for k, v in self.terms.items()})
-        out: dict[DiffKey, Fraction] = {}
-        for (j1, b1), c1 in self.terms.items():
-            for (j2, b2), c2 in other.terms.items():
-                jets = tuple(
-                    (j1[i] if i < len(j1) else 0) + (j2[i] if i < len(j2) else 0)
-                    for i in range(max(len(j1), len(j2)))
-                )
-                bs = tuple(
-                    (b1[i] if i < len(b1) else 0) + (b2[i] if i < len(b2) else 0)
-                    for i in range(max(len(b1), len(b2)))
-                )
-                key = (jets, bs)
-                v = out.get(key, _ZERO) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return DiffPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> DiffPoly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be non-negative integers")
-        result = DiffPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    # -- calculus and evaluation ---------------------------------------------
-
-    def total_derivative(self) -> DiffPoly:
-        """Total derivative along the jet: y_i -> y_{i+1} by the Leibniz
-        rule, with every b symbol treated as a constant."""
-        out: dict[DiffKey, Fraction] = {}
-        for (jets, bs), c in self.terms.items():
-            for i, e in enumerate(jets):
-                if e == 0:
-                    continue
-                new = list(jets)
-                new[i] = e - 1
-                if len(new) <= i + 1:
-                    new.extend([0] * (i + 2 - len(new)))
-                new[i + 1] += 1
-                key = (_trim(new), bs)
-                v = out.get(key, _ZERO) + c * e
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return DiffPoly(out)
-
-    def evaluate(self, yjet: Sequence, bvals: Sequence = ()):
-        """Substitute jet values and b values; exact on Fractions."""
-        total = _ZERO
-        for (jets, bs), c in self.terms.items():
-            if len(jets) > len(yjet):
-                raise ValueError(
-                    f"jet vector of length {len(yjet)} is too short for a term of order {len(jets) - 1}"
-                )
-            if len(bs) > len(bvals):
-                raise ValueError(
-                    f"b vector of length {len(bvals)} is too short; term needs b{len(bs) - 1}"
-                )
-            v = c
-            for i, e in enumerate(jets):
-                if e:
-                    v = v * power(yjet[i], e)
-            for i, e in enumerate(bs):
-                if e:
-                    v = v * power(bvals[i], e)
-            total = total + v
-        return total
-
-    def to_poly(self, arity: int) -> Poly:
-        """View a b-free differential polynomial as a Poly in y0..y{arity-1}."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for (jets, bs), c in self.terms.items():
-            if bs:
-                raise ValueError("cannot convert a differential polynomial with b symbols")
-            if len(jets) > arity:
-                raise ValueError(f"term of order {len(jets) - 1} does not fit arity {arity}")
-            out[jets + (0,) * (arity - len(jets))] = c
-        return Poly(arity, out)
-
-    # -- rendering ------------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Canonical text: ascending total degree; within a degree the b-major
-        exponent vector decides, higher lexicographic first.  This puts pure
-        coefficient terms before mixed ones and mixed ones before pure jet
-        terms of the same degree."""
-        if not self.terms:
-            return "0"
-        jwidth = max((len(j) for j, _ in self.terms), default=0)
-        bwidth = max((len(b) for _, b in self.terms), default=0)
-
-        def sort_key(item):
-            (jets, bs), _ = item
-            jpad = jets + (0,) * (jwidth - len(jets))
-            bpad = bs + (0,) * (bwidth - len(bs))
-            degree = sum(jpad) + sum(bpad)
-            return (degree, tuple(-e for e in bpad + jpad))
-
-        parts: list[tuple[Fraction, str]] = []
-        for (jets, bs), c in sorted(self.terms.items(), key=sort_key):
-            factors = [f"b{i}" if e == 1 else f"b{i}^{e}" for i, e in enumerate(bs) if e]
-            factors += [f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in enumerate(jets) if e]
-            body = _coeff_text(c, bool(factors)) + "*".join(factors)
-            parts.append((c, body))
-        return _join_terms(parts)
-
-    def __repr__(self) -> str:
-        return f"DiffPoly({self.to_text()!r})"
+# ``bench/tracing.py`` patches ``algebra.DiffPoly.evaluate``; the benchmark
+# change that maps that layer onto ``Poly.evaluate`` (ROADMAP item 1)
+# deletes this name.
+DiffPoly = Poly

@@ -30,7 +30,7 @@ import re
 import sys
 import tempfile
 
-from .hierarchy import generate_member, gl_basis, linear_generators, member_text
+from .hierarchy import gl_basis, linear_generators, member_text
 from .integrate import METHODS, IntegratorConfig, integrate, integration_settings, write_csv
 from .liealg import (
     DEFAULT_CLOSURE_CAP,
@@ -119,7 +119,7 @@ def _cmd_closure(args) -> int:
 def _cmd_hierarchy(args) -> int:
     if not 2 <= args.order <= 8:
         return _fail(f"order {args.order} out of the supported range 2..8")
-    print(member_text(generate_member(args.order)))
+    print(member_text(args.order))
     return EXIT_OK
 
 

@@ -31,60 +31,51 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .algebra import DiffPoly, Poly
+from .algebra import Poly, _terms_text
 from .liealg import LieBasis
 from .parsing import TimeFunction
 from .vectorfield import PolyVectorField, TDVectorField
 
 
-@dataclass(frozen=True)
-class PSequence:
-    """P_0 .. P_s with d^l x/dt^l = x * P_l under y = x'/x."""
-
-    order: int
-    polys: tuple[DiffPoly, ...]
-
-    def __getitem__(self, l: int) -> DiffPoly:
-        return self.polys[l]
-
-
 @cache
-def p_sequence(s: int) -> PSequence:
-    """P_0 .. P_s, built once per order and shared (it is immutable)."""
+def p_sequence(s: int) -> tuple[Poly, ...]:
+    """P_0 .. P_s as polynomials on y0 .. y_{s-1}, built once per order and
+    shared (they are immutable): P_{l+1} = D(P_l) + y0 * P_l with D the
+    total derivative, the field sum_{i<s-1} y_{i+1} d/dy_i."""
     if s < 1:
         raise ValueError("order must be at least 1")
-    polys = [DiffPoly.one()]
-    y0 = DiffPoly.y(0)
+    total_derivative = PolyVectorField([Poly.variable(s, i + 1) for i in range(s - 1)] + [Poly.zero(s)])
+    y0 = Poly.variable(s, 0)
+    polys = [Poly.constant(s, 1)]
     for _ in range(s):
-        polys.append(polys[-1].total_derivative() + y0 * polys[-1])
-    return PSequence(s, tuple(polys))
+        polys.append(total_derivative.derivative(polys[-1]) + y0 * polys[-1])
+    return tuple(polys)
 
 
-@dataclass(frozen=True)
-class HierarchyMember:
-    """y^(s-1) = rhs, with rhs a differential polynomial in y0..y_{s-2}
-    that is affine in each coefficient symbol b0..b_{s-1}."""
-
-    order: int
-    rhs: DiffPoly
+def _member_tail(ps: tuple[Poly, ...]) -> Poly:
+    """-(P_s - y_{s-1}) of the sequence P_0 .. P_s, on y0 .. y_{s-2}: the
+    member's right-hand side at b = 0."""
+    s = len(ps) - 1
+    return (-(ps[s] - Poly.variable(s, s - 1))).leading(s - 1)
 
 
-def generate_member(s: int) -> HierarchyMember:
+def member_text(s: int) -> str:
+    """The order-s member y^(s-1) = -(P_s - y_{s-1}) - sum_l b_l * P_l on one
+    line, e.g. 'y1 = -b0 - b1*y0 - y0^2'.  Terms go by ascending total
+    degree; within a degree the exponent vector over b0 .. b_{s-1},
+    y0 .. y_{s-2} decides, higher first, so pure coefficient terms come
+    before mixed ones and mixed ones before pure jet terms."""
     if s < 2:
         raise ValueError("hierarchy members start at order 2")
     ps = p_sequence(s)
-    top = DiffPoly.y(s - 1)
-    rhs = -(ps[s] - top)
+    arity = 2 * s - 1
+    jets = [s + i for i in range(s - 1)]
+    rhs = _member_tail(ps).remap(arity, jets)
     for l in range(s):
-        rhs = rhs - DiffPoly.b(l) * ps[l]
-    if rhs.order > s - 2:
-        raise AssertionError("top derivative failed to cancel")
-    return HierarchyMember(s, rhs)
-
-
-def member_text(member: HierarchyMember) -> str:
-    """Canonical one-line rendering, e.g. 'y1 = -b0 - b1*y0 - y0^2'."""
-    return f"y{member.order - 1} = {member.rhs.to_text()}"
+        rhs = rhs - Poly.variable(arity, l) * ps[l].leading(s - 1).remap(arity, jets)
+    items = sorted(rhs.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+    names = [f"b{l}" for l in range(s)] + [f"y{i}" for i in range(s - 1)]
+    return f"y{s - 1} = {_terms_text(items, names)}"
 
 
 @dataclass(frozen=True)
@@ -129,14 +120,12 @@ def member_lie_generators(s: int) -> list[PolyVectorField]:
         raise ValueError("hierarchy members start at order 2")
     ps = p_sequence(s)
     dim = s - 1
-    top = DiffPoly.y(s - 1)
-    drift_tail = -(ps[s] - top)
     drift_comps = [Poly.variable(dim, i + 1) for i in range(dim - 1)]
-    drift_comps.append(drift_tail.to_poly(dim))
+    drift_comps.append(_member_tail(ps))
     fields = [PolyVectorField(drift_comps)]
     for l in range(s):
         comps = [Poly.zero(dim) for _ in range(dim)]
-        comps[dim - 1] = -(ps[l].to_poly(dim))
+        comps[dim - 1] = -ps[l].leading(dim)
         fields.append(PolyVectorField(comps))
     return fields
 

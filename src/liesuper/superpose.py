@@ -28,7 +28,7 @@ y^(l-1) = z_l - P_l evaluated on the already-recovered jet with
 y_{l-1} = 0.  The rule and ``solve_hierarchy_constants`` evaluate each
 P_l through the point form of a ``TDVectorField`` on y0 .. y_{l-1}, the
 one statement list the field compiler builds for every system, with the
-float operations of ``DiffPoly.evaluate`` at a point.
+float operations of ``Poly.evaluate`` at a point.
 Scaling every constant (including k_s) by a nonzero factor leaves the
 output unchanged, which is why the normalization k_s = 1 loses nothing.
 
@@ -156,10 +156,10 @@ def eval_pinney_rule(xi1, xi2, k1: float, k2: float, c: float) -> tuple:
 def _p_fields(order: int) -> tuple[TDVectorField, ...]:
     """P_1 .. P_order of the P sequence, compiled: P_l is the first
     component of a field on y0 .. y_{l-1} whose other components are zero,
-    its terms in ``DiffPoly.evaluate``'s order."""
+    its terms in ``Poly.evaluate``'s order."""
     fields = []
-    for l, p in enumerate(p_sequence(order).polys[1:], 1):
-        components = [p.to_poly(l)] + [Poly.zero(l)] * (l - 1)
+    for l, p in enumerate(p_sequence(order)[1:], 1):
+        components = [p.leading(l)] + [Poly.zero(l)] * (l - 1)
         fields.append(TDVectorField([(TimeFunction.constant(1), PolyVectorField(components))]))
     return tuple(fields)
 

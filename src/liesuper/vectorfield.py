@@ -180,6 +180,32 @@ class PolyVectorField:
         """Component values at a point; exact when the point is exact."""
         return [p.evaluate(point) for p in self.components]
 
+    def derivative(self, f: Poly) -> Poly:
+        """Z(f) = sum_i Z_i df/dx_i, exact, Laurent terms included.  The sum
+        runs over f's terms, then each term's variables x_0, x_1, ..., then
+        the terms of Z_i, and keeps its terms in the order they first
+        appear there: the order in which the compiled P sequence of the
+        Riccati hierarchy adds its monomials."""
+        n = self.dimension
+        if f.arity != n:
+            raise ValueError(f"polynomial arity {f.arity} does not match dimension {n}")
+        comps = self.components
+        out: dict[tuple[int, ...], Fraction] = {}
+        for exps, c in f.terms.items():
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                lowered = list(exps)
+                lowered[i] = e - 1
+                for zexps, zc in comps[i].terms.items():
+                    key = tuple(a + b for a, b in zip(lowered, zexps))
+                    v = out.get(key, 0) + c * e * zc
+                    if v:
+                        out[key] = v
+                    else:
+                        out.pop(key, None)
+        return Poly._from_clean(n, out)
+
     def integer_vector(self) -> tuple[int, dict[int, int]]:
         """``(D, vec)`` with ``vec`` D times the coefficient vector, keyed by
         ``packed monomial * n + component``: what ``closure`` eliminates.

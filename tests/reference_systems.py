@@ -1,8 +1,10 @@
 """Independent reference systems the tests compare the library against."""
 
+from functools import cache
 from typing import Callable, Sequence
 
-from liesuper.hierarchy import HierarchyMember
+import sympy
+
 from liesuper.parsing import TimeFunction
 
 
@@ -30,22 +32,44 @@ class FunctionRHS:
         return kernel
 
 
-def member_first_order_system(member: HierarchyMember, bvals: Sequence[TimeFunction]) -> FunctionRHS:
-    """First-order form of a hierarchy member on R^{s-1}:
+@cache
+def member_rhs_sympy(s: int) -> tuple:
+    """The order-s member y^(s-1) = rhs(y0 .. y_{s-2}, b0 .. b_{s-1}) as a
+    sympy expression, with its jet and b symbols, derived from its
+    definition rather than from the P recursion: x = exp(Y) with Y' = y0,
+    so x^(l)/x is a polynomial in the jet y_i = Y^(i+1), and the linear
+    equation x^(s) + sum_l b_l x^(l) = 0 divided by x is solved for
+    y_{s-1}."""
+    t = sympy.Symbol("t")
+    big_y = sympy.Function("Y")(t)
+    ys = sympy.symbols(f"y0:{s}")
+    bs = sympy.symbols(f"b0:{s}")
+
+    def ratio(l):
+        expr = sympy.expand(sympy.diff(sympy.exp(big_y), t, l) * sympy.exp(-big_y))
+        for k in range(l, 0, -1):
+            expr = expr.subs(sympy.Derivative(big_y, (t, k)), ys[k - 1])
+        return expr
+
+    (rhs,) = sympy.solve(ratio(s) + sum(bs[l] * ratio(l) for l in range(s)), ys[s - 1])
+    return sympy.expand(rhs), ys[: s - 1], bs
+
+
+def member_first_order_system(s: int, bvals: Sequence[TimeFunction]) -> FunctionRHS:
+    """First-order form of the order-s hierarchy member on R^{s-1}:
     v_i' = v_{i+1} and v_{s-2}' = rhs(t, v), with the b symbols bound to
-    the given time functions.  Built straight from the member equation, it
-    is the independent reference for ``member_td_system``."""
-    s = member.order
+    the given time functions.  Built from ``member_rhs_sympy``, it is the
+    independent reference for ``member_td_system``."""
     if len(bvals) != s:
         raise ValueError(f"need {s} coefficient functions, got {len(bvals)}")
-    rhs = member.rhs
+    rhs, ys, bs = member_rhs_sympy(s)
+    rhs = sympy.lambdify([ys, bs], rhs, "math")
     dim = s - 1
     bfuncs = tuple(bvals)
 
     def fn(t: float, state: Sequence[float]) -> list[float]:
-        bs = [b.eval(t) for b in bfuncs]
         out = [state[i + 1] for i in range(dim - 1)]
-        out.append(float(rhs.evaluate(state, bs)))
+        out.append(float(rhs(state, [b.eval(t) for b in bfuncs])))
         return out
 
     return FunctionRHS(dim, fn)

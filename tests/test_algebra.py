@@ -1,15 +1,14 @@
-"""Exact polynomial and differential-polynomial arithmetic."""
+"""Exact polynomial arithmetic."""
 
 import random
 import time
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liesuper.algebra import DiffPoly, Poly
+from liesuper.algebra import Poly
 
 
 def P(src: str, arity: int) -> Poly:
@@ -27,15 +26,6 @@ def random_poly(rng: random.Random, arity: int, degree: int = 3, terms: int = 4)
                 break
         p = p + Poly.monomial(arity, exps, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
     return p
-
-
-def random_diffpoly(rng: random.Random, order: int = 2, terms: int = 3) -> DiffPoly:
-    q = DiffPoly.zero()
-    for _ in range(rng.randint(0, terms)):
-        jets = tuple(rng.randint(0, 2) for _ in range(order + 1))
-        bs = tuple(rng.randint(0, 1) for _ in range(2))
-        q = q + DiffPoly({(jets, bs): Fraction(rng.randint(-4, 4))})
-    return q
 
 
 class TestPolyPartial:
@@ -96,6 +86,18 @@ class TestPolyArithmetic:
     def test_evaluate_exact(self):
         p = P("x0^2*x1 - 3", 2)
         assert p.evaluate([Fraction(2), Fraction(1, 2)]) == Fraction(-1)
+
+    def test_evaluate_on_floats_and_fractions(self):
+        assert P("x1 + x0^2", 2).evaluate((2.0, 3.0)) == 7.0
+        assert P("x0*x1", 2).evaluate((Fraction(1, 3), Fraction(3, 5))) == Fraction(1, 5)
+        with pytest.raises(ValueError):
+            P("x0*x1", 2).evaluate((1.0,))
+
+    def test_leading_keeps_the_variables_read(self):
+        assert P("x0*x1^-2 + 3", 4).leading(2) == P("x0*x1^-2 + 3", 2)
+        assert list(P("x1 + x0^2", 3).leading(2).terms) == [(0, 1), (2, 0)]
+        with pytest.raises(ValueError):
+            P("x0 + x2", 3).leading(2)
 
     def test_remap_embedding(self):
         p = P("x0*x1", 2)
@@ -158,98 +160,3 @@ class TestLaurent:
         for zero in (0.0, -0.0, Fraction(0)):
             with pytest.raises(ZeroDivisionError):
                 p.evaluate([zero, 1.0])
-
-
-def sympy_jet_derivative(expr, jets):
-    """Independent total derivative: chain rule over jet symbols."""
-    out = 0
-    for i, yi in enumerate(jets[:-1]):
-        out += sympy.diff(expr, yi) * jets[i + 1]
-    return sympy.expand(out)
-
-
-def diffpoly_to_sympy(q: DiffPoly, jets, bs):
-    out = 0
-    for (je, be), c in q.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for i, e in enumerate(je):
-            term *= jets[i] ** e
-        for i, e in enumerate(be):
-            term *= bs[i] ** e
-        out += term
-    return sympy.expand(out)
-
-
-class TestDiffPoly:
-    def test_jet_shift(self):
-        assert DiffPoly.y(0).total_derivative() == DiffPoly.y(1)
-
-    def test_leibniz_square(self):
-        y0, y1 = DiffPoly.y(0), DiffPoly.y(1)
-        assert (y0 * y0).total_derivative() == 2 * y0 * y1
-
-    def test_sum_against_sympy_oracle(self):
-        # D(y1 + y0^2) = y2 + 2 y0 y1, checked term by term independently
-        q = DiffPoly.y(1) + DiffPoly.y(0) * DiffPoly.y(0)
-        jets = sympy.symbols("y0:5")
-        bs = sympy.symbols("b0:3")
-        expected = sympy_jet_derivative(diffpoly_to_sympy(q, jets, bs), jets)
-        assert diffpoly_to_sympy(q.total_derivative(), jets, bs) == expected
-
-    def test_b_symbols_are_constants(self):
-        q = DiffPoly.b(0) * DiffPoly.y(0)
-        assert q.total_derivative() == DiffPoly.b(0) * DiffPoly.y(1)
-        assert DiffPoly.b(1).total_derivative() == DiffPoly.zero()
-
-    def test_linearity_and_leibniz_randomized(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            p = random_diffpoly(rng)
-            q = random_diffpoly(rng)
-            assert (p + q).total_derivative() == p.total_derivative() + q.total_derivative()
-            assert (p * q).total_derivative() == p.total_derivative() * q + p * q.total_derivative()
-
-    def test_order_increases_by_at_most_one(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            q = random_diffpoly(rng)
-            assert q.total_derivative().order <= q.order + 1
-
-    def test_trimmed_keys_make_equality_robust(self):
-        a = DiffPoly({((1, 0, 0), (0,)): 1})
-        b = DiffPoly({((1,), ()): 1})
-        assert a == b
-
-
-class TestDiffEval:
-    def test_simple_substitution(self):
-        q = DiffPoly.y(1) + DiffPoly.y(0) * DiffPoly.y(0)
-        assert q.evaluate((2.0, 3.0)) == 7.0
-
-    def test_with_b_value(self):
-        q = DiffPoly.b(0) * DiffPoly.y(0)
-        assert q.evaluate((4.0,), (0.5,)) == 2.0
-
-    def test_p3_at_unit_jet(self):
-        # y2 + 3 y0 y1 + y0^3 at (1, 1, 1) is 5
-        q = DiffPoly.y(2) + 3 * DiffPoly.y(0) * DiffPoly.y(1) + DiffPoly.y(0) ** 1 * DiffPoly.y(0) * DiffPoly.y(0)
-        assert q.evaluate((1.0, 1.0, 1.0)) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            DiffPoly.y(2).evaluate((1.0, 2.0))
-        with pytest.raises(ValueError):
-            DiffPoly.b(1).evaluate((), (0.5,))
-
-    def test_exact_on_fractions(self):
-        q = DiffPoly.y(0) * DiffPoly.y(1)
-        assert q.evaluate((Fraction(1, 3), Fraction(3, 5))) == Fraction(1, 5)
-
-
-class TestDiffPolyText:
-    def test_riccati_shape(self):
-        rhs = -DiffPoly.b(0) - DiffPoly.b(1) * DiffPoly.y(0) - DiffPoly.y(0) * DiffPoly.y(0)
-        assert rhs.to_text() == "-b0 - b1*y0 - y0^2"
-
-    def test_zero(self):
-        assert DiffPoly.zero().to_text() == "0"

@@ -13,14 +13,10 @@ from liesuper.verify import default_suite, run_suite
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def test_hierarchy_order_2_golden(capsys):
-    assert main(["hierarchy", "--order", "2"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "hierarchy_order2.txt").read_text()
-
-
-def test_hierarchy_order_3_golden(capsys):
-    assert main(["hierarchy", "--order", "3"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "hierarchy_order3.txt").read_text()
+@pytest.mark.parametrize("order", [2, 3, 5, 8])
+def test_hierarchy_text_golden(order, capsys):
+    assert main(["hierarchy", "--order", str(order)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"hierarchy_order{order}.txt").read_text()
 
 
 def test_default_report_shape_golden():

@@ -1,17 +1,18 @@
 """The P sequence, hierarchy members, companion systems, and gl(s) bases."""
 
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from liesuper.algebra import DiffPoly
+from liesuper.algebra import Poly
 from liesuper.hierarchy import (
     LinearODESpec,
     companion_linear_system,
-    generate_member,
     gl_basis,
     gl_field,
     linear_generators,
@@ -23,36 +24,75 @@ from liesuper.hierarchy import (
 )
 from liesuper.integrate import IntegratorConfig, integrate
 from liesuper.liealg import center_dimension, closure, structure_constants
-from liesuper.parsing import TimeFunction, parse_timefn
+from liesuper.parsing import TimeFunction, parse_poly, parse_timefn
 from liesuper.vectorfield import lie_bracket
 from reference_systems import member_first_order_system
 
-
-def y(i: int) -> DiffPoly:
-    return DiffPoly.y(i)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def b(l: int) -> DiffPoly:
-    return DiffPoly.b(l)
+def jet_poly(src: str, s: int) -> Poly:
+    """A polynomial on y0 .. y_{s-1}."""
+    return parse_poly(src, s, [f"y{i}" for i in range(s)])
+
+
+def member_names(s: int) -> list[str]:
+    return [f"b{l}" for l in range(s)] + [f"y{i}" for i in range(s - 1)]
+
+
+def parsed_member(s: int) -> Poly:
+    """The right-hand side of ``member_text(s)``, read back on b0 .. b_{s-1},
+    y0 .. y_{s-2}."""
+    lhs, rhs = member_text(s).split(" = ")
+    assert lhs == f"y{s - 1}"
+    return parse_poly(rhs, 2 * s - 1, member_names(s))
+
+
+def assembled_member(s: int) -> Poly:
+    """drift + sum_l b_l * field_l over the last components of
+    ``member_lie_generators(s)``, on b0 .. b_{s-1}, y0 .. y_{s-2}."""
+    arity = 2 * s - 1
+    jets = [s + i for i in range(s - 1)]
+    drift, *fields = member_lie_generators(s)
+    rhs = drift.components[-1].remap(arity, jets)
+    for l, field in enumerate(fields):
+        rhs = rhs + Poly.variable(arity, l) * field.components[-1].remap(arity, jets)
+    return rhs
+
+
+def member_rhs(s: int, yjet, bvals):
+    """``assembled_member(s)`` at a jet and b values; exact on Fractions."""
+    return assembled_member(s).evaluate([*bvals, *yjet])
 
 
 class TestPSequence:
     def test_first_members(self):
         ps = p_sequence(3)
-        assert ps[0] == DiffPoly.one()
-        assert ps[1] == y(0)
-        assert ps[2] == y(1) + y(0) * y(0)
-        assert ps[3] == y(2) + 3 * y(0) * y(1) + y(0) * y(0) * y(0)
+        assert ps[0] == Poly.constant(3, 1)
+        assert ps[1] == jet_poly("y0", 3)
+        assert ps[2] == jet_poly("y1 + y0^2", 3)
+        assert ps[3] == jet_poly("y2 + 3*y0*y1 + y0^3", 3)
+
+    def test_p3_at_unit_jet(self):
+        # y2 + 3 y0 y1 + y0^3 at (1, 1, 1) is 5, exactly
+        assert p_sequence(3)[3].evaluate((Fraction(1),) * 3) == 5
 
     def test_unit_leading_coefficient(self):
         ps = p_sequence(5)
         for l in range(1, 6):
-            top = (0,) * (l - 1) + (1,)
-            assert ps[l].terms[(top, ())] == 1
+            top = (0,) * (l - 1) + (1,) + (0,) * (5 - l)
+            assert ps[l].terms[top] == 1
 
     def test_built_once_per_order(self):
         assert p_sequence(4) is p_sequence(4)
         assert p_sequence(3) is not p_sequence(4)
+
+    def test_term_order_golden(self):
+        # the compiled P sums add monomials in this order, so it pins bits
+        golden = json.loads((GOLDEN / "p_sequence_order8_terms.json").read_text())
+        for s in range(1, 9):
+            for l, p in enumerate(p_sequence(s)):
+                assert [list(e) + [0] * (8 - s) for e in p.terms] == golden[l]
 
     def test_defining_property_sympy_oracle(self):
         # d^l x/dt^l = x * P_l(y, y', ...) for y = x'/x, independent of the
@@ -64,8 +104,7 @@ class TestPSequence:
         ps = p_sequence(4)
         for l in range(5):
             terms = 0
-            for (je, be), c in ps[l].terms.items():
-                assert not be
+            for je, c in ps[l].terms.items():
                 term = sympy.Rational(c.numerator, c.denominator)
                 for i, e in enumerate(je):
                     term *= jets[i] ** e
@@ -74,48 +113,37 @@ class TestPSequence:
             assert sympy.simplify(lhs - x * terms) == 0
 
 
-class TestGenerateMember:
+class TestMember:
     def test_riccati(self):
-        member = generate_member(2)
-        expected = -b(0) - b(1) * y(0) - y(0) * y(0)
-        assert member.rhs == expected
-        assert member_text(member) == "y1 = -b0 - b1*y0 - y0^2"
+        assert member_text(2) == "y1 = -b0 - b1*y0 - y0^2"
+        expected = parse_poly("-b0 - b1*y0 - y0^2", 3, member_names(2))
+        assert parsed_member(2) == assembled_member(2) == expected
 
     def test_second_order(self):
-        member = generate_member(3)
-        expected = (
-            -3 * y(0) * y(1)
-            - y(0) * y(0) * y(0)
-            - b(0)
-            - b(1) * y(0)
-            - b(2) * (y(0) * y(0) + y(1))
-        )
-        assert member.rhs == expected
+        expected = parse_poly("-3*y0*y1 - y0^3 - b0 - b1*y0 - b2*(y0^2 + y1)", 5, member_names(3))
+        assert parsed_member(3) == assembled_member(3) == expected
 
     def test_third_order(self):
-        member = generate_member(4)
-        expected = (
-            -4 * y(0) * y(2)
-            - 3 * y(1) * y(1)
-            - 6 * y(0) * y(0) * y(1)
-            - y(0) ** 2 * y(0) * y(0)
-            - b(0)
-            - b(1) * y(0)
-            - b(2) * (y(1) + y(0) * y(0))
-            - b(3) * (y(2) + 3 * y(0) * y(1) + y(0) * y(0) * y(0))
+        expected = parse_poly(
+            "-4*y0*y2 - 3*y1^2 - 6*y0^2*y1 - y0^4 - b0 - b1*y0 - b2*(y1 + y0^2)"
+            " - b3*(y2 + 3*y0*y1 + y0^3)",
+            7,
+            member_names(4),
         )
-        assert member.rhs == expected
+        assert parsed_member(4) == assembled_member(4) == expected
 
     def test_affine_in_each_b(self):
         for s in (2, 3, 4, 5):
-            member = generate_member(s)
-            assert member.rhs.order <= s - 2
-            for (je, be), _ in member.rhs.terms.items():
-                assert sum(be) <= 1
+            member = parsed_member(s)
+            assert member == assembled_member(s)
+            for exps in member.terms:
+                assert sum(exps[:s]) <= 1
 
     def test_order_bound(self):
         with pytest.raises(ValueError):
-            generate_member(1)
+            member_text(1)
+        with pytest.raises(ValueError):
+            member_lie_generators(1)
 
 
 def series_divide(numerator, denominator, n):
@@ -158,7 +186,7 @@ class TestMemberSeriesOracle:
             q = series_divide(aprime, a, n)
             yjet = [factorial(j) * q[j] for j in range(s - 1)]
             lhs = factorial(s - 1) * q[s - 1]
-            rhs = generate_member(s).rhs.evaluate(yjet, bvals)
+            rhs = member_rhs(s, yjet, bvals)
             assert lhs == rhs
 
 
@@ -185,33 +213,30 @@ class TestCompanionSystem:
 
 class TestMemberFirstOrderSystem:
     def test_riccati_constant(self):
-        member = generate_member(2)
-        rhs = member_first_order_system(member, [parse_timefn("1"), parse_timefn("0")])
+        rhs = member_first_order_system(2, [parse_timefn("1"), parse_timefn("0")])
         assert rhs.evaluate(0.0, [0.0]) == pytest.approx([-1.0])
         assert rhs.evaluate(0.0, [2.0]) == pytest.approx([-5.0])
 
     def test_second_order_free(self):
-        member = generate_member(3)
         zero = parse_timefn("0")
-        rhs = member_first_order_system(member, [zero, zero, zero])
+        rhs = member_first_order_system(3, [zero, zero, zero])
         v0, v1 = 0.7, -1.2
         assert rhs.evaluate(0.0, [v0, v1]) == pytest.approx([v1, -3 * v0 * v1 - v0**3])
 
     def test_pure_quadratic(self):
-        member = generate_member(2)
         zero = parse_timefn("0")
-        rhs = member_first_order_system(member, [zero, zero])
+        rhs = member_first_order_system(2, [zero, zero])
         assert rhs.evaluate(0.0, [3.0]) == pytest.approx([-9.0])
 
     def test_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
-            member_first_order_system(generate_member(2), [parse_timefn("0")])
+            member_first_order_system(2, [parse_timefn("0")])
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_agrees_with_decomposed_form(self, s):
         rng = random.Random(50 + s)
         bfns = [parse_timefn(src) for src in ["1 + 0.5*sin(t)", "cos(t)", "0.3", "t"][:s]]
-        generic = member_first_order_system(generate_member(s), bfns)
+        generic = member_first_order_system(s, bfns)
         decomposed = member_td_system(s, bfns)
         for _ in range(10):
             t = rng.uniform(0.0, 2.0)
@@ -290,5 +315,5 @@ class TestLogDerivativeRoundTrip:
             else:
                 ypp = (4 * d2(yvals, mid, h, step) - d2(yvals, mid, 2 * h, 2 * step)) / 3
                 jet, top = [y0, yp], ypp
-            rhs = float(generate_member(s).rhs.evaluate(jet, [float(v) for v in bvals]))
+            rhs = float(member_rhs(s, jet, [float(v) for v in bvals]))
             assert top == pytest.approx(rhs, abs=1e-6)

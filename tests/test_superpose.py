@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from liesuper.algebra import Poly
 from liesuper.hierarchy import p_sequence
 from liesuper.superpose import (
     CoincidentSolutions,
@@ -239,7 +240,6 @@ class TestHierarchyRule:
         # output for kappa and lambda*kappa; the normalized evaluator is the
         # kappa_s = 1 representative of that class
         rng = random.Random(77)
-        ps = p_sequence(3)
         for _ in range(25):
             s = rng.choice((2, 3, 4))
             jets = [[rng.uniform(-2, 2) for _ in range(s)] for _ in range(s)]
@@ -254,10 +254,8 @@ class TestHierarchyRule:
                 z = [cj / c[0] for cj in c]
                 yjet = []
                 for l in range(1, s):
-                    from liesuper.algebra import DiffPoly
-
-                    tail = p_sequence(s - 1)[l] - DiffPoly.y(l - 1)
-                    yjet.append(z[l] - float(tail.evaluate(yjet)))
+                    tail = p_sequence(s - 1)[l] - Poly.variable(s - 1, l - 1)
+                    yjet.append(z[l] - float(tail.evaluate(yjet + [0.0] * (s - l))))
                 return yjet
 
             base = unnormalized(1.0)
@@ -269,8 +267,8 @@ class TestHierarchyRule:
             assert normalized == pytest.approx(base, rel=1e-9)
 
 
-def diffpoly_hierarchy_rule(s, jets, k):
-    """The hierarchy rule through ``DiffPoly.evaluate`` and its Fraction
+def poly_hierarchy_rule(s, jets, k):
+    """The hierarchy rule through ``Poly.evaluate`` and its Fraction
     coefficients, one point at a time: the reference for the float terms."""
     c = []
     for j in range(s):
@@ -282,7 +280,7 @@ def diffpoly_hierarchy_rule(s, jets, k):
     ps = p_sequence(s - 1)
     yjet = []
     for l in range(1, s):
-        yjet.append(z[l] - float(ps[l].evaluate(yjet + [0.0])))
+        yjet.append(z[l] - float(ps[l].evaluate(yjet + [0.0] * (s - l))))
     return yjet
 
 
@@ -301,14 +299,14 @@ def random_hierarchy_point(rng, s, nodes=None):
 
 class TestHierarchyRuleFloatTerms:
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
-    def test_equals_the_diffpoly_evaluation(self, s):
+    def test_equals_the_poly_evaluation(self, s):
         rng = random.Random(500 + s)
         for _ in range(50):
             jets, k = random_hierarchy_point(rng, s)
-            assert eval_hierarchy_rule(s, jets, k) == diffpoly_hierarchy_rule(s, jets, k)
+            assert eval_hierarchy_rule(s, jets, k) == poly_hierarchy_rule(s, jets, k)
             # numpy scalars, as the trial loop's initial states pass them
             jets64 = [np.array(jet) for jet in jets]
-            assert eval_hierarchy_rule(s, jets64, k) == diffpoly_hierarchy_rule(s, jets64, k)
+            assert eval_hierarchy_rule(s, jets64, k) == poly_hierarchy_rule(s, jets64, k)
 
     @pytest.mark.parametrize("s", [2, 3, 5])
     def test_node_arrays_give_each_node_its_point_value(self, s):
@@ -339,8 +337,8 @@ class TestSolveHierarchyConstants:
         assert eval_hierarchy_rule(2, [(1.0, 0.0), (0.0, 1.0)], k) == [pytest.approx(2.0)]
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
-    def test_equals_the_diffpoly_chi(self, s):
-        # chi through DiffPoly.evaluate and its Fraction coefficients
+    def test_equals_the_poly_chi(self, s):
+        # chi through Poly.evaluate and its Fraction coefficients
         rng = random.Random(700 + s)
         ps = p_sequence(s - 1)
         for _ in range(40):

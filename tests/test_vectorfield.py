@@ -112,15 +112,16 @@ def field_pairs(draw):
     return field(), field()
 
 
+def sympy_expr(p, xs):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+         for exps, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
 def sympy_components(field, xs):
-    return [
-        sum(
-            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
-             for exps, c in p.terms.items()),
-            sympy.Integer(0),
-        )
-        for p in field.components
-    ]
+    return [sympy_expr(p, xs) for p in field.components]
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,6 +151,80 @@ def test_lie_bracket_matches_sympy(pair):
             assert type(c) is Fraction and c != 0
             assert len(exps) == n and all(type(e) is int for e in exps)
     assert lie_bracket(y, x) == -bracket
+
+
+@st.composite
+def laurent_fields_and_polys(draw):
+    """A field Z and polynomials F, G on R^n, exponents from -2 to 3."""
+    n = draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(-2, 3)] * n)
+
+    def poly():
+        return Poly(n, draw(st.dictionaries(monomials, COEFFS, max_size=3)))
+
+    return PolyVectorField([poly() for _ in range(n)]), poly(), poly()
+
+
+def jet_field(n: int) -> PolyVectorField:
+    """The total derivative on jets y0 .. y_{n-1}: sum_{i<n-1} y_{i+1} d/dy_i."""
+    return PolyVectorField([Poly.variable(n, i + 1) for i in range(n - 1)] + [Poly.zero(n)])
+
+
+class TestDerivative:
+    """Z(F) = sum_i Z_i dF/dx_i, which builds the P sequence of the Riccati
+    hierarchy."""
+
+    def test_jet_shift(self):
+        assert jet_field(3).derivative(Poly.variable(3, 0)) == Poly.variable(3, 1)
+
+    def test_leibniz_square(self):
+        y0, y1 = Poly.variable(3, 0), Poly.variable(3, 1)
+        assert jet_field(3).derivative(y0 * y0) == 2 * y0 * y1
+
+    def test_unmoved_variables_are_constants(self):
+        # b0 y0 on (b0, y0, y1), with a field that leaves b0 alone
+        d = PolyVectorField([Poly.zero(3), Poly.variable(3, 2), Poly.zero(3)])
+        assert d.derivative(parse_poly("x0*x1", 3)) == parse_poly("x0*x2", 3)
+        assert d.derivative(parse_poly("x0^2", 3)) == Poly.zero(3)
+
+    def test_jet_order_rises_by_at_most_one(self):
+        rng = random.Random(13)
+        d = jet_field(5)
+        for _ in range(20):
+            f = Poly(5, {tuple(rng.randint(0, 2) for _ in range(3)) + (0, 0): rng.randint(-4, 4) for _ in range(3)})
+            assert all(e[4] == 0 for e in d.derivative(f).terms)
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ValueError):
+            jet_field(2).derivative(Poly.variable(3, 0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(laurent_fields_and_polys())
+    @example((jet_field(3), parse_poly("x1 + x0^2", 3), Poly.zero(3)))
+    def test_matches_sympy(self, data):
+        z, f, _ = data
+        n = z.dimension
+        xs = sympy.symbols(f"x0:{n}")
+        sf, sz = sympy_expr(f, xs), sympy_components(z, xs)
+        expected = sum((sz[i] * sympy.diff(sf, xs[i]) for i in range(n)), sympy.Integer(0))
+        got = z.derivative(f)
+        assert sympy.expand(sympy_expr(got, xs) - expected) == 0
+        # the result is clean: the checking constructor rebuilds it as is
+        assert Poly(n, got.terms) == got
+
+    @settings(max_examples=30, deadline=None)
+    @given(laurent_fields_and_polys(), COEFFS)
+    def test_linear_leibniz_and_a_bracket(self, data, c):
+        z, f, g = data
+        n = z.dimension
+        d = z.derivative
+        assert d(f + g) == d(f) + d(g)
+        assert d(f * c) == d(f) * c
+        assert d(f * g) == d(f) * g + f * d(g)
+        # Z(F) is the last component of [(Z, 0), (0, ..., 0, F)] on R^(n+1)
+        lifted = PolyVectorField([p.remap(n + 1, range(n)) for p in z.components] + [Poly.zero(n + 1)])
+        graph = PolyVectorField([Poly.zero(n + 1)] * n + [f.remap(n + 1, range(n))])
+        assert lie_bracket(lifted, graph).components[n] == d(f).remap(n + 1, range(n))
 
 
 def tuple_keyed_bracket(x, y):

@@ -54,12 +54,9 @@ class TestVerifyRuleExamples:
         assert record.extras["round_trip_error"] <= 1e-12
 
     def test_riccati_closed_form(self):
-        from liesuper.hierarchy import generate_member
         from reference_systems import member_first_order_system
 
-        rhs = member_first_order_system(
-            generate_member(2), [parse_timefn("1"), parse_timefn("0")]
-        )
+        rhs = member_first_order_system(2, [parse_timefn("1"), parse_timefn("0")])
         traj = integrate(rhs, [1.0], (0.0, 0.7), CFG)
         expected = np.tan(np.pi / 4 - traj.times)
         assert np.max(np.abs(traj.states[:, 0] - expected)) <= 1e-9

@@ -11,7 +11,6 @@ harness that checks every cataloged formula against direct integration.
 
 from .algebra import Poly, Rational
 from .hierarchy import (
-    LinearODESpec,
     companion_linear_system,
     gl_basis,
     linear_generators,

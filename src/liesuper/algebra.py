@@ -158,10 +158,6 @@ class Poly:
 
     # -- predicates --------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         if not self.terms:

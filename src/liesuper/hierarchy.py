@@ -27,7 +27,6 @@ X[i,j] = x_j d/dx_i spanning gl(s, R), and the s+1 generators
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -44,12 +43,26 @@ def p_sequence(s: int) -> tuple[Poly, ...]:
     total derivative, the field sum_{i<s-1} y_{i+1} d/dy_i."""
     if s < 1:
         raise ValueError("order must be at least 1")
-    total_derivative = PolyVectorField([Poly.variable(s, i + 1) for i in range(s - 1)] + [Poly.zero(s)])
+    total_derivative = _jet_field(s)
     y0 = Poly.variable(s, 0)
     polys = [Poly.constant(s, 1)]
     for _ in range(s):
         polys.append(total_derivative.derivative(polys[-1]) + y0 * polys[-1])
     return tuple(polys)
+
+
+def _jet_field(s: int) -> PolyVectorField:
+    """D = sum_{i<s-1} y_{i+1} d/dy_i on R^s: the total derivative on a jet,
+    and the shift u_i' = u_{i+1} of a companion system."""
+    return PolyVectorField([Poly.variable(s, i + 1) for i in range(s - 1)] + [Poly.zero(s)])
+
+
+def _td_system(bvals: Sequence[TimeFunction], fields: Sequence[PolyVectorField]) -> TDVectorField:
+    """fields[0] + sum_l b_l(t) * fields[l + 1], one coefficient function
+    per field after the first."""
+    if len(bvals) != len(fields) - 1:
+        raise ValueError(f"need {len(fields) - 1} coefficient functions, got {len(bvals)}")
+    return TDVectorField([(TimeFunction.constant(1), fields[0]), *zip(bvals, fields[1:])])
 
 
 def _member_tail(ps: tuple[Poly, ...]) -> Poly:
@@ -78,38 +91,15 @@ def member_text(s: int) -> str:
     return f"y{s - 1} = {_terms_text(items, names)}"
 
 
-@dataclass(frozen=True)
-class LinearODESpec:
-    """Order-s linear homogeneous ODE with time-dependent coefficients
-    b_0(t) .. b_{s-1}(t) multiplying x, x', ..., x^(s-1)."""
+def companion_linear_system(s: int, bvals: Sequence[TimeFunction]) -> TDVectorField:
+    """First-order form on R^s of x^(s) = -sum_l b_l(t) x^(l):
+    u_i' = u_{i+1}, u_{s-1}' = -sum b_l(t) u_l.
 
-    order: int
-    coefficients: tuple[TimeFunction, ...]
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("linear specs start at order 2")
-        if len(self.coefficients) != self.order:
-            raise ValueError("need exactly one coefficient per derivative order")
-
-
-def companion_linear_system(spec: LinearODESpec) -> TDVectorField:
-    """First-order form on R^s: u_i' = u_{i+1}, u_{s-1}' = -sum b_l(t) u_l.
-
-    The decomposition keeps the shift part as a single constant-coefficient
-    term and adds one term per b_l, so the constituent fields expose the
-    system's Lie algebra directly.
+    The decomposition keeps the shift D (``_jet_field``) as a single
+    constant-coefficient term and adds one term -X[s-1,l] per b_l, so the
+    constituent fields expose the system's Lie algebra directly.
     """
-    s = spec.order
-    shift_comps = [Poly.variable(s, i + 1) for i in range(s - 1)] + [Poly.zero(s)]
-    terms: list[tuple[TimeFunction, PolyVectorField]] = [
-        (TimeFunction.constant(1), PolyVectorField(shift_comps))
-    ]
-    for l, b in enumerate(spec.coefficients):
-        comps = [Poly.zero(s) for _ in range(s)]
-        comps[s - 1] = -Poly.variable(s, l)
-        terms.append((b, PolyVectorField(comps)))
-    return TDVectorField(terms)
+    return _td_system(bvals, [_jet_field(s)] + [-gl_field(s, s - 1, l) for l in range(s)])
 
 
 def member_lie_generators(s: int) -> list[PolyVectorField]:
@@ -133,12 +123,7 @@ def member_lie_generators(s: int) -> list[PolyVectorField]:
 def member_td_system(s: int, bvals: Sequence[TimeFunction]) -> TDVectorField:
     """The member system in decomposed form, as the ``hierarchy_member``
     spec kind and the hierarchy rule integrate it."""
-    if len(bvals) != s:
-        raise ValueError(f"need {s} coefficient functions, got {len(bvals)}")
-    gens = member_lie_generators(s)
-    terms = [(TimeFunction.constant(1), gens[0])]
-    terms += [(b, field) for b, field in zip(bvals, gens[1:])]
-    return TDVectorField(terms)
+    return _td_system(bvals, member_lie_generators(s))
 
 
 def gl_field(s: int, i: int, j: int) -> PolyVectorField:

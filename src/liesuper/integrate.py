@@ -54,8 +54,9 @@ its block.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -302,6 +303,20 @@ def _integrate_rk4(rhs, y0, t0, t1, cfg) -> Trajectory:
     return _finish(grid, states, end, meta)
 
 
+@contextmanager
+def _float_signals() -> Iterator[list[str]]:
+    """A list that records the kind of every floating-point error (divide,
+    over, invalid) numpy meets in the block, never warned; underflow is
+    ignored.  A lockstep step clears it first and reads it after."""
+    signals: list[str] = []
+
+    def signal(kind: str, flag: int) -> None:
+        signals.append(kind)
+
+    with np.errstate(divide="call", over="call", invalid="call", under="ignore", call=signal):
+        yield signals
+
+
 def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     """RK4 rows in lockstep on the shared grid.  Every ufunc operand of a
     step is a float64 array (see ``_constants``): the literal 2.0 is bound
@@ -354,13 +369,7 @@ def _integrate_rk4_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
 
     y, bound_to = history[0].copy(), None
     half, full, sixth = np.empty(()), np.empty(()), np.empty(())
-    signals: list[str] = []
-
-    def signal(kind: str, flag: int) -> None:
-        signals.append(kind)
-
-    # a floating-point error anywhere in a step is recorded, never warned
-    with np.errstate(divide="call", over="call", invalid="call", under="ignore", call=signal):
+    with _float_signals() as signals:
         for i, (t, t_next) in enumerate(zip(grid, grid[1:])):
             dt = t_next - t
             half[()], full[()], sixth[()] = dt / 2, dt, dt / 6
@@ -530,13 +539,7 @@ def _integrate_rkf45_lockstep(rhs, y0s, t0, t1, cfg) -> list[Trajectory]:
     k, (stage, total, term), kernels = _bind_stages(rhs, y, 6, 3)
     t_stage = np.empty(len(live))
     atol, rtol = _constants((cfg.atol, cfg.rtol))
-    signals: list[str] = []
-
-    def signal(kind: str, flag: int) -> None:
-        signals.append(kind)
-
-    # a floating-point error anywhere in an attempt is recorded, never warned
-    with np.errstate(divide="call", over="call", invalid="call", under="ignore", call=signal):
+    with _float_signals() as signals:
         while len(live) >= 2:
             going = [row.start() for row in live]
             if not all(going):

@@ -20,10 +20,8 @@ exponent only on one variable (``x0^-3``, not ``(x0 + 1)^-1`` or
 ``2^-1``), and one optional leading minus per expression,
 ``expr := '-'? term (('+' | '-') term)*``.
 
-Time-function trees parsed from text render back to canonical text via
-``to_text`` and re-parse to structurally equal trees; ``Poly.to_text``
-output, Laurent terms included, parses back with ``parse_poly`` to an
-equal polynomial.
+``Poly.to_text`` output, Laurent terms included, parses back with
+``parse_poly`` to an equal polynomial.
 
 ``TimeFunction.emit`` writes a tree as straight-line Python statements of
 t, with its constants baked in as floats; the field compiler inlines them
@@ -106,35 +104,9 @@ def _fraction_from_literal(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def _decimal_text(value: Fraction) -> str | None:
-    """Exact decimal rendering when the denominator is 2^a * 5^b, else None."""
-    if value < 0:
-        return None
-    den = value.denominator
-    k = 0
-    while den % 2 == 0:
-        den //= 2
-        k += 1
-    m = 0
-    while den % 5 == 0:
-        den //= 5
-        m += 1
-    if den != 1:
-        return None
-    shift = max(k, m)
-    digits = value.numerator * 10**shift // value.denominator
-    if shift == 0:
-        return str(digits)
-    text = str(digits).rjust(shift + 1, "0")
-    return f"{text[:-shift]}.{text[-shift:]}"
-
-
 # ---------------------------------------------------------------------------
 # time-function expression trees
 # ---------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-
 
 class TimeFunction:
     """A smooth closed-form function of the scalar time variable t."""
@@ -163,24 +135,10 @@ class TimeFunction:
         namespace[name] = self
         return _assign(lines, f"{name}.eval(t)")
 
-    def to_text(self) -> str:
-        return self._render()[0]
-
-    def _render(self) -> tuple[str, int]:
-        raise NotImplementedError
-
     @staticmethod
     def constant(value) -> "TimeFunction":
-        """A constant tree that renders to re-parseable canonical text."""
-        f = Fraction(value)
-        if f < 0:
-            return TimeBinary("-", TimeConstant(Fraction(0)), TimeFunction.constant(-f))
-        if _decimal_text(f) is not None:
-            return TimeConstant(f)
-        return TimeBinary("/", TimeConstant(Fraction(f.numerator)), TimeConstant(Fraction(f.denominator)))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_text()!r})"
+        """The constant ``value``, held as its exact Fraction."""
+        return TimeConstant(Fraction(value))
 
 
 def _assign(lines: list[str], expr: str) -> str:
@@ -205,7 +163,7 @@ def float_literal(value: float) -> str:
     return f"({text})" if value < 0 else text
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class TimeConstant(TimeFunction):
     value: Fraction
 
@@ -219,14 +177,8 @@ class TimeConstant(TimeFunction):
             # too large for a float: raise where eval raises
             return TimeFunction.emit(self, lines, namespace)
 
-    def _render(self) -> tuple[str, int]:
-        text = _decimal_text(self.value)
-        if text is None:
-            raise ValueError(f"constant {self.value} has no exact decimal form; use TimeFunction.constant")
-        return text, _PREC_ATOM
 
-
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class TimeVariable(TimeFunction):
     def eval(self, t: float) -> float:
         return t
@@ -234,11 +186,8 @@ class TimeVariable(TimeFunction):
     def emit(self, lines: list[str], namespace: dict) -> str:
         return "t"
 
-    def _render(self) -> tuple[str, int]:
-        return "t", _PREC_ATOM
 
-
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class TimeBinary(TimeFunction):
     op: str  # '+', '-', '*', '/'
     left: TimeFunction
@@ -260,20 +209,8 @@ class TimeBinary(TimeFunction):
         b = self.right.emit(lines, namespace)
         return _assign(lines, f"{a} {self.op} {b}")
 
-    def _render(self) -> tuple[str, int]:
-        prec = _PREC_ADD if self.op in "+-" else _PREC_MUL
-        lt, lp = self.left._render()
-        rt, rp = self.right._render()
-        if lp < prec:
-            lt = f"({lt})"
-        # the parser associates to the left, so a right operand of equal
-        # precedence needs parentheses to reproduce the same tree
-        if rp <= prec:
-            rt = f"({rt})"
-        return f"{lt} {self.op} {rt}", prec
 
-
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class TimePower(TimeFunction):
     base: TimeFunction
     exponent: int
@@ -284,14 +221,8 @@ class TimePower(TimeFunction):
     def emit(self, lines: list[str], namespace: dict) -> str:
         return _assign(lines, f"{self.base.emit(lines, namespace)} ** ({self.exponent})")
 
-    def _render(self) -> tuple[str, int]:
-        bt, bp = self.base._render()
-        if bp < _PREC_ATOM:
-            bt = f"({bt})"
-        return f"{bt}^{self.exponent}", _PREC_POW
 
-
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class TimeCall(TimeFunction):
     fn: str  # 'sin', 'cos', 'exp'
     arg: TimeFunction
@@ -306,9 +237,6 @@ class TimeCall(TimeFunction):
 
     def emit(self, lines: list[str], namespace: dict) -> str:
         return _assign(lines, f"_{self.fn}({self.arg.emit(lines, namespace)})")
-
-    def _render(self) -> tuple[str, int]:
-        return f"{self.fn}({self.arg._render()[0]})", _PREC_ATOM
 
 
 _FUNCTIONS = ("sin", "cos", "exp")

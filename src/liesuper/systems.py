@@ -5,8 +5,8 @@ A spec is a JSON object with a ``kind`` and all of that kind's parameters.
 their checkers, its state dimension and its builder.  The suite's rules
 and drift checks name one of these kinds and take exactly its parameters.
 Every kind builds a ``TDVectorField`` (the pinney kind's c/x^3 is a
-Laurent term), whose ``evaluate`` takes a point or a (dim, rows) ndarray
-block of states and returns a list or a (dim, rows) ndarray.
+Laurent term), whose ``evaluate`` takes a point and returns a list of
+floats.
 
 kind                 parameters   system                                      dim
 linear_homogeneous   order, b     x^(order) = -sum_l b_l(t) x^(l), companion  order
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import Poly
-from .hierarchy import LinearODESpec, companion_linear_system, member_td_system
+from .hierarchy import companion_linear_system, member_td_system
 from .parsing import ParseError, TimeFunction, TimePower, parse_poly, parse_timefn
 from .vectorfield import PolyVectorField, TDVectorField
 
@@ -241,7 +241,7 @@ SYSTEM_KINDS: dict[str, SystemKind] = {
     "linear_homogeneous": SystemKind(
         _ORDER_B,
         lambda p: p["order"],
-        lambda p: companion_linear_system(LinearODESpec(p["order"], tuple(map(parse_timefn, p["b"])))),
+        lambda p: companion_linear_system(p["order"], list(map(parse_timefn, p["b"]))),
     ),
     "linear_affine": SystemKind(
         (("a", _check_timefn), ("b", _check_timefn)), lambda p: 1, lambda p: _bernoulli_system(p["a"], p["b"], 0)

@@ -146,10 +146,6 @@ class PolyVectorField:
     def zero(cls, dimension: int) -> PolyVectorField:
         return cls([Poly.zero(dimension)] * dimension)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.components)
-
     def __add__(self, other: PolyVectorField) -> PolyVectorField:
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
@@ -352,35 +348,15 @@ class TDVectorField:
     def __hash__(self) -> int:
         return hash(self.terms)
 
-    def collect(self) -> TDVectorField:
-        """Merge terms with structurally equal time coefficients and drop
-        zero fields; used for structural comparisons of products."""
-        order: list[TimeFunction] = []
-        acc: dict[TimeFunction, PolyVectorField] = {}
-        for tf, field in self.terms:
-            if tf in acc:
-                acc[tf] = acc[tf] + field
-            else:
-                order.append(tf)
-                acc[tf] = field
-        merged = [(tf, acc[tf]) for tf in order if not acc[tf].is_zero]
-        if not merged:
-            merged = [(self.terms[0][0], PolyVectorField.zero(self.dimension))]
-        return TDVectorField(merged)
-
     def constituent_fields(self) -> list[PolyVectorField]:
         return [field for _, field in self.terms]
 
-    def evaluate(self, t: float | np.ndarray, state: State | np.ndarray) -> list | np.ndarray:
-        """Component values at (t, state).  A point, a sequence of one float
-        per coordinate, gives a list of floats.  A (dim, rows) ndarray
-        block, one state per column, gives the (dim, rows) float ndarray of
-        their values: the kernel bound to it and a fresh buffer (``bind``)."""
+    def evaluate(self, t: float, state: State) -> list:
+        """Component values at (t, state), a point (a sequence of one float
+        per coordinate), as a list of floats; a block of states goes
+        through ``bind``."""
         if len(state) != self.dimension:
             raise ValueError(f"state of length {len(state)} for dimension {self.dimension}")
-        if state.__class__ is np.ndarray and state.ndim == 2:
-            self.bind(state.astype(float, copy=False), out := np.empty(state.shape))(t)
-            return out
         return (self._compiled or self._compile())[0](t, state)
 
     def bind(self, state: np.ndarray, out: np.ndarray) -> Callable[[float | np.ndarray], None]:

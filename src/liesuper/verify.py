@@ -62,7 +62,15 @@ import numpy as np
 
 from .algebra import Poly
 from .hierarchy import gl_basis, linear_generators, member_lie_generators
-from .integrate import METHODS, IntegratorConfig, Trajectory, integrate, integrate_batch, integration_settings
+from .integrate import (
+    METHODS,
+    IntegratorConfig,
+    Trajectory,
+    integrate,
+    integrate_batch,
+    integration_settings,
+    rk4_step_count,
+)
 from .liealg import (
     DEFAULT_CLOSURE_CAP,
     CapExceeded,
@@ -620,8 +628,8 @@ def run_rule_verification(
         size = missing
         if cfg.method == "rk4":
             size = math.ceil(2 * missing * drawn / clean) if clean else 2 * missing
-            # span/step + 2 bounds the number of grid nodes, as does max_steps + 1
-            nodes = min((tspan[1] - tspan[0]) / cfg.step + 2, cfg.max_steps + 1)
+            # the nodes of the grid that at most max_steps steps reach
+            nodes = min(rk4_step_count(*tspan, cfg.step), cfg.max_steps) + 1
             row_bytes = 8 * setup.layout.system.dimension * nodes
             size = min(size, max(1, int(_CHUNK_HISTORY_BYTES // row_bytes)))
         candidates = []

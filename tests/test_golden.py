@@ -66,6 +66,14 @@ def test_closure_golden_of_pinney_generators(capsys):
     assert (doc["killing_determinant"], doc["center_dimension"]) == ("-128", 0)
 
 
+def test_dump_spec_echoes_the_time_function_strings(capsys):
+    """--dump-spec prints the normalized document, its time functions the
+    strings of the input file."""
+    data = pathlib.Path(__file__).parent / "data" / "dump_spec_timefns.json"
+    assert main(["integrate", str(data), "--dump-spec"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "dump_spec_timefns.json").read_text()
+
+
 # the Pinney trajectory the CLI printed when the system was a hand-written
 # function; the decomposed Laurent field must print it byte for byte
 PINNEY_SPEC = {"kind": "pinney", "omega": "1 + 0.1*sin(t)", "c": 2}

@@ -11,7 +11,6 @@ import sympy
 
 from liesuper.algebra import Poly
 from liesuper.hierarchy import (
-    LinearODESpec,
     companion_linear_system,
     gl_basis,
     gl_field,
@@ -192,23 +191,34 @@ class TestMemberSeriesOracle:
 
 class TestCompanionSystem:
     def test_constant_frequency_oscillator(self):
-        spec = LinearODESpec(2, (parse_timefn("1"), parse_timefn("0")))
-        system = companion_linear_system(spec)
+        system = companion_linear_system(2, [parse_timefn("1"), parse_timefn("0")])
         assert system.evaluate(0.3, [2.0, 5.0]) == pytest.approx([5.0, -2.0])
 
     def test_free_particle(self):
-        spec = LinearODESpec(2, (parse_timefn("0"), parse_timefn("0")))
-        system = companion_linear_system(spec)
+        system = companion_linear_system(2, [parse_timefn("0"), parse_timefn("0")])
         assert system.evaluate(0.0, [7.0, 3.0]) == pytest.approx([3.0, 0.0])
 
     def test_integrator_chain(self):
-        spec = LinearODESpec(3, tuple(parse_timefn("0") for _ in range(3)))
-        system = companion_linear_system(spec)
+        system = companion_linear_system(3, [parse_timefn("0") for _ in range(3)])
         assert system.evaluate(0.0, [1.0, 2.0, 3.0]) == pytest.approx([2.0, 3.0, 0.0])
 
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_terms_are_the_shift_and_one_field_per_coefficient(self, s):
+        bvals = [parse_timefn(src) for src in ["sin(t)", "1", "t", "0.5"][:s]]
+        system = companion_linear_system(s, bvals)
+        shift = gl_field(s, 0, 1)
+        for i in range(1, s - 1):
+            shift = shift + gl_field(s, i, i + 1)
+        assert [tf for tf, _ in system.terms] == [TimeFunction.constant(1), *bvals]
+        assert system.constituent_fields() == [shift] + [-gl_field(s, s - 1, l) for l in range(s)]
+
     def test_coefficient_count_enforced(self):
-        with pytest.raises(ValueError):
-            LinearODESpec(3, (parse_timefn("1"),))
+        # the same check, and message, as the member system's
+        for count in (1, 2, 4):
+            bvals = [parse_timefn("1")] * count
+            for build in (companion_linear_system, member_td_system):
+                with pytest.raises(ValueError, match=f"need 3 coefficient functions, got {count}"):
+                    build(3, bvals)
 
 
 class TestMemberFirstOrderSystem:
@@ -292,8 +302,7 @@ class TestLogDerivativeRoundTrip:
         for _ in range(3):
             bvals = [Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(s)]
             x_jet = [1.0] + [rng.uniform(-0.5, 0.5) for _ in range(s - 1)]
-            spec = LinearODESpec(s, tuple(TimeFunction.constant(v) for v in bvals))
-            system = companion_linear_system(spec)
+            system = companion_linear_system(s, [TimeFunction.constant(v) for v in bvals])
             g = 2.5e-3
             traj = integrate(system, x_jet, (0.0, 1.0), IntegratorConfig(method="rk4", step=g))
             u = traj.states

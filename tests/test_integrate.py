@@ -313,8 +313,12 @@ class TestLockstepBlocks:
         rng = np.random.default_rng(7)
         for rhs in (ramp, joint):
             x0s = rng.uniform(0.5, 1.5, size=(20, rhs.dimension))
+            state, out = x0s.T.copy(), np.empty((rhs.dimension, 20))
+            kernel = rhs.bind(state, out)
             for t in (0.3, np.full(20, 0.3)):
-                assert rhs.evaluate(t, x0s.T.copy()).shape == (rhs.dimension, 20)
+                kernel(t)
+                for column, got in zip(x0s.tolist(), out.T.tolist()):
+                    assert got == rhs.evaluate(0.3, column)
             batch = integrate_batch(rhs, x0s.tolist(), (0.0, 1.0), RK4)
             assert [traj.status for traj in batch] == ["completed"] * 20
         assert replays == []

@@ -129,8 +129,8 @@ class TestPinneyField:
         per_row = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=rows, max_size=rows)))
         field, fn = pinney_system(parse_timefn(omega), c), hand_written_pinney(omega, c)
         for times in (t, per_row):
-            got = field.evaluate(times, block)
-            assert got.shape == (2, rows) and got.dtype == np.float64
+            got = np.empty((2, rows))
+            field.bind(block, got)(times)
             want = fn(times, block)
             assert bits(got[1]) == bits(want[1])
             assert bits(got[0]) == bits(0.0 + want[0])
@@ -163,15 +163,15 @@ class TestPinneyField:
     def test_target_lie_dimension(self, c):
         assert lie_dimension(pinney_system(parse_timefn("1 + 0.1*sin(t)"), c).constituent_fields()) == 3
 
-    def test_joint_collect_keeps_the_oscillator_fields(self):
+    def test_joint_terms_keep_the_oscillator_fields(self):
         omega = parse_timefn("1 + 0.1*sin(t)")
         pinney, osc = pinney_system(omega, 2.0), oscillator_system(omega)
         joint = direct_product([pinney, osc, osc])
-        merged = joint.collect()
-        # the target's and both components' terms share two coefficients
-        assert [tf for tf, _ in merged.terms] == [tf for tf, _ in pinney.terms]
+        # the target's and both components' terms share two coefficients:
+        # each factor's two terms, in order, on its own coordinates
+        assert [tf for tf, _ in joint.terms] == [tf for tf, _ in pinney.terms] * 3
         for tf_index in range(2):
-            field = merged.terms[tf_index][1]
+            field = sum((joint.terms[2 * block + tf_index][1] for block in range(3)), PolyVectorField.zero(6))
             for block, system in enumerate((pinney, osc, osc)):
                 part = system.terms[tf_index][1]
                 for i in range(2):

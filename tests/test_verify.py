@@ -500,8 +500,8 @@ class TestBatchedTrialLoop:
             sizes.append(len(x0s))
             return honest(rhs, x0s, tspan, cfg)
 
-        # a row is budgeted span/step + 2 = 102 nodes of the 6-dimensional
-        # joint Pinney system, 4896 bytes
+        # a row keeps its grid's 101 nodes of the 6-dimensional joint
+        # Pinney system, 4848 bytes, three of which fit this budget
         monkeypatch.setattr(verify, "_CHUNK_HISTORY_BYTES", 3 * 4896)
         monkeypatch.setattr(verify, "integrate_batch", counted)
         params, tspan = {"omega": "1", "c": 1.0}, (0.0, 1.0)
@@ -528,6 +528,26 @@ class TestBatchedTrialLoop:
         with pytest.raises(RuntimeError, match=r"\(0 rejected, 300 singular\)"):
             run_rule_verification("pinney", {"omega": "1", "c": 1.0}, 5, 3, (0.0, 1.0), cfg)
         assert sizes == [3] * 100
+
+    def test_chunk_budget_counts_the_grid_nodes(self, monkeypatch):
+        sizes = []
+        honest = verify.integrate_batch
+
+        def counted(rhs, x0s, tspan, cfg):
+            sizes.append(len(x0s))
+            return honest(rhs, x0s, tspan, cfg)
+
+        # span 1 at step 1e-3 is a grid of 1,001 nodes, and the budget holds
+        # exactly three rows of them: a budget of 1,002 nodes a row fits two
+        params, tspan = {"omega": "1", "c": 1.0}, (0.0, 1.0)
+        dimension = build_rule_setup("pinney", params).layout.system.dimension
+        monkeypatch.setattr(verify, "_CHUNK_HISTORY_BYTES", 3 * 8 * dimension * 1001)
+        monkeypatch.setattr(verify, "integrate_batch", counted)
+        cfg = IntegratorConfig(method="rk4", step=1e-3)
+        report = run_rule_verification("pinney", params, 3, 3, tspan, cfg)
+        assert sizes[0] == 3 and max(sizes) == 3
+        reference = sequential_records("pinney", params, 3, 3, tspan, cfg)
+        assert [r.status for r in report.records] == [r.status for r in reference]
 
     def test_attempt_cap_is_kept(self):
         # every trial runs into the pole of omega at t = 0.05; the loop

@@ -90,12 +90,12 @@ def _cmd_closure(args) -> int:
         return _fail(str(exc))
     try:
         basis = closure(generators, args.cap)
+        sc = structure_constants(basis)
     except CapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
     except ExponentLimitError as exc:
         return _fail(f"generators: {exc}")
-    sc = structure_constants(basis)
     doc = {
         "dimension": basis.size,
         "basis": [[p.to_text() for p in f.components] for f in basis.fields],

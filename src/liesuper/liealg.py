@@ -8,24 +8,28 @@ included), never by sampling, so a finite answer is a proof and a
 ``CapExceeded`` is a certificate that the generated algebra has dimension
 above the cap.
 
-Each pair of basis fields is bracketed once.  ``closure`` adds every
-bracket to one integer echelon as its packed integer sums, so the
+Each pair of basis fields is bracketed at most once.  ``closure`` adds
+every bracket to one integer echelon as its packed integer sums, so the
 Fraction components of a rejected bracket are never built, and the basis
-it returns carries the table of every bracket: an admitted one is a basis
+it returns carries the table of its brackets: an admitted one is a basis
 element, a rejected one keeps the elimination steps that expressed it.
-``structure_constants`` expands that table; any other basis goes through
-the same pair loop over an echelon seeded with its fields.
 
-Rule verification needs only the dimension of the generated algebra,
-so it calls ``lie_dimension``: each basis field is bracketed with the
-generators alone (ad-invariance under the generators is enough, by the
-Jacobi identity), in a plain echelon that keeps no bracket expansions.
-``closure`` keeps its full pair table, and so its basis and its
-structure constants, for the exact jobs that print them.
+The generators do most of the work (de Graaf, *Lie Algebras: Theory and
+Algorithms*).  ``lie_dimension`` brackets each basis field with the
+generators alone -- ad-invariance under the generators is enough, by the
+Jacobi identity -- in a plain echelon that keeps no bracket expansions;
+rule verification needs only that dimension.  ``closure`` runs the same
+pass first, for the cap verdict and the dimension d, then its pair loop,
+which reuses the pass's brackets and stops once the basis holds d fields.
+``structure_constants`` resumes that loop where it stopped, the same loop
+that any other basis runs from its first pair.  A closure basis opens
+with its k independent generators, so ``center_dimension`` needs only
+the k * r rows that bracket with them.
 
 Structure constants are stored sparse, as the nonzero entries only; the
-Killing form and the center read them there, and the dense table ``.c``
-is a view built on its first read.
+Killing form and the center read them there, as one integer table built
+once per table, and the dense table ``.c`` is a view built on its first
+read.
 
 Pointwise questions -- whether a basis is linearly independent at a
 generic point ("modular") -- are intrinsically about evaluation, so there
@@ -73,8 +77,8 @@ class NotClosed(Exception):
 
 class LieBasis:
     """A linearly independent list of polynomial fields on a common space.
-    A basis made by ``closure`` also carries the expansion of every bracket
-    of its fields (``_brackets``), which ``structure_constants`` reads.
+    A basis made by ``closure`` also carries its pair loop (``_brackets``),
+    which ``structure_constants`` finishes and reads.
     Independence is decided on packed monomials, so a field with an
     exponent e, |e| > ``EXPONENT_LIMIT``, raises ExponentLimitError."""
 
@@ -129,24 +133,39 @@ def independence_rank(fields: Sequence[PolyVectorField]) -> int:
 
 
 class _Brackets:
-    """Every bracket [Y_a, Y_b], a < b, of a basis, bracketed once.
+    """The brackets [Y_j, Y_i], j < i, of a basis, each bracketed once.
 
     One integer echelon (``SparseEchelon(keep_dependent=True)``) receives
     the basis fields and the brackets as packed integer vectors
     (``PolyVectorField.integer_vector``), each D times its field.
     ``sources[t]`` is ``(index, D)`` for the t-th added vector, ``index``
     being its basis index if it enlarged the span and None otherwise;
-    ``pairs[a, b]`` is the added index of [Y_a, Y_b].  A dependent bracket
+    ``pairs[j, i]`` is the added index of [Y_j, Y_i].  A dependent bracket
     keeps its elimination steps, so ``coordinates`` reads its expansion in
     the basis without a second elimination.
+
+    The pair loop runs in one fixed order and may stop early: ``next_pair``
+    is the pair it resumes at.  ``generators`` is the number of seed
+    fields, which open the basis and generate its algebra.  ``memo`` holds
+    brackets formed before the loop, keyed by the ids of their two fields;
+    each of those fields is a seed field or a bracket the memo holds, so
+    no key's id is reused while the memo lives.
     """
 
-    __slots__ = ("echelon", "sources", "pairs")
+    __slots__ = ("echelon", "sources", "pairs", "next_pair", "generators", "memo")
 
-    def __init__(self):
+    def __init__(
+        self, fields: Sequence[PolyVectorField], memo: dict[tuple[int, int], PolyVectorField] | None = None
+    ):
+        """Seeded with the independent ``fields`` that generate the algebra."""
         self.echelon = SparseEchelon(keep_dependent=True)
         self.sources: list[tuple[int | None, int]] = []
         self.pairs: dict[tuple[int, int], int] = {}
+        self.next_pair = (0, 1)
+        self.generators = len(fields)
+        self.memo = {} if memo is None else memo
+        for field in fields:
+            self.add(field)
 
     def add(self, field: PolyVectorField) -> bool:
         """Add ``field``; True if it enlarged the span, as the next basis
@@ -158,19 +177,32 @@ class _Brackets:
         return new
 
     def bracket_pairs(
-        self, fields: list[PolyVectorField], outside: Callable[[int, int, PolyVectorField], None]
+        self,
+        fields: list[PolyVectorField],
+        outside: Callable[[int, int, PolyVectorField], None],
+        full: int | None = None,
     ) -> None:
-        """Bracket every pair j < i of ``fields`` once, i ascending, as
-        [Y_j, Y_i]; ``outside(j, i, bracket)`` runs for a bracket that
-        enlarges the span and may append it to ``fields``."""
-        i = 0
-        while i < len(fields):
-            for j in range(i):
-                bracket = lie_bracket(fields[j], fields[i])
-                self.pairs[j, i] = len(self.sources)
-                if self.add(bracket):
-                    outside(j, i, bracket)
-            i += 1
+        """Bracket the pairs j < i of ``fields`` once, from ``next_pair`` on,
+        i ascending and j ascending within it, as [Y_j, Y_i];
+        ``outside(j, i, bracket)`` runs for a bracket that enlarges the
+        span and may append it to ``fields``.  Stops at the end, or as soon
+        as ``fields`` holds ``full`` fields."""
+        j, i = self.next_pair
+        memo = self.memo
+        while i < len(fields) and len(fields) != full:
+            x, y = fields[j], fields[i]
+            bracket = memo.get((id(x), id(y)))
+            if bracket is None:
+                bracket = lie_bracket(x, y)
+            self.pairs[j, i] = len(self.sources)
+            if self.add(bracket):
+                outside(j, i, bracket)
+            j += 1
+            if j == i:
+                j, i = 0, i + 1
+        self.next_pair = j, i
+        if i >= len(fields):  # every pair is bracketed: the memo is spent
+            self.memo = {}
 
     def coordinates(self, t: int) -> dict[int, Fraction]:
         """{basis index: coefficient} of the t-th added vector's field."""
@@ -199,64 +231,13 @@ def _checked_generators(generators: Sequence[PolyVectorField], cap: int) -> list
     return generators
 
 
-def closure(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CAP) -> LieBasis:
-    """Basis of the smallest Lie algebra containing the generators.
-
-    Every unordered pair of basis fields is bracketed exactly once, in a
-    fixed order, and a bracket joins the basis iff it is independent of
-    the current span; that is decided on the bracket's packed integer
-    sums, so the Fraction components of a rejected bracket are never
-    built.  The returned basis carries every bracket's expansion for
-    ``structure_constants``.  Raises CapExceeded as soon as the basis
-    would grow past ``cap``, and ExponentLimitError for exponents that do
-    not fit packed monomials.
-    """
-    generators = _checked_generators(generators, cap)
-    n = generators[0].dimension
-    brackets = _Brackets()
-    fields: list[PolyVectorField] = []
-
-    def grow(field: PolyVectorField) -> None:
-        if len(fields) == cap:
-            raise CapExceeded(cap, cap + 1)
-        fields.append(field)
-
-    for g in generators:
-        if brackets.add(g):
-            grow(g)
-    brackets.bracket_pairs(fields, lambda j, i, bracket: grow(bracket))
-    # the echelon proved the fields independent: no second rank pass
-    basis = object.__new__(LieBasis)
-    object.__setattr__(basis, "dimension", n)
-    object.__setattr__(basis, "fields", tuple(fields))
-    object.__setattr__(basis, "_brackets", brackets)
-    return basis
-
-
-def lie_dimension(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CAP) -> int:
-    """Dimension of the Lie algebra the generators generate, the number
-    ``closure(generators, cap).size`` gives, found with fewer brackets.
-
-    The independent generators G open a list of basis fields in one plain
-    integer echelon; each basis field, in order, is bracketed with the
-    generators only, and a bracket joins the list iff it enlarges the
-    span.  The i-th generator is bracketed only with the generators after
-    it, since [g_j, g_i] for j < i was formed at g_j.  That is |G| * r
-    brackets where ``closure`` takes r (r - 1) / 2.
-
-    Why the final span V is the whole algebra Lie(G): V contains G and
-    lies in Lie(G), its fields being iterated brackets of G, and
-    [g, V] is in V for every g in G.  The x in Lie(G) with [x, V] in V
-    form a subspace S that contains G, and S is closed under brackets:
-    for x, y in S and v in V, the Jacobi identity gives
-    [[x, y], v] = [x, [y, v]] - [y, [x, v]], which lies in V.  So S is a
-    subalgebra containing G, that is S = Lie(G); in particular
-    [V, V] is in V, and the subalgebra V that contains G is Lie(G).
-
-    The argument checks are those of ``closure``, and an algebra of
-    dimension above ``cap`` raises CapExceeded(cap, cap + 1) as it does.
-    """
-    generators = _checked_generators(generators, cap)
+def _ad_span(
+    generators: list[PolyVectorField], cap: int, memo: dict[tuple[int, int], PolyVectorField] | None = None
+) -> tuple[list[PolyVectorField], int]:
+    """The pass of ``lie_dimension``: ``(fields, k)``, the fields spanning
+    the generated algebra, the first k of them the independent generators.
+    Every bracket formed goes into ``memo`` if given, keyed by the ids of
+    its two fields.  Raises CapExceeded(cap, cap + 1) past the cap."""
     echelon = SparseEchelon()
     fields: list[PolyVectorField] = []
 
@@ -270,26 +251,96 @@ def lie_dimension(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOS
         admit(g)
     independent = fields[:]
     for i, field in enumerate(fields):  # grows while it is walked
-        for g in independent[i + 1 :] if i < len(independent) else independent:
-            admit(lie_bracket(g, field))
-    return len(fields)
+        for g in independent[:i]:
+            bracket = lie_bracket(g, field)
+            if memo is not None:
+                memo[id(g), id(field)] = bracket
+            admit(bracket)
+    return fields, len(independent)
+
+
+def closure(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CAP) -> LieBasis:
+    """Basis of the smallest Lie algebra containing the generators.
+
+    The ``lie_dimension`` pass runs first: it raises CapExceeded as soon as
+    the algebra would grow past ``cap``, and otherwise gives its dimension
+    d.  Then the unordered pairs of basis fields are bracketed once each,
+    in a fixed order, and a bracket joins the basis iff it is independent
+    of the current span; that is decided on the bracket's packed integer
+    sums, so the Fraction components of a rejected bracket are never
+    built.  A bracket the pass already formed is taken from it.  The pair
+    loop stops once the basis holds d fields, since no later bracket can
+    join it, so the basis is the one the full loop gives.  The returned
+    basis carries the brackets' expansions, and where the loop stopped,
+    for ``structure_constants``.  Raises ExponentLimitError for exponents
+    that do not fit packed monomials; a pair after the stop raises it in
+    ``structure_constants``.
+    """
+    generators = _checked_generators(generators, cap)
+    memo: dict[tuple[int, int], PolyVectorField] = {}
+    span, k = _ad_span(generators, cap, memo)
+    # the pass admitted the independent generators, in order, first
+    fields = span[:k]
+    brackets = _Brackets(fields, memo)
+    brackets.bracket_pairs(fields, lambda j, i, bracket: fields.append(bracket), full=len(span))
+    # the echelon proved the fields independent: no second rank pass
+    basis = object.__new__(LieBasis)
+    object.__setattr__(basis, "dimension", generators[0].dimension)
+    object.__setattr__(basis, "fields", tuple(fields))
+    object.__setattr__(basis, "_brackets", brackets)
+    return basis
+
+
+def lie_dimension(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOSURE_CAP) -> int:
+    """Dimension of the Lie algebra the generators generate, the number
+    ``closure(generators, cap).size`` gives, found with fewer brackets.
+
+    The independent generators G open a list of basis fields in one plain
+    integer echelon; each basis field, in order, is bracketed with the
+    generators only, and a bracket joins the list iff it enlarges the
+    span.  The i-th generator is bracketed only with the generators before
+    it, as [g_j, g_i] for j < i, the orientation and order of ``closure``'s
+    pair loop.  That is |G| * r - |G| (|G| + 1) / 2 brackets where the full
+    pair loop takes r (r - 1) / 2.
+
+    Why the final span V is the whole algebra Lie(G): V contains G and
+    lies in Lie(G), its fields being iterated brackets of G, and
+    [g, V] is in V for every g in G.  The x in Lie(G) with [x, V] in V
+    form a subspace S that contains G, and S is closed under brackets:
+    for x, y in S and v in V, the Jacobi identity gives
+    [[x, y], v] = [x, [y, v]] - [y, [x, v]], which lies in V.  So S is a
+    subalgebra containing G, that is S = Lie(G); in particular
+    [V, V] is in V, and the subalgebra V that contains G is Lie(G).
+
+    The argument checks are those of ``closure``, and an algebra of
+    dimension above ``cap`` raises CapExceeded(cap, cap + 1) as it does.
+    """
+    return len(_ad_span(_checked_generators(generators, cap), cap)[0])
 
 
 class StructureConstants:
     """c[a][b][g] with [Y_a, Y_b] = sum_g c[a][b][g] Y_g, exact; ``planes[a]``
     holds {(b, g): c[a][b][g]} for the nonzero entries, both orders of every
-    pair, and ``c`` is the dense view."""
+    pair, and ``c`` is the dense view.  The first ``k`` basis fields
+    generate the algebra: k is the number of independent generators that
+    open a ``closure`` basis, and r for any other table."""
 
-    __slots__ = ("r", "planes", "_dense")
+    __slots__ = ("r", "k", "planes", "_dense", "_integers")
 
-    def __init__(self, planes: Sequence[Mapping[tuple[int, int], Fraction]]):
+    def __init__(self, planes: Sequence[Mapping[tuple[int, int], Fraction]], k: int | None = None):
         r = len(planes)
         if any(b not in range(r) or g not in range(r) for plane in planes for b, g in plane):
             raise ValueError(f"structure constant indices must lie in range({r})")
+        if k is not None and k not in range(min(r, 1), r + 1):
+            raise ValueError(f"k = {k} generators do not fit {r} basis fields")
         object.__setattr__(self, "r", r)
-        planes = tuple({k: v if type(v) is Fraction else Fraction(v) for k, v in plane.items() if v} for plane in planes)
+        object.__setattr__(self, "k", r if k is None else k)
+        planes = tuple(
+            {key: v if type(v) is Fraction else Fraction(v) for key, v in plane.items() if v} for plane in planes
+        )
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "_dense", None)
+        object.__setattr__(self, "_integers", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("StructureConstants is immutable")
@@ -312,33 +363,39 @@ class StructureConstants:
 def structure_constants(basis: LieBasis) -> StructureConstants:
     """Expand every bracket of basis fields in the basis, exactly.
 
-    A basis from ``closure`` carries its brackets' expansions; any other
-    basis gets the same pair loop over an echelon seeded with its fields.
-    Raises NotClosed(alpha, beta) if some bracket escapes the span.
+    A basis from ``closure`` carries the expansions of the brackets its
+    pair loop formed before it stopped; the loop resumes where it stopped,
+    taking a bracket the ``lie_dimension`` pass formed from it.  Any other
+    basis runs the same loop from its first pair over an echelon seeded
+    with its fields.  Raises NotClosed(alpha, beta) if some bracket escapes
+    the span, which a closure basis never does, and ExponentLimitError as
+    ``closure`` does.
     """
     brackets = basis._brackets
     if brackets is None:
-        brackets = _Brackets()
-        for field in basis.fields:
-            brackets.add(field)
+        brackets = _Brackets(basis.fields)
 
-        def outside(j: int, i: int, bracket: PolyVectorField):
-            raise NotClosed(j, i)
+    def outside(j: int, i: int, bracket: PolyVectorField):
+        raise NotClosed(j, i)
 
-        brackets.bracket_pairs(list(basis.fields), outside)
+    brackets.bracket_pairs(list(basis.fields), outside)
     planes: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(basis.size)]
     for (a, b), t in brackets.pairs.items():
         for g, v in brackets.coordinates(t).items():
             planes[a][b, g] = v
             planes[b][a, g] = -v
-    return StructureConstants(planes)
+    return StructureConstants(planes, brackets.generators)
 
 
 def _integer_planes(sc: StructureConstants) -> tuple[int, list[dict[tuple[int, int], int]]]:
     """``(D, planes)``: D the lcm of every constant's denominator, and each
-    plane's nonzero entries as integer numerators over D."""
-    den = lcm(1, *(v.denominator for plane in sc.planes for v in plane.values()))
-    return den, [{k: v.numerator * (den // v.denominator) for k, v in plane.items()} for plane in sc.planes]
+    plane's nonzero entries as integer numerators over D; computed once
+    per table."""
+    if sc._integers is None:
+        den = lcm(1, *(v.denominator for plane in sc.planes for v in plane.values()))
+        planes = [{k: v.numerator * (den // v.denominator) for k, v in plane.items()} for plane in sc.planes]
+        object.__setattr__(sc, "_integers", (den, planes))
+    return sc._integers
 
 
 def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
@@ -371,15 +428,19 @@ def killing_determinant(sc: StructureConstants) -> Fraction:
 
 
 def center_dimension(sc: StructureConstants) -> int:
-    """Dimension of {v : [v, Y_b] = 0 for all b} via an exact nullspace:
-    r minus the rank of the rows (b, g), each {a: c[a][b][g]} over its
-    nonzero entries only, as integer numerators over the table's common
-    denominator (which leaves the rank as it is).  Equal rows are
-    eliminated once."""
+    """Dimension of {v : [v, Y_b] = 0 for every b < k} via an exact
+    nullspace: r minus the rank of the rows (b, g), b < k, each
+    {a: c[a][b][g]} over its nonzero entries only, as integer numerators
+    over the table's common denominator (which leaves the rank as it is).
+    That is the center: the centralizer of v is a subalgebra, by the
+    Jacobi identity, so it is the whole algebra once it holds the k
+    generators.  Equal rows are eliminated once."""
+    k = sc.k
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for a, plane in enumerate(_integer_planes(sc)[1]):
         for key, v in plane.items():
-            rows.setdefault(key, {})[a] = v
+            if key[0] < k:
+                rows.setdefault(key, {})[a] = v
     distinct = {tuple(row.items()): row for row in rows.values()}
     return sc.r - sparse_rank(list(distinct.values()))
 

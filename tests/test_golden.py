@@ -53,6 +53,18 @@ def test_closure_golden_of_scaled_member5(capsys):
     assert capsys.readouterr().out == (GOLDEN / "closure_member5_scaled.json").read_text()
 
 
+def test_closure_golden_of_conjugated_gl6(capsys):
+    """gl(6) from its 7 generators, conjugated by a matrix of determinant 2:
+    closure's pair loop stops before its last pair, and
+    structure_constants brackets the rest."""
+    data = pathlib.Path(__file__).parent / "data" / "closure_gl6_conjugated_generators.json"
+    assert main(["closure", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "closure_gl6_conjugated.json").read_text()
+    doc = json.loads(out)
+    assert (doc["dimension"], doc["killing_determinant"], doc["center_dimension"]) == (36, "0", 1)
+
+
 def test_closure_golden_of_pinney_generators(capsys):
     """The Milne-Pinney fields at c = 2, (x1, 2 x0^-3) and (0, -x0), close to
     sl(2): [X0, X1] = X2, [X0, X2] = 2 X0, [X1, X2] = -2 X1."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from liesuper.algebra import Poly
 from liesuper.liealg import (
+    DEFAULT_CLOSURE_CAP,
     CapExceeded,
     LieBasis,
     NotClosed,
@@ -26,8 +27,9 @@ from liesuper.liealg import (
 )
 from liesuper.hierarchy import linear_generators, member_lie_generators
 from liesuper.parsing import parse_poly
-from liesuper.vectorfield import PolyVectorField, lie_bracket
+from liesuper.vectorfield import ExponentLimitError, PolyVectorField, lie_bracket
 from liesuper.verify import random_field
+from reference_closure import full_pair_closure
 
 
 def VF(*components: str) -> PolyVectorField:
@@ -149,6 +151,11 @@ class TestStructureConstants:
         for bad in ({(2, 0): 1}, {(0, -1): 1}):
             with pytest.raises(ValueError):
                 StructureConstants([bad, {}])
+        # k, the number of generators that open the basis, is r by default
+        assert sc.k == 2 and StructureConstants(sc.planes, 1).k == 1 and StructureConstants([]).k == 0
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="do not fit"):
+                StructureConstants(sc.planes, k)
 
     def test_sparse_readers_never_build_the_dense_view(self, monkeypatch, tmp_path, capsys):
         from liesuper.cli import main
@@ -253,9 +260,21 @@ class TestBracketOnce:
         sc = structure_constants(closure([VF("1", "0"), VF("0", "1"), VF("2", "-3")]))
         assert sc.r == 2 and sc.planes == ({}, {})
 
-    def test_structure_constants_of_a_closure_bracket_nothing(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "gens, pass_calls, closure_calls, constants_calls",
+        [
+            (linear_generators(4), 65, 86, 34),
+            ([f * Fraction(2, 3) for f in member_lie_generators(3)], 22, 23, 5),
+        ],
+    )
+    def test_closure_and_its_constants_bracket_each_pair_once(
+        self, monkeypatch, gens, pass_calls, closure_calls, constants_calls
+    ):
+        # closure forms the lie_dimension pass's brackets, then only the
+        # pairs its loop takes from no memo, up to the pair that fills the
+        # basis; structure_constants brackets the pairs after it.  With
+        # every pass bracket reused, that is r (r - 1) / 2 in all.
         from liesuper import liealg
-        from liesuper.hierarchy import member_lie_generators
 
         calls = []
 
@@ -264,11 +283,17 @@ class TestBracketOnce:
             return lie_bracket(x, y)
 
         monkeypatch.setattr(liealg, "lie_bracket", counted)
-        basis = closure([f * Fraction(2, 3) for f in member_lie_generators(3)])
+        assert lie_dimension(gens) and len(calls) == pass_calls
+        calls.clear()
+        basis = closure(gens)
         r = basis.size
-        assert len(calls) == r * (r - 1) // 2
+        assert len(calls) == closure_calls
         sc = structure_constants(basis)
+        assert len(calls) - closure_calls == constants_calls
+        assert closure_calls + constants_calls == r * (r - 1) // 2
+        assert structure_constants(basis).planes == sc.planes
         assert len(calls) == r * (r - 1) // 2
+        # a hand-built basis runs the same loop from its first pair
         assert sc.planes == structure_constants(LieBasis(basis.fields)).planes
         assert len(calls) == r * (r - 1)
 
@@ -375,17 +400,24 @@ class TestLieDimension:
 
     def test_brackets_each_basis_field_with_the_generators_only(self, monkeypatch):
         # gl(4) from its 5 generators: 16 basis fields, 5 * 16 brackets less
-        # the 5 * 6 / 2 generator pairs (j <= i) not formed, where closure
-        # forms 16 * 15 / 2
+        # the 5 * 6 / 2 generator pairs (j >= i) not formed, where the full
+        # pair loop forms 16 * 15 / 2 = 120; closure forms these 65 and 21
+        # more, its pair loop stopping once it holds 16 fields
         from liesuper import liealg
 
         calls = []
-        monkeypatch.setattr(liealg, "lie_bracket", lambda x, y: calls.append(1) or lie_bracket(x, y))
-        assert lie_dimension(linear_generators(4)) == 16
+        monkeypatch.setattr(liealg, "lie_bracket", lambda x, y: calls.append((x, y)) or lie_bracket(x, y))
+        gens = linear_generators(4)
+        assert lie_dimension(gens) == 16
         assert len(calls) == 5 * 16 - 15
+        # the generator block in closure's order: [g_j, g_i], j < i
+        ids = [id(g) for g in gens]
+        assert [(ids.index(id(x)), ids.index(id(y))) for x, y in calls[:10]] == [
+            (j, i) for i in range(5) for j in range(i)
+        ]
         calls.clear()
-        closure(linear_generators(4))
-        assert len(calls) == 16 * 15 // 2
+        closure(gens)
+        assert len(calls) == 86
 
     @pytest.mark.parametrize(
         "gens, cap, message",
@@ -399,6 +431,106 @@ class TestLieDimension:
         for fn in (closure, lie_dimension):
             with pytest.raises(ValueError, match=message):
                 fn(gens, cap)
+
+
+@st.composite
+def small_generators(draw):
+    """Two or three fields on the line or the plane, each component one or
+    two terms with exponents in 0..2, or -2..2 for Laurent fields: mostly
+    infinite closures, so that every cap is reached."""
+    n = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(draw(st.sampled_from([0, -2])), 2)] * n)
+    terms = st.dictionaries(exponents, st.integers(-2, 2), min_size=1, max_size=2)
+    return [PolyVectorField([Poly(n, draw(terms)) for _ in range(n)]) for _ in range(draw(st.integers(2, 3)))]
+
+
+@st.composite
+def conjugated_gl(draw):
+    s = draw(st.integers(2, 3))
+    a = draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=s, max_size=s), min_size=s, max_size=s).filter(
+            lambda m: sympy.Matrix(m).det() != 0
+        )
+    )
+    return conjugated_linear(linear_generators(s), a)
+
+
+def closure_outcome(fn, gens, cap):
+    """The fields, planes, Killing determinant and center of ``fn(gens,
+    cap)``, or its CapExceeded."""
+    try:
+        fields, sc = fn(gens, cap)
+    except CapExceeded as exc:
+        return "cap", exc.cap, exc.dimension
+    return list(fields), sc.planes, killing_determinant(sc), center_dimension(sc)
+
+
+def closure_and_constants(gens, cap):
+    basis = closure(gens, cap)
+    return basis.fields, structure_constants(basis)
+
+
+class TestAgainstFullPairClosure:
+    """``closure`` stops its pair loop at the dimension the pass found and
+    ``structure_constants`` finishes it; the full pair loop of
+    ``reference_closure`` must give the same answer at every cap."""
+
+    def check(self, gens, caps):
+        for cap in caps:
+            assert closure_outcome(closure_and_constants, gens, cap) == closure_outcome(full_pair_closure, gens, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_generators())
+    def test_random_polynomial_and_laurent_generators(self, gens):
+        self.check(gens, range(1, 9))
+
+    @settings(max_examples=20, deadline=None)
+    @given(finite_families())
+    def test_finite_families(self, gens):
+        r = closure(gens).size
+        self.check(gens, range(1, r + 2))
+
+    @settings(max_examples=10, deadline=None)
+    @given(conjugated_gl())
+    def test_conjugated_gl(self, gens):
+        s = gens[0].dimension
+        self.check(gens, [1, s, s * s - 1, s * s])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(finite_families(), conjugated_gl()))
+    def test_center_from_the_generator_rows_equals_the_center_from_all_rows(self, gens):
+        sc = structure_constants(closure(gens))
+        assert sc.k == independence_rank(gens)
+        assert center_dimension(sc) == center_dimension(StructureConstants(sc.planes))
+
+    def test_cap_and_exponent_limit_compete_in_closure_order(self):
+        # d/dx and x^N d/dx, N = 2^31 + 1: [g0, g1] and [g0, [g0, g1]] join
+        # the basis as its third and fourth fields, then [g1, [g0, g1]]
+        # overflows (N + N - 1 > EXPONENT_LIMIT), in closure's order and in
+        # the full pair loop's
+        gens = [VF("1"), VF(f"x0^{2**31 + 1}")]
+        for fn in (closure_and_constants, full_pair_closure):
+            assert closure_outcome(fn, gens, 2) == ("cap", 2, 3)
+            assert closure_outcome(fn, gens, 3) == ("cap", 3, 4)
+            for cap in (4, DEFAULT_CLOSURE_CAP):
+                with pytest.raises(ExponentLimitError, match="4294967297 is above"):
+                    fn(gens, cap)
+        assert dimension_or_cap(lie_dimension, gens, 3) == ("cap", 3, 4)
+        with pytest.raises(ExponentLimitError):
+            lie_dimension(gens, 4)
+
+    def test_a_pair_past_the_exponent_limit_after_the_stop_raises_in_structure_constants(self):
+        # M = 2^30 + 1: the pass forms [g, Y] for every generator g, 3 M at
+        # most, and finds dimension 5; the brackets x0^(2M) d/dx2 and
+        # x0^(2M) d/dx3 pair to 4 M, past the limit, after the stop
+        m = 2**30 + 1
+        gens = [VF("0", f"x0^{m}", "0", "0"), VF("0", "0", f"x1*x0^{m}", "0"), VF("0", "0", "0", f"x1*x0^{m}")]
+        assert lie_dimension(gens) == 5
+        basis = closure(gens)
+        assert basis.size == 5
+        for fn in (structure_constants, lambda basis: full_pair_closure(gens, DEFAULT_CLOSURE_CAP)):
+            with pytest.raises(ExponentLimitError, match="4294967300 is above"):
+                fn(basis)
 
 
 class TestKillingForm:
@@ -452,8 +584,10 @@ class TestCenter:
     @settings(max_examples=60, deadline=None)
     @given(antisymmetric_tables())
     def test_matches_sympy_nullspace_on_random_tables(self, sc):
-        # the center is the nullspace of the rows (b, g) with entries c[a][b][g]
+        # the center is the nullspace of the rows (b, g) with entries c[a][b][g];
+        # a table built by hand reads every row
         r = sc.r
+        assert sc.k == r
         rows = [[sympy.Rational(str(sc.c[a][b][g])) for a in range(r)] for b in range(r) for g in range(r)]
         assert center_dimension(sc) == len(sympy.Matrix(rows).nullspace())
 

@@ -48,6 +48,14 @@ DRIFT = {
 DEEP = "(" * 3000 + "t" + ")" * 3000  # deeper than the recursion limit
 
 BIG_EXPONENTS = {"dim": 1, "fields": [["x0^3000000000"], ["x0^2000000000"]]}
+# M = 2^30 + 1: every bracket the closure needs fits, 3 M included, but its
+# fields x0^(2M) d/dx2 and x0^(2M) d/dx3, both brackets, pair to 4 M, past
+# the limit, after the closure's pair loop has stopped at dimension 5
+M = 2**30 + 1
+LATE_BIG_EXPONENTS = {
+    "dim": 4,
+    "fields": [["0", f"x0^{M}", "0", "0"], ["0", "0", f"x1*x0^{M}", "0"], ["0", "0", "0", f"x1*x0^{M}"]],
+}
 
 # (command, document, the path the error must name, extra arguments...)
 CRASH_INPUTS = {
@@ -161,6 +169,13 @@ def test_exponent_limit_in_a_suite_item_is_its_measured_error():
     assert report["items"][0]["pass"] is True
     assert report["items"][1]["pass"] is False
     assert report["items"][1]["measured"]["error"].startswith("items[1]: exponent 5000000000 is above the packed")
+
+
+def test_exponent_limit_of_a_late_pair_names_the_limit():
+    # structure_constants forms that pair, not closure; the message is the same
+    code, out, err = run_cli("closure", LATE_BIG_EXPONENTS)
+    assert (code, out) == (1, "")
+    assert err == "error: generators: exponent 4294967300 is above the packed monomial limit 4294967295 (2^32 - 1)\n"
 
 
 def test_high_exponents_below_the_limit_still_reach_the_cap():

@@ -9,7 +9,7 @@ catalog of (mixed) superposition rule evaluators, and a verification
 harness that checks every cataloged formula against direct integration.
 """
 
-from .algebra import Poly, Rational
+from .algebra import Poly
 from .hierarchy import (
     companion_linear_system,
     gl_basis,

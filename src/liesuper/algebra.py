@@ -7,18 +7,18 @@ exponent tuples (one entry per variable) to coefficients.  The zero
 polynomial stores no terms.  All arithmetic prunes zero coefficients, so
 two polynomials are equal iff their term maps are.  An exponent may be
 negative (a Laurent polynomial, such as the c/x^3 of the Pinney
-equation): +, -, * and partial derivatives stay exact, ``evaluate``
+equation): +, -, * and derivatives stay exact, ``evaluate``
 raises ZeroDivisionError at a zero coordinate of such a term, and
 ``to_text`` writes ``x0^-3``, which ``parsing.parse_poly`` reads back.
 The differential polynomials of the Riccati hierarchy are ``Poly``s on
 jet variables y0, y1, ... (and coefficient symbols b0, b1, ... in the
 member's text); the total derivative is the field
-``vectorfield.PolyVectorField.derivative`` of the jet shift.
+``vectorfield.PolyVectorField.derivative`` of the jet shift, and a
+partial derivative df/dx_j is the derivative along the unit field e_j.
 
 Rational numbers are ``fractions.Fraction`` throughout: arbitrary
 precision, automatically reduced to lowest terms, denominator always
-positive, zero normalized to 0/1.  ``Rational`` is exported as an alias so
-call sites can say what they mean.
+positive, zero normalized to 0/1.
 
 Canonical text renderings (``to_text``) sort terms deterministically and
 write ``*`` and ``^`` explicitly; they are the single source of truth for
@@ -30,8 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -156,14 +154,6 @@ class Poly:
     def monomial(cls, arity: int, exps: Sequence[int], coeff: Scalar = 1) -> Poly:
         return cls(arity, {tuple(exps): Fraction(coeff)})
 
-    # -- predicates --------------------------------------------------------
-
-    def total_degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_arity(self, other: Poly) -> None:
@@ -246,19 +236,6 @@ class Poly:
 
     # -- calculus and evaluation --------------------------------------------
 
-    def partial(self, var_index: int) -> Poly:
-        if not 0 <= var_index < self.arity:
-            raise IndexError(f"variable index {var_index} out of range for arity {self.arity}")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[var_index]
-            if e == 0:
-                continue
-            key = list(exps)
-            key[var_index] = e - 1
-            out[tuple(key)] = c * e
-        return Poly._from_clean(self.arity, out)
-
     def evaluate(self, point: Sequence):
         """Evaluate at a point; exact on Fractions, float on floats."""
         if len(point) != self.arity:
@@ -298,13 +275,11 @@ class Poly:
 
     # -- rendering ----------------------------------------------------------
 
-    def to_text(self, names: Sequence[str] | None = None) -> str:
-        """Canonical text: graded-lex ordering (total degree, then exponents,
-        both descending), explicit '*' and '^'."""
-        if names is None:
-            names = [f"x{i}" for i in range(self.arity)]
+    def to_text(self) -> str:
+        """Canonical text in x0..x{n-1}: graded-lex ordering (total degree,
+        then exponents, both descending), explicit '*' and '^'."""
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        return _terms_text(items, names)
+        return _terms_text(items, [f"x{i}" for i in range(self.arity)])
 
     def __repr__(self) -> str:
         return f"Poly({self.arity}, {self.to_text()!r})"

@@ -10,14 +10,17 @@ outcome rather than an exception: a trajectory ends either 'completed'
 or 'singular' with an event recording the estimated time and trigger
 
     state-overflow   |state|_inf crossed the blow-up threshold OVERFLOW
-    step-underflow   the adaptive step fell below the minimum
+    step-underflow   the adaptive step fell below MIN_STEP
     rhs-error        the right-hand side failed to evaluate (e.g. 1/0),
                      or an RK4 step made a nan state
-    max-steps        the step budget ran out
+    max-steps        the budget of STEP_LIMIT steps (RK4) or step attempts
+                     (RKF45) ran out
 
-The returned grid is the accepted steps; there is no dense interpolation.
-A span must have t0 < t1 and a finite length.  ``integration_settings``
-checks a span and the settings of an ``IntegratorConfig`` together, RK4's
+A trajectory completed iff it has no event.  The returned grid is the
+accepted steps; there is no dense interpolation.  A span must have
+t0 < t1 and a finite length.  An ``IntegratorConfig`` holds the settings
+a caller chooses, the method, RK4's step and RKF45's rtol and atol;
+``integration_settings`` checks a span and those settings together, RK4's
 step count included, with one ValueError that names the setting; suites
 and ``liesuper integrate`` both use it.
 
@@ -69,6 +72,8 @@ MAX_STEPS = "max-steps"
 
 METHODS = ("rkf45", "rk4")  # the default first
 OVERFLOW = 1e8  # the blow-up threshold of |state|_inf
+MIN_STEP = 1e-12  # the smallest RKF45 step, and its first step's floor
+STEP_LIMIT = 500_000  # the most RK4 steps, or RKF45 step attempts, of a trajectory
 
 
 class RHS(Protocol):
@@ -88,8 +93,6 @@ class IntegratorConfig:
     step: float | None = None  # required for rk4
     rtol: float = 1e-10
     atol: float = 1e-12
-    min_step: float = 1e-12
-    max_steps: int = 500_000
 
     def __post_init__(self):
         # every message starts with the name of the offending setting
@@ -98,14 +101,12 @@ class IntegratorConfig:
         if self.method == "rk4" and self.step is None:
             raise ValueError("step is required by rk4")
         # NaN and inf pass a plain `<= 0` test and would switch step control off
-        for name in ("step", "rtol", "atol", "min_step"):
+        for name in ("step", "rtol", "atol"):
             value = getattr(self, name)
             if value is None and name == "step":
                 continue
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -129,15 +130,8 @@ class Trajectory:
         return self.event is None
 
     @property
-    def status(self) -> str:
-        return "completed" if self.event is None else "singular"
-
-    @property
     def dimension(self) -> int:
         return self.states.shape[1]
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 # Fehlberg 4(5) tableau
@@ -218,7 +212,8 @@ def _initial_state(rhs: RHS, x0: Sequence[float]) -> list[float]:
 
 
 def integrate(rhs: RHS, x0: Sequence[float], tspan: tuple[float, float], cfg: IntegratorConfig) -> Trajectory:
-    """Integrate from tspan[0] to tspan[1]; failures land in the status."""
+    """Integrate from tspan[0] to tspan[1]; a failure ends the trajectory
+    with its event."""
     t0, t1 = _checked_span(tspan)
     y0 = _initial_state(rhs, x0)
     if cfg.method == "rk4":
@@ -229,8 +224,8 @@ def integrate(rhs: RHS, x0: Sequence[float], tspan: tuple[float, float], cfg: In
 def integrate_batch(
     rhs: RHS, x0s: Sequence[Sequence[float]], tspan: tuple[float, float], cfg: IntegratorConfig
 ) -> list[Trajectory]:
-    """One trajectory per initial state, each with the status and event
-    ``integrate`` gives it; two or more states run in lockstep."""
+    """One trajectory per initial state, each with the event ``integrate``
+    gives it; two or more states run in lockstep."""
     t0, t1 = _checked_span(tspan)
     y0s = [_initial_state(rhs, x0) for x0 in x0s]
     if len(y0s) < 2:
@@ -250,10 +245,10 @@ def rk4_step_count(t0: float, t1: float, step: float) -> int:
 
 
 def _rk4_grid(t0: float, t1: float, cfg: IntegratorConfig) -> tuple[list[float], SingularityEvent | None]:
-    """The nodes of the uniform grid that at most ``cfg.max_steps`` steps
+    """The nodes of the uniform grid that at most ``STEP_LIMIT`` steps
     reach, and the max-steps event when they end short of t1."""
     n_steps = rk4_step_count(t0, t1, cfg.step)
-    steps = min(n_steps, cfg.max_steps)
+    steps = min(n_steps, STEP_LIMIT)
     grid = [t0] + [t1 if i == n_steps - 1 else t0 + (i + 1) * (t1 - t0) / n_steps for i in range(steps)]
     return grid, SingularityEvent(grid[-1], MAX_STEPS) if steps < n_steps else None
 
@@ -427,7 +422,7 @@ class _Rkf45Row:
     __slots__ = ("t", "h", "y", "t1", "cfg", "attempts", "reaches_end", "times", "states", "meta", "event")
 
     def __init__(self, y0: list[float], t0: float, t1: float, cfg: IntegratorConfig):
-        self.h = max((t1 - t0) / 100.0, cfg.min_step)
+        self.h = max((t1 - t0) / 100.0, MIN_STEP)
         self.t, self.y, self.t1, self.cfg = t0, y0, t1, cfg
         self.attempts = 0
         self.reaches_end = False
@@ -441,7 +436,7 @@ class _Rkf45Row:
         trajectory has ended."""
         if self.event is not None or not self.t < self.t1:
             return False
-        if self.attempts >= self.cfg.max_steps:
+        if self.attempts >= STEP_LIMIT:
             self.event = SingularityEvent(self.t, MAX_STEPS)
             return False
         self.attempts += 1
@@ -452,11 +447,10 @@ class _Rkf45Row:
     def finish(self, attempt: tuple | None) -> bool:
         """Apply an attempt's ``(y5, err, max |y5|)``, or None when a stage
         failed; True when the step was accepted."""
-        cfg = self.cfg
         if attempt is None:
             # a failing stage may just mean the step reached too far
             self.h *= 0.5
-            if self.h < cfg.min_step:
+            if self.h < MIN_STEP:
                 self.event = SingularityEvent(self.t, RHS_ERROR)
             return False
         y5, err, peak = attempt
@@ -475,7 +469,7 @@ class _Rkf45Row:
             self.meta["rejected"] += 1
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         self.h = self.h * factor
-        if self.h < cfg.min_step and self.t < self.t1:
+        if self.h < MIN_STEP and self.t < self.t1:
             self.event = SingularityEvent(self.t, STEP_UNDERFLOW)
         return accepted
 

@@ -8,11 +8,14 @@ included), never by sampling, so a finite answer is a proof and a
 ``CapExceeded`` is a certificate that the generated algebra has dimension
 above the cap.
 
-Each pair of basis fields is bracketed at most once.  ``closure`` adds
-every bracket to one integer echelon as its packed integer sums, so the
-Fraction components of a rejected bracket are never built, and the basis
-it returns carries the table of its brackets: an admitted one is a basis
-element, a rejected one keeps the elimination steps that expressed it.
+Each pair of basis fields is bracketed at most once, and a bracket is
+reduced in an integer echelon as its packed integer sums, so the
+Fraction components of a rejected bracket are never built.  ``closure``
+reduces in two echelons: its ``lie_dimension`` pass reduces each bracket
+it forms in a plain echelon, and its pair loop reduces every bracket
+again, taking the pass's from a memo, in the echelon of the table that
+the returned basis carries: an admitted bracket is a basis element, a
+rejected one keeps the elimination steps that expressed it.
 
 The generators do most of the work (de Graaf, *Lie Algebras: Theory and
 Algorithms*).  ``lie_dimension`` brackets each basis field with the
@@ -77,10 +80,11 @@ class NotClosed(Exception):
 
 class LieBasis:
     """A linearly independent list of polynomial fields on a common space.
-    A basis made by ``closure`` also carries its pair loop (``_brackets``),
-    which ``structure_constants`` finishes and reads.
-    Independence is decided on packed monomials, so a field with an
-    exponent e, |e| > ``EXPONENT_LIMIT``, raises ExponentLimitError."""
+    An empty list, such as the closure of zero fields, needs the explicit
+    ambient ``dimension``.  A basis made by ``closure`` also carries its
+    pair loop (``_brackets``), which ``structure_constants`` finishes and
+    reads.  Independence is decided on packed monomials, so a field with
+    an exponent e, |e| > ``EXPONENT_LIMIT``, raises ExponentLimitError."""
 
     __slots__ = ("dimension", "fields", "_brackets")
 
@@ -109,12 +113,6 @@ class LieBasis:
     @property
     def size(self) -> int:
         return len(self.fields)
-
-    def __len__(self) -> int:
-        return len(self.fields)
-
-    def __iter__(self):
-        return iter(self.fields)
 
 
 def independence_rank(fields: Sequence[PolyVectorField]) -> int:
@@ -446,7 +444,8 @@ def center_dimension(sc: StructureConstants) -> int:
 
 
 def is_modular_basis(basis: LieBasis, samples: int = 20, seed: int = 0) -> bool:
-    """True iff the fields are linearly independent at some sampled point.
+    """True iff the fields are linearly independent at some sampled point;
+    an empty basis is.
 
     Pointwise rank is lower-semicontinuous, so a single full-rank witness
     certifies genericity; several seeded rational points (coordinates in
@@ -456,8 +455,6 @@ def is_modular_basis(basis: LieBasis, samples: int = 20, seed: int = 0) -> bool:
     if samples < 1:
         raise ValueError("samples must be at least 1")
     r = basis.size
-    if r == 0:
-        return True
     n = basis.dimension
     if r > n:
         return False

@@ -188,10 +188,11 @@ def generator_fields(doc: dict) -> list[PolyVectorField]:
     return [_poly_field(comps, doc["dim"]) for comps in doc["fields"]]
 
 
-def parse_generators(doc, path: str = "generators") -> list[PolyVectorField]:
-    """Validate a ``{dim, fields}`` generators document and return its fields."""
+def parse_generators(doc) -> list[PolyVectorField]:
+    """Validate a ``{dim, fields}`` generators document and return its
+    fields; each error's path starts at ``generators``."""
     errors: list[str] = []
-    checked = check_keys(GENERATOR_KEYS, doc, path, errors)
+    checked = check_keys(GENERATOR_KEYS, doc, "generators", errors)
     if errors:
         raise SpecError("; ".join(errors))
     return generator_fields(checked)

@@ -142,10 +142,6 @@ class PolyVectorField:
             object.__setattr__(self, "_components", comps)
         return comps
 
-    @classmethod
-    def zero(cls, dimension: int) -> PolyVectorField:
-        return cls([Poly.zero(dimension)] * dimension)
-
     def __add__(self, other: PolyVectorField) -> PolyVectorField:
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
@@ -258,8 +254,8 @@ class PolyVectorField:
             object.__setattr__(self, "_integer", form)
         return form
 
-    def to_text(self, names: Sequence[str] | None = None) -> str:
-        comps = ", ".join(p.to_text(names) for p in self.components)
+    def to_text(self) -> str:
+        comps = ", ".join(p.to_text() for p in self.components)
         return f"({comps})"
 
     def __repr__(self) -> str:

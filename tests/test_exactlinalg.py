@@ -249,7 +249,7 @@ def test_conjugated_gl3_structure_constants(a):
             assert all(c[x][y][g] == -c[y][x][g] for g in range(r))
     for x in range(r):
         for y in range(x + 1, r):
-            rebuilt = PolyVectorField.zero(3)
+            rebuilt = PolyVectorField([Poly.zero(3)] * 3)
             for g in range(r):
                 if c[x][y][g]:
                     rebuilt = rebuilt + basis.fields[g] * c[x][y][g]

@@ -101,6 +101,27 @@ def test_pinney_integrate_golden(method, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"pinney_integrate_{method}.csv").read_text()
 
 
+def test_custom_td_laurent_integrate_golden(capsys):
+    """A custom_td spec with a Laurent term and a time coefficient, the
+    Pinney equation written out term by term, integrated under RKF45."""
+    data = pathlib.Path(__file__).parent / "data" / "custom_td_laurent.json"
+    assert main(["integrate", str(data), "--x0", "1.0,0.5", "--tspan", "0", "2"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "custom_td_laurent_integrate_rkf45.csv").read_text()
+
+
+# the text ``liesuper report`` prints for a verify report and a closure report
+REPORT_GOLDENS = {
+    "verify_default_suite.json": "report_verify_default_suite.txt",
+    "closure_gl3.json": "report_closure_gl3.txt",
+}
+
+
+@pytest.mark.parametrize("source", sorted(REPORT_GOLDENS))
+def test_report_text_golden(source, capsys):
+    assert main(["report", str(GOLDEN / source)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / REPORT_GOLDENS[source]).read_text()
+
+
 # the reports of the suites whose rule trials run in lockstep on bound
 # kernels: RK4 trials on their shared grid, and RKF45 trials at per-row
 # times; the hierarchy suite also pins the compiled P sums and the order-4

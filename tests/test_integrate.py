@@ -25,6 +25,10 @@ from liesuper.verify import build_rule_setup
 from liesuper.vectorfield import PolyVectorField, TDVectorField, direct_product
 from reference_systems import FunctionRHS
 
+# the module, whose step floor and step budget the tests patch (the
+# package's name ``integrate`` is the function)
+INTEGRATE = sys.modules["liesuper.integrate"]
+
 
 def decay_free(t, y):
     return [0.0]
@@ -49,12 +53,12 @@ class TestIntegrate:
     def test_exponential_growth(self):
         cfg = IntegratorConfig(rtol=1e-10)
         traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), cfg)
-        assert abs(traj.final_state()[0] - math.e) <= 1e-8
+        assert abs(traj.states[-1][0] - math.e) <= 1e-8
 
     def test_blow_up_detection(self):
         cfg = IntegratorConfig(rtol=1e-10)
         traj = integrate(FunctionRHS(1, riccati_blowup), [0.0], (0.0, 1.6), cfg)
-        assert traj.status == "singular"
+        assert not traj.completed
         assert traj.event.trigger == "state-overflow"
         assert 1.45 < traj.event.time < 1.58
         # the stored states are the last valid ones
@@ -87,14 +91,14 @@ class TestIntegrate:
             return [1.0]
 
         traj = integrate(FunctionRHS(1, bad), [0.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=0.01))
-        assert traj.status == "singular"
+        assert not traj.completed
         assert traj.event.trigger == "rhs-error"
         assert traj.event.time <= 0.51
 
-    def test_max_steps_status(self):
-        cfg = IntegratorConfig(max_steps=5)
-        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), cfg)
-        assert traj.status == "singular"
+    def test_max_steps_status(self, monkeypatch):
+        monkeypatch.setattr(INTEGRATE, "STEP_LIMIT", 5)
+        traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig())
+        assert not traj.completed
         assert traj.event.trigger == "max-steps"
 
 
@@ -103,7 +107,7 @@ class TestRk4:
         errors = []
         for h in (0.02, 0.01):
             traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), IntegratorConfig(method="rk4", step=h))
-            errors.append(abs(traj.final_state()[0] - math.e))
+            errors.append(abs(traj.states[-1][0] - math.e))
         ratio = errors[0] / errors[1]
         assert 12.0 <= ratio <= 20.0
 
@@ -112,22 +116,24 @@ class TestRk4:
         steps = np.diff(traj.times)
         assert steps == pytest.approx(np.full(100, 1e-2))
 
-    def test_max_steps_ends_the_trajectory(self):
+    def test_max_steps_ends_the_trajectory(self, monkeypatch):
         # ten of the hundred steps the span needs, alone and in lockstep,
         # end with the event rkf45 meets under the same budget
-        cfg = IntegratorConfig(method="rk4", step=0.01, max_steps=10)
+        monkeypatch.setattr(INTEGRATE, "STEP_LIMIT", 10)
+        cfg = IntegratorConfig(method="rk4", step=0.01)
         rhs = FunctionRHS(1, growth)
         batch = assert_rows_match(rhs, [[1.0], [2.0], [3.0]], (0.0, 1.0), cfg)
         for traj in [integrate(rhs, [1.0], (0.0, 1.0), cfg)] + batch:
-            assert (traj.status, traj.event.trigger, traj.meta["steps"]) == ("singular", "max-steps", 10)
+            assert (traj.event.trigger, traj.meta["steps"]) == ("max-steps", 10)
             assert traj.event.time == traj.times[-1] == pytest.approx(0.1)
             assert len(traj.states) == 11
-        rkf45 = integrate(rhs, [1.0], (0.0, 1.0), IntegratorConfig(max_steps=10))
-        assert (rkf45.status, rkf45.event.trigger) == ("singular", "max-steps")
+        rkf45 = integrate(rhs, [1.0], (0.0, 1.0), IntegratorConfig())
+        assert rkf45.event.trigger == "max-steps"
 
-    def test_max_steps_bounds_the_grid(self):
+    def test_max_steps_bounds_the_grid(self, monkeypatch):
         # the span holds a billion steps; only the first ten are built
-        cfg = IntegratorConfig(method="rk4", step=1e-9, max_steps=10)
+        monkeypatch.setattr(INTEGRATE, "STEP_LIMIT", 10)
+        cfg = IntegratorConfig(method="rk4", step=1e-9)
         rhs = FunctionRHS(1, growth)
         for traj in [integrate(rhs, [1.0], (0.0, 1.0), cfg)] + integrate_batch(rhs, [[1.0], [2.0]], (0.0, 1.0), cfg):
             assert traj.times == pytest.approx(np.arange(11) * 1e-9, rel=1e-12, abs=0.0)
@@ -139,7 +145,7 @@ class TestRk4:
 
     def test_settings_must_be_finite(self):
         # a NaN or infinite tolerance would switch step control off
-        for name in ("step", "rtol", "atol", "min_step"):
+        for name in ("step", "rtol", "atol"):
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^{name} must be a finite positive number"):
                     IntegratorConfig(method="rk4", **{"step": 0.1, name: value})
@@ -159,12 +165,12 @@ def pinney_start_is_finite(x: float) -> bool:
 
 def assert_rows_match(rhs, x0s, tspan, cfg):
     """Each row of the batch ends as ``integrate`` ends it alone: the same
-    status, event and step counts, and the bytes of its times and states."""
+    event and step counts, and the bytes of its times and states."""
     batch = integrate_batch(rhs, x0s, tspan, cfg)
     assert len(batch) == len(x0s)
     for got, x0 in zip(batch, x0s):
         want = integrate(rhs, x0, tspan, cfg)
-        assert (got.status, got.event, got.meta) == (want.status, want.event, want.meta)
+        assert (got.event, got.meta) == (want.event, want.meta)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
     return batch
@@ -224,7 +230,7 @@ class TestIntegrateBatch:
         joint = direct_product([PINNEY, osc, osc])
         x0s = [[1.0, 0.1, 1.0, 0.0, 0.0, 1.0], [1.3, -0.2, 0.5, 0.5, -1.0, 0.2], [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]]
         batch = assert_rows_match(joint, x0s, (0.0, 1.0), RK4)
-        assert [traj.status for traj in batch] == ["completed", "completed", "singular"]
+        assert [traj.completed for traj in batch] == [True, True, False]
 
     def test_rows_leaving_at_different_steps_end_bit_identical(self):
         # Row 4's first stage lands on x = 0.005 - 0.005 * 1.0 = 0 exactly,
@@ -320,7 +326,7 @@ class TestLockstepBlocks:
                 for column, got in zip(x0s.tolist(), out.T.tolist()):
                     assert got == rhs.evaluate(0.3, column)
             batch = integrate_batch(rhs, x0s.tolist(), (0.0, 1.0), RK4)
-            assert [traj.status for traj in batch] == ["completed"] * 20
+            assert all(traj.completed for traj in batch)
         assert replays == []
 
 
@@ -349,12 +355,12 @@ def triggers(batch):
     return [traj.event.trigger if traj.event else None for traj in batch]
 
 
-# the steep row's end under each setting; healthy rows need at most about
-# 60 attempts on [0, 1]
+# the steep row's end under each step floor and step budget; healthy rows
+# need at most about 60 attempts on [0, 1]
 RICCATI_ENDINGS = [
-    (IntegratorConfig(), "state-overflow"),
-    (IntegratorConfig(min_step=1e-5), "step-underflow"),
-    (IntegratorConfig(max_steps=100), "max-steps"),
+    ({}, "state-overflow"),
+    ({"MIN_STEP": 1e-5}, "step-underflow"),
+    ({"STEP_LIMIT": 100}, "max-steps"),
 ]
 
 
@@ -376,10 +382,13 @@ class TestRkf45Lockstep:
         ending=st.sampled_from(RICCATI_ENDINGS),
     )
     def test_riccati_rows_with_one_leaving_early(self, healthy, steep, at, ending):
-        cfg, trigger = ending
+        constants, trigger = ending
         x0s = [[y0] for y0 in healthy]
         x0s.insert(at % (len(x0s) + 1), [steep])
-        batch = assert_rows_match(RICCATI_TD, x0s, (0.0, 1.0), cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(INTEGRATE, name, value)
+            batch = assert_rows_match(RICCATI_TD, x0s, (0.0, 1.0), IntegratorConfig())
         assert triggers(batch).count(trigger) == 1 and triggers(batch).count(None) == len(healthy)
 
     @settings(max_examples=20, deadline=None)
@@ -452,7 +461,7 @@ class TestPowerBearingJoints:
             integrate_batch(joint, x0s.tolist(), (0.0, 0.5), cfg)
         assert 1e200 in replays and (method == "rkf45" or len(replays) >= 6)
         batch = assert_rows_match(joint, x0s.tolist(), (0.0, 0.5), cfg)
-        assert batch[2].event is not None and [traj.status for traj in batch].count("completed") >= 12
+        assert batch[2].event is not None and [traj.completed for traj in batch].count(True) >= 12
 
 
 class TestStageSums:
@@ -473,7 +482,7 @@ class TestRkf45Accuracy:
     def test_endpoint_error_scales_with_rtol(self, rtol):
         cfg = IntegratorConfig(rtol=rtol)
         traj = integrate(FunctionRHS(1, growth), [1.0], (0.0, 1.0), cfg)
-        assert abs(traj.final_state()[0] - math.e) <= 10 * rtol * math.e
+        assert abs(traj.states[-1][0] - math.e) <= 10 * rtol * math.e
 
 
 class TestCsv:

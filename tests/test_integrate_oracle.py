@@ -71,7 +71,7 @@ def test_rkf45_agrees_with_dop853_on_every_system_kind(kind):
     assert traj.completed
     expected = reference(field, x0, [SPAN[1]])
     scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(traj.final_state() - expected[-1])) <= 1e-8 * scale
+    assert np.max(np.abs(traj.states[-1] - expected[-1])) <= 1e-8 * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -83,7 +83,7 @@ def test_rkf45_agrees_with_dop853(system):
     expected = reference(field, x0, [SPAN[1]])
     assume(expected is not None)
     scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(traj.final_state() - expected[-1])) <= 1e-8 * scale
+    assert np.max(np.abs(traj.states[-1] - expected[-1])) <= 1e-8 * scale
 
 
 @settings(max_examples=20, deadline=None)
@@ -99,7 +99,7 @@ def test_rkf45_batch_agrees_with_dop853(system):
         if expected is None:
             continue
         scale = max(1.0, float(np.max(np.abs(expected))))
-        assert np.max(np.abs(traj.final_state() - expected[-1])) <= 1e-8 * scale
+        assert np.max(np.abs(traj.states[-1] - expected[-1])) <= 1e-8 * scale
 
 
 @settings(max_examples=30, deadline=None)

@@ -171,7 +171,7 @@ class TestPinneyField:
         # each factor's two terms, in order, on its own coordinates
         assert [tf for tf, _ in joint.terms] == [tf for tf, _ in pinney.terms] * 3
         for tf_index in range(2):
-            field = sum((joint.terms[2 * block + tf_index][1] for block in range(3)), PolyVectorField.zero(6))
+            field = sum((joint.terms[2 * block + tf_index][1] for block in range(3)), PolyVectorField([Poly.zero(6)] * 6))
             for block, system in enumerate((pinney, osc, osc)):
                 part = system.terms[tf_index][1]
                 for i in range(2):

@@ -84,9 +84,8 @@ class SparseEchelon:
         """Integer remainder ``rem`` of ``vec`` with the exact remainder
         equal to ``rem * num / den``, and the (pivot, n, d) steps used:
         ``vec`` minus the sum of Fraction(n, d) times each step's row."""
-        rem = {k: v for k, v in vec.items() if v}
-        den = lcm(*[v.denominator for v in rem.values()])
-        rem = {k: v.numerator * (den // v.denominator) for k, v in rem.items()}
+        den = lcm(*[v.denominator for v in vec.values()])  # a zero's is 1
+        rem = {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
         num = _content(rem.values())
         if num != 1:
             rem = {k: v // num for k, v in rem.items()}

@@ -29,10 +29,12 @@ that any other basis runs from its first pair.  A closure basis opens
 with its k independent generators, so ``center_dimension`` needs only
 the k * r rows that bracket with them.
 
-Structure constants are stored sparse, as the nonzero entries only; the
-Killing form and the center read them there, as one integer table built
-once per table, and the dense table ``.c`` is a view built on its first
-read.
+Structure constants are stored sparse, as the integer numerators of the
+nonzero entries over one least denominator, filled straight from the
+echelon's integer rows; the Killing form and the center read those
+integers, and a Fraction is made only where a value is read: by
+``nonzero``, ``bracket_coefficients`` and the dense view ``.c``, which is
+built on its first read.
 
 Pointwise questions -- whether a basis is linearly independent at a
 generic point ("modular") -- are intrinsically about evaluation, so there
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .exactlinalg import (  # solve_in_span: bench/tracing.py patches it here
@@ -202,16 +204,16 @@ class _Brackets:
         if i >= len(fields):  # every pair is bracketed: the memo is spent
             self.memo = {}
 
-    def coordinates(self, t: int) -> dict[int, Fraction]:
-        """{basis index: coefficient} of the t-th added vector's field."""
+    def coordinates(self, t: int) -> tuple[int, dict[int, int]]:
+        """``(D, {basis index: N})``: the t-th added vector's field is the
+        sum of N / D times the basis fields, over the nonzero N."""
         ints, den = self.echelon.combination(t)
-        den *= self.sources[t][1]
         out = {}
         for s, c in ints.items():
             if c:
                 index, scale = self.sources[s]
-                out[index] = Fraction(c * scale, den)
-        return out
+                out[index] = c * scale
+        return den * self.sources[t][1], out
 
 
 def _checked_generators(generators: Sequence[PolyVectorField], cap: int) -> list[PolyVectorField]:
@@ -317,28 +319,31 @@ def lie_dimension(generators: Sequence[PolyVectorField], cap: int = DEFAULT_CLOS
 
 
 class StructureConstants:
-    """c[a][b][g] with [Y_a, Y_b] = sum_g c[a][b][g] Y_g, exact; ``planes[a]``
-    holds {(b, g): c[a][b][g]} for the nonzero entries, both orders of every
-    pair, and ``c`` is the dense view.  The first ``k`` basis fields
-    generate the algebra: k is the number of independent generators that
-    open a ``closure`` basis, and r for any other table."""
+    """c[a][b][g] with [Y_a, Y_b] = sum_g c[a][b][g] Y_g, exact, as integer
+    numerators over one least denominator ``den``: ``planes[a]`` holds
+    {(b, g): N} for the nonzero entries, both orders of every pair, with
+    c[a][b][g] = N / den, and ``c`` is the dense view of Fractions.  The
+    constructor drops zero numerators and divides out the gcd of ``den``
+    and the rest, so two routes to one table give equal ``den`` and
+    ``planes``.  The first ``k`` basis fields generate the algebra: k is
+    the number of independent generators that open a ``closure`` basis,
+    and r for any other table."""
 
-    __slots__ = ("r", "k", "planes", "_dense", "_integers")
+    __slots__ = ("r", "k", "den", "planes", "_dense")
 
-    def __init__(self, planes: Sequence[Mapping[tuple[int, int], Fraction]], k: int | None = None):
+    def __init__(self, planes: Sequence[Mapping[tuple[int, int], int]], den: int, k: int | None = None):
         r = len(planes)
         if any(b not in range(r) or g not in range(r) for plane in planes for b, g in plane):
             raise ValueError(f"structure constant indices must lie in range({r})")
         if k is not None and k not in range(min(r, 1), r + 1):
             raise ValueError(f"k = {k} generators do not fit {r} basis fields")
+        common = gcd(den, *(v for plane in planes for v in plane.values()))  # zeros leave it as it is
+        planes = tuple({key: v // common for key, v in plane.items() if v} for plane in planes)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "k", r if k is None else k)
-        planes = tuple(
-            {key: v if type(v) is Fraction else Fraction(v) for key, v in plane.items() if v} for plane in planes
-        )
+        object.__setattr__(self, "den", den // common)
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "_dense", None)
-        object.__setattr__(self, "_integers", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("StructureConstants is immutable")
@@ -351,11 +356,13 @@ class StructureConstants:
         return self._dense
 
     def bracket_coefficients(self, alpha: int, beta: int) -> tuple[Fraction, ...]:
-        return tuple(self.planes[alpha].get((beta, g), _ZERO) for g in range(self.r))
+        get, den = self.planes[alpha].get, self.den
+        return tuple(_ZERO if (n := get((beta, g))) is None else Fraction(n, den) for g in range(self.r))
 
     def nonzero(self) -> list[tuple[int, int, int, Fraction]]:
         """(a, b, g, c[a][b][g]) for the nonzero constants with a < b, sorted."""
-        return sorted((a, b, g, v) for a, plane in enumerate(self.planes) for (b, g), v in plane.items() if a < b)
+        entries = ((a, b, g, n) for a, plane in enumerate(self.planes) for (b, g), n in plane.items() if a < b)
+        return sorted((a, b, g, Fraction(n, self.den)) for a, b, g, n in entries)
 
 
 def structure_constants(basis: LieBasis) -> StructureConstants:
@@ -377,35 +384,27 @@ def structure_constants(basis: LieBasis) -> StructureConstants:
         raise NotClosed(j, i)
 
     brackets.bracket_pairs(list(basis.fields), outside)
-    planes: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(basis.size)]
-    for (a, b), t in brackets.pairs.items():
-        for g, v in brackets.coordinates(t).items():
-            planes[a][b, g] = v
-            planes[b][a, g] = -v
-    return StructureConstants(planes, brackets.generators)
-
-
-def _integer_planes(sc: StructureConstants) -> tuple[int, list[dict[tuple[int, int], int]]]:
-    """``(D, planes)``: D the lcm of every constant's denominator, and each
-    plane's nonzero entries as integer numerators over D; computed once
-    per table."""
-    if sc._integers is None:
-        den = lcm(1, *(v.denominator for plane in sc.planes for v in plane.values()))
-        planes = [{k: v.numerator * (den // v.denominator) for k, v in plane.items()} for plane in sc.planes]
-        object.__setattr__(sc, "_integers", (den, planes))
-    return sc._integers
+    expansions = {pair: brackets.coordinates(t) for pair, t in brackets.pairs.items()}
+    den = lcm(*[d for d, _ in expansions.values()])
+    planes: list[dict[tuple[int, int], int]] = [{} for _ in range(basis.size)]
+    for (a, b), (d, coordinates) in expansions.items():
+        m = den // d
+        for g, n in coordinates.items():
+            planes[a][b, g] = n * m
+            planes[b][a, g] = -n * m
+    return StructureConstants(planes, den, brackets.generators)
 
 
 def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
     """K[a][b] = sum_{g,d} c[a][g][d] * c[b][d][g], exact and symmetric.
 
-    Each plane's nonzero entries are taken as integer numerators over the
-    table's common denominator D and indexed once by their transposed key,
-    (g, d) -> [(b, c[b][d][g])]; K[a][b] then sums only over the entries
-    of plane a that meet a nonzero entry of plane b.
+    The table's integer numerators over its denominator D are indexed
+    once by their transposed key, (g, d) -> [(b, D c[b][d][g])]; K[a][b]
+    then sums only over the entries of plane a that meet a nonzero entry
+    of plane b, in integers, and is that sum over D^2.
     """
     r = sc.r
-    den, planes = _integer_planes(sc)
+    den, planes = sc.den, sc.planes
     transposed: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for b, plane in enumerate(planes):
         for (d, g), w in plane.items():
@@ -428,14 +427,14 @@ def killing_determinant(sc: StructureConstants) -> Fraction:
 def center_dimension(sc: StructureConstants) -> int:
     """Dimension of {v : [v, Y_b] = 0 for every b < k} via an exact
     nullspace: r minus the rank of the rows (b, g), b < k, each
-    {a: c[a][b][g]} over its nonzero entries only, as integer numerators
-    over the table's common denominator (which leaves the rank as it is).
+    {a: c[a][b][g]} over its nonzero entries only, as the table's integer
+    numerators (its common denominator leaves the rank as it is).
     That is the center: the centralizer of v is a subalgebra, by the
     Jacobi identity, so it is the whole algebra once it holds the k
     generators.  Equal rows are eliminated once."""
     k = sc.k
     rows: dict[tuple[int, int], dict[int, int]] = {}
-    for a, plane in enumerate(_integer_planes(sc)[1]):
+    for a, plane in enumerate(sc.planes):
         for key, v in plane.items():
             if key[0] < k:
                 rows.setdefault(key, {})[a] = v

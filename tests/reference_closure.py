@@ -4,12 +4,14 @@ reference for the tests.
 Every unordered pair of basis fields is bracketed once, i ascending and
 j < i ascending within it, as [Y_j, Y_i], into one integer echelon that
 keeps the elimination steps of a dependent bracket; the loop runs to the
-last pair, however early the basis is full.  It imports nothing of
-``liealg`` but the two result types, so the code under test does not
-check itself.
+last pair, however early the basis is full.  It expands the brackets in
+Fractions of its own and turns them into the integer table only at the
+end (``integer_table``).  It imports nothing of ``liealg`` but the two
+result types, so the code under test does not check itself.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from liesuper.exactlinalg import SparseEchelon
 from liesuper.liealg import CapExceeded, StructureConstants
@@ -52,4 +54,12 @@ def full_pair_closure(generators: list[PolyVectorField], cap: int) -> tuple[list
                 index, scale = sources[s]
                 planes[a][b, index] = Fraction(c * scale, den)
                 planes[b][a, index] = -Fraction(c * scale, den)
-    return fields, StructureConstants(planes)
+    return fields, StructureConstants(*integer_table(planes))
+
+
+def integer_table(planes: list[dict[tuple[int, int], Fraction]]) -> tuple[list[dict[tuple[int, int], int]], int]:
+    """``(planes, den)`` for a table of Fraction planes, the arguments
+    ``StructureConstants`` takes: each entry's numerator over the lcm of
+    the denominators."""
+    den = lcm(*[v.denominator for plane in planes for v in plane.values()])
+    return [{key: int(v * den) for key, v in plane.items()} for plane in planes], den

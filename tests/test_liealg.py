@@ -29,7 +29,7 @@ from liesuper.hierarchy import linear_generators, member_lie_generators
 from liesuper.parsing import parse_poly
 from liesuper.vectorfield import ExponentLimitError, PolyVectorField, lie_bracket
 from liesuper.verify import random_field
-from reference_closure import full_pair_closure
+from reference_closure import full_pair_closure, integer_table
 
 
 def VF(*components: str) -> PolyVectorField:
@@ -105,7 +105,8 @@ class TestClosure:
         monkeypatch.setattr(liealg, "independence_rank", refuse)
         got = closure(gens)
         assert got.fields == want.fields and got.dimension == want.dimension
-        assert structure_constants(got).planes == structure_constants(want).planes
+        got_sc, want_sc = structure_constants(got), structure_constants(want)
+        assert (got_sc.den, got_sc.planes) == (want_sc.den, want_sc.planes)
         with pytest.raises(AssertionError, match="independence_rank called"):
             LieBasis(want.fields)
         monkeypatch.undo()
@@ -143,19 +144,27 @@ class TestStructureConstants:
         with pytest.raises(NotClosed):
             structure_constants(LieBasis([VF("1"), VF("x0^2")]))
 
-    def test_constructor_keeps_nonzero_fractions_and_checks_indices(self):
-        sc = StructureConstants([{(1, 1): 2, (1, 0): 0}, {(0, 1): Fraction(-2)}])
-        assert sc.planes == ({(1, 1): 2}, {(0, 1): -2})
-        assert all(type(v) is Fraction for plane in sc.planes for v in plane.values())
+    def test_constructor_keeps_nonzero_integers_over_the_least_denominator_and_checks_indices(self):
+        sc = StructureConstants([{(1, 1): 2, (1, 0): 0}, {(0, 1): -2}], 1)
+        assert (sc.den, sc.planes) == (1, ({(1, 1): 2}, {(0, 1): -2}))
         assert sc.c == (((0, 0), (0, 2)), ((0, -2), (0, 0)))
+        # numerators that share a factor with the denominator are reduced
+        # with it, and a zero is dropped
+        third = StructureConstants([{(1, 1): 4, (1, 0): 0}, {(0, 1): -4}], 6)
+        assert (third.den, third.planes) == (3, ({(1, 1): 2}, {(0, 1): -2}))
+        assert third.c == (((0, 0), (0, Fraction(2, 3))), ((0, Fraction(-2, 3)), (0, 0)))
+        assert all(type(v) is Fraction for plane in third.c for row in plane for v in row)
+        assert third.c[0][0][0] is third.c[1][1][1]  # one shared zero
+        assert third.nonzero() == [(0, 1, 1, Fraction(2, 3))]
+        assert StructureConstants([{(0, 0): 0}], 5).den == 1
         for bad in ({(2, 0): 1}, {(0, -1): 1}):
             with pytest.raises(ValueError):
-                StructureConstants([bad, {}])
+                StructureConstants([bad, {}], 1)
         # k, the number of generators that open the basis, is r by default
-        assert sc.k == 2 and StructureConstants(sc.planes, 1).k == 1 and StructureConstants([]).k == 0
+        assert sc.k == 2 and StructureConstants(sc.planes, 1, 1).k == 1 and StructureConstants([], 1).k == 0
         for k in (0, 3):
             with pytest.raises(ValueError, match="do not fit"):
-                StructureConstants(sc.planes, k)
+                StructureConstants(sc.planes, 1, k)
 
     def test_sparse_readers_never_build_the_dense_view(self, monkeypatch, tmp_path, capsys):
         from liesuper.cli import main
@@ -165,6 +174,7 @@ class TestStructureConstants:
             raise AssertionError("dense view read")
 
         sc = structure_constants(closure(member_lie_generators(3)))
+        assert all(type(v) is int for plane in sc.planes for v in plane.values())
         dense = sc.c
         assert sc.c is dense
         monkeypatch.setattr(StructureConstants, "c", property(refuse))
@@ -246,7 +256,8 @@ class TestBracketOnce:
     def test_closure_table_equals_the_hand_built_pass(self, gens):
         basis = closure(gens)
         sc = structure_constants(basis)
-        assert sc.planes == structure_constants(LieBasis(basis.fields, dimension=basis.dimension)).planes
+        hand_built = structure_constants(LieBasis(basis.fields, dimension=basis.dimension))
+        assert (sc.den, sc.planes) == (hand_built.den, hand_built.planes)
         # the table expands every bracket exactly
         fields = basis.fields
         for a in range(sc.r):
@@ -254,7 +265,7 @@ class TestBracketOnce:
                 expanded = PolyVectorField([Poly.zero(basis.dimension)] * basis.dimension)
                 for (beta, g), v in sc.planes[a].items():
                     if beta == b:
-                        expanded = expanded + fields[g] * v
+                        expanded = expanded + fields[g] * Fraction(v, sc.den)
                 assert expanded == lie_bracket(fields[a], fields[b])
 
     def test_zero_brackets_give_an_empty_table(self):
@@ -262,14 +273,14 @@ class TestBracketOnce:
         assert sc.r == 2 and sc.planes == ({}, {})
 
     @pytest.mark.parametrize(
-        "gens, pass_calls, closure_calls, constants_calls",
+        "gens, pass_calls, closure_calls, constants_calls, den",
         [
-            (linear_generators(4), 65, 86, 34),
-            ([f * Fraction(2, 3) for f in member_lie_generators(3)], 22, 23, 5),
+            (linear_generators(4), 65, 86, 34, 1),
+            ([f * Fraction(2, 3) for f in member_lie_generators(3)], 22, 23, 5, 81),
         ],
     )
     def test_closure_and_its_constants_bracket_each_pair_once(
-        self, monkeypatch, gens, pass_calls, closure_calls, constants_calls
+        self, monkeypatch, gens, pass_calls, closure_calls, constants_calls, den
     ):
         # closure forms the lie_dimension pass's brackets, then only the
         # pairs its loop takes from no memo, up to the pair that fills the
@@ -292,10 +303,13 @@ class TestBracketOnce:
         sc = structure_constants(basis)
         assert len(calls) - closure_calls == constants_calls
         assert closure_calls + constants_calls == r * (r - 1) // 2
-        assert structure_constants(basis).planes == sc.planes
+        assert sc.den == den  # the least common denominator of the constants
+        again = structure_constants(basis)
+        assert (again.den, again.planes) == (sc.den, sc.planes)
         assert len(calls) == r * (r - 1) // 2
         # a hand-built basis runs the same loop from its first pair
-        assert sc.planes == structure_constants(LieBasis(basis.fields)).planes
+        hand_built = structure_constants(LieBasis(basis.fields))
+        assert (sc.den, sc.planes) == (hand_built.den, hand_built.planes)
         assert len(calls) == r * (r - 1)
 
     @pytest.mark.parametrize(
@@ -370,7 +384,9 @@ def antisymmetric_tables(draw):
         for b in range(a + 1, r):
             c[a][b] = [draw(entries) for _ in range(r)]
             c[b][a] = [-v for v in c[a][b]]
-    return StructureConstants([{(b, g): v for b, row in enumerate(plane) for g, v in enumerate(row)} for plane in c])
+    return StructureConstants(
+        *integer_table([{(b, g): v for b, row in enumerate(plane) for g, v in enumerate(row)} for plane in c])
+    )
 
 
 def conjugated_linear(fields, a):
@@ -491,13 +507,13 @@ def conjugated_gl(draw):
 
 
 def closure_outcome(fn, gens, cap):
-    """The fields, planes, Killing determinant and center of ``fn(gens,
-    cap)``, or its CapExceeded."""
+    """The fields, denominator, planes, Killing determinant and center of
+    ``fn(gens, cap)``, or its CapExceeded."""
     try:
         fields, sc = fn(gens, cap)
     except CapExceeded as exc:
         return "cap", exc.cap, exc.dimension
-    return list(fields), sc.planes, killing_determinant(sc), center_dimension(sc)
+    return list(fields), sc.den, sc.planes, killing_determinant(sc), center_dimension(sc)
 
 
 def closure_and_constants(gens, cap):
@@ -536,7 +552,7 @@ class TestAgainstFullPairClosure:
     def test_center_from_the_generator_rows_equals_the_center_from_all_rows(self, gens):
         sc = structure_constants(closure(gens))
         assert sc.k == independence_rank(gens)
-        assert center_dimension(sc) == center_dimension(StructureConstants(sc.planes))
+        assert center_dimension(sc) == center_dimension(StructureConstants(sc.planes, sc.den))
 
     def test_cap_and_exponent_limit_compete_in_closure_order(self):
         # d/dx and x^N d/dx, N = 2^31 + 1: [g0, g1] and [g0, [g0, g1]] join
@@ -632,12 +648,12 @@ class TestCenter:
         # the last plane made a combination of the others with fractional
         # weights: a relation among the columns a of the rows (b, g) whose
         # entries have mixed denominators, which the integer rows must keep
-        planes = list(sc.planes)
+        planes = [{key: Fraction(v, sc.den) for key, v in plane.items()} for plane in sc.planes]
         last = {}
         for plane, w in zip(planes[:-1], weights):
             for key, v in plane.items():
                 last[key] = last.get(key, 0) + w * v
-        sc = StructureConstants(planes[:-1] + [last])
+        sc = StructureConstants(*integer_table(planes[:-1] + [last]))
         r = sc.r
         rows = [[sympy.Rational(str(sc.c[a][b][g])) for a in range(r)] for b in range(r) for g in range(r)]
         assert center_dimension(sc) == len(sympy.Matrix(rows).nullspace())
